@@ -82,13 +82,15 @@ int main(int argc, char** argv) {
     std::int64_t shed = 0, unserved = 0;
     for (int i = 0; i < args.repeat; ++i) {
         auto start = clock_type::now();
-        const auto lat = load::assign_bucket(plan, demand, 0, 100, capacity.per_front_end(),
-                                             load::policy_kind::latency_only, &pool);
+        const auto lat = load::assign_bucket(plan, demand.offered_bucket(0, 100),
+                                             capacity.per_front_end(),
+                                             load::policy_kind::latency_only);
         latency_ms.add(bench::ms_since(start));
 
         start = clock_type::now();
-        const auto aware = load::assign_bucket(plan, demand, 0, 400, capacity.per_front_end(),
-                                               load::policy_kind::load_aware, &pool);
+        const auto aware = load::assign_bucket(plan, demand.offered_bucket(0, 400),
+                                               capacity.per_front_end(),
+                                               load::policy_kind::load_aware);
         aware_ms.add(bench::ms_since(start));
         shed = aware.shed;
         unserved = aware.unserved;

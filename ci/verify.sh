@@ -106,6 +106,10 @@ if [[ ${run_tier1} -eq 1 ]]; then
     # Fast-fail lane first, then everything else (golden, slow, cli).
     ctest --test-dir build --output-on-failure -j "${jobs}" -L unit
     ctest --test-dir build --output-on-failure -j "${jobs}" -LE unit
+    # Every case is its own process under ctest: a random schedule repeated
+    # three times catches cases that share a temp path or other state.
+    ctest --test-dir build --output-on-failure -j "${jobs}" --schedule-random \
+        --repeat until-fail:3
 
     # Snapshot round trip: the figures recomputed from an archived world must
     # be byte-identical to the ones computed from a live build — and the

@@ -1,9 +1,10 @@
 #include "src/analysis/load_frontier.h"
 
+#include <algorithm>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
-#include "src/analysis/stats.h"
 #include "src/load/gauges.h"
 #include "src/netbase/strfmt.h"
 #include "src/obs/trace.h"
@@ -30,20 +31,9 @@ load_frontier_point make_point(const load::route_plan& plan, const load::bucket_
     // the outermost ring (overloaded front-ends still serve, just badly —
     // that shows up in overload_fraction, not here); load-aware's unserved
     // residue is excluded because those users got nothing.
-    weighted_cdf rtt;
-    const auto rings = static_cast<std::size_t>(plan.rings());
-    for (std::size_t l = 0; l < plan.locations(); ++l) {
-        for (std::size_t ring = 0; ring < rings; ++ring) {
-            const std::int64_t kept = r.kept[l * rings + ring];
-            if (kept > 0) {
-                rtt.add(plan.rtt_ms(l, static_cast<int>(ring)), static_cast<double>(kept));
-            }
-        }
-    }
-    if (!rtt.empty()) {
-        p.p50_ms = rtt.quantile(0.5);
-        p.p95_ms = rtt.quantile(0.95);
-    }
+    const auto q = kept_rtt_quantiles(plan.rtt_order(), plan.cell_rtt_ms(), r.kept);
+    p.p50_ms = q.p50_ms;
+    p.p95_ms = q.p95_ms;
     if (r.offered > 0) {
         p.overload_fraction = static_cast<double>(r.unserved) / static_cast<double>(r.offered);
         p.shed_fraction = static_cast<double>(r.shed) / static_cast<double>(r.offered);
@@ -58,8 +48,7 @@ load_frontier_point make_point(const load::route_plan& plan, const load::bucket_
 /// Per-front-end served totals through the table kernels: group every kept
 /// (location, ring) cell by its front-end and sum connections.
 std::vector<double> served_by_front_end(const load::route_plan& plan,
-                                        const load::bucket_result& r,
-                                        engine::thread_pool* pool) {
+                                        const load::bucket_result& r) {
     std::vector<std::uint32_t> keys;
     std::vector<double> conn;
     const auto rings = static_cast<std::size_t>(plan.rings());
@@ -73,7 +62,7 @@ std::vector<double> served_by_front_end(const load::route_plan& plan,
             }
         }
     }
-    const auto grouping = table::make_grouping(std::span<const std::uint32_t>{keys}, pool);
+    const auto grouping = table::make_grouping(std::span<const std::uint32_t>{keys});
     const auto totals = table::sum_by(grouping, std::span<const double>{conn});
     std::vector<double> served(static_cast<std::size_t>(plan.front_ends()), 0.0);
     for (std::size_t g = 0; g < grouping.groups(); ++g) {
@@ -83,6 +72,41 @@ std::vector<double> served_by_front_end(const load::route_plan& plan,
 }
 
 } // namespace
+
+rtt_quantiles kept_rtt_quantiles(std::span<const std::uint32_t> order,
+                                std::span<const double> cell_rtt_ms,
+                                std::span<const std::int64_t> kept) {
+    // weighted_cdf sorts (RTT, weight) pairs and returns the first RTT whose
+    // running weight sum reaches q x total. With integer weights and a total
+    // of at most 2^53 every running sum is exact, so the sum at the end of
+    // each equal-RTT group does not depend on the order inside the group,
+    // and the crossing lands in the same group whatever that order is.
+    std::int64_t total = 0;
+    for (const std::uint32_t cell : order) {
+        if (kept[cell] > 0) total += kept[cell];
+    }
+    if (total > max_exact_conn) {
+        throw std::overflow_error("load_frontier: " + std::to_string(total) +
+                                  " connections in one point exceed 2^53");
+    }
+    rtt_quantiles q;
+    if (total == 0) return q;
+    const double p50_target = 0.5 * static_cast<double>(total);
+    const double p95_target = 0.95 * static_cast<double>(total);
+    std::int64_t cumulative = 0;
+    bool have_p50 = false;
+    for (const std::uint32_t cell : order) {
+        if (kept[cell] <= 0) continue;
+        cumulative += kept[cell];
+        q.p95_ms = cell_rtt_ms[cell];  // stays at the last kept cell if never reached
+        if (!have_p50 && static_cast<double>(cumulative) >= p50_target) {
+            q.p50_ms = q.p95_ms;
+            have_p50 = true;
+        }
+        if (static_cast<double>(cumulative) >= p95_target) break;
+    }
+    return q;
+}
 
 load_frontier_result compute_load_frontier(const cdn::cdn_network& cdn,
                                            const pop::user_base& base,
@@ -107,32 +131,47 @@ load_frontier_result compute_load_frontier(const cdn::cdn_network& cdn,
     out.total_capacity_conn = capacity.total();
     out.capacity_conn.assign(capacity.per_front_end().begin(), capacity.per_front_end().end());
 
+    // One job per (level, bucket): it builds that bucket's offered vector
+    // once, assigns it under each enabled policy, and writes each point to
+    // its own slot of the policy-major output. Jobs share only immutable
+    // inputs, so the points are the same bytes at any thread count.
+    std::vector<load::policy_kind> kinds;
+    if (options.run_latency_only) kinds.push_back(load::policy_kind::latency_only);
+    if (options.run_load_aware) kinds.push_back(load::policy_kind::load_aware);
+    const auto buckets = static_cast<std::size_t>(demand.buckets());
+    const std::size_t per_policy = options.levels.size() * buckets;
+
     // Reference cell for the per-front-end serving profile: the load-aware
-    // policy at nominal demand when available, else latency-only.
+    // policy (else latency-only) at bucket 0 of the first 100% level (else
+    // of the first level).
     const load::policy_kind ref_policy = options.run_load_aware
                                              ? load::policy_kind::load_aware
                                              : load::policy_kind::latency_only;
-    int ref_level = options.levels.front();
-    for (const int level : options.levels) {
-        if (level == 100) ref_level = 100;
-    }
+    const auto nominal = std::find(options.levels.begin(), options.levels.end(), 100);
+    const std::size_t ref_job =
+        nominal == options.levels.end()
+            ? 0
+            : static_cast<std::size_t>(nominal - options.levels.begin()) * buckets;
 
-    const load::policy_kind kinds[] = {load::policy_kind::latency_only,
-                                       load::policy_kind::load_aware};
-    for (const load::policy_kind kind : kinds) {
-        if (kind == load::policy_kind::latency_only && !options.run_latency_only) continue;
-        if (kind == load::policy_kind::load_aware && !options.run_load_aware) continue;
-        for (const int level : options.levels) {
-            for (int t = 0; t < demand.buckets(); ++t) {
-                const auto r = load::assign_bucket(plan, demand, t, level,
-                                                   capacity.per_front_end(), kind, pool);
-                if (kind == ref_policy && level == ref_level && t == 0) {
-                    out.fe_served_conn = served_by_front_end(plan, r, pool);
+    out.points.resize(kinds.size() * per_policy);
+    engine::parallel_over(
+        pool, per_policy,
+        [&](std::size_t begin, std::size_t end) {
+            for (std::size_t job = begin; job < end; ++job) {
+                const int level = options.levels[job / buckets];
+                const auto t = static_cast<int>(job % buckets);
+                const auto offered = demand.offered_bucket(t, level);
+                for (std::size_t k = 0; k < kinds.size(); ++k) {
+                    const auto r =
+                        load::assign_bucket(plan, offered, capacity.per_front_end(), kinds[k]);
+                    if (kinds[k] == ref_policy && job == ref_job) {
+                        out.fe_served_conn = served_by_front_end(plan, r);
+                    }
+                    out.points[k * per_policy + job] = make_point(plan, r, kinds[k], level, t);
                 }
-                out.points.push_back(make_point(plan, r, kind, level, t));
             }
-        }
-    }
+        },
+        1);
     frontier_span.set_items(out.points.size());
 
     if (!out.fe_served_conn.empty()) {

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/cdn/cdn.h"
@@ -70,6 +71,25 @@ struct load_frontier_result {
     /// at 100% if run, else latency-only), via the table group-by kernels.
     std::vector<double> fe_served_conn;
 };
+
+/// Served-latency quantiles of one frontier point (0 when nothing is kept).
+struct rtt_quantiles {
+    double p50_ms = 0.0;
+    double p95_ms = 0.0;
+};
+
+/// Largest per-point connection total for which every partial sum is an
+/// exactly representable double (2^53).
+inline constexpr std::int64_t max_exact_conn = std::int64_t{1} << 53;
+
+/// p50/p95 of cell RTTs weighted by integer connection counts `kept`, in one
+/// pass over `order` (cells ascending by RTT, ties in any order; as
+/// route_plan::rtt_order()). Bit-identical to a weighted_cdf over the kept
+/// cells. Throws std::overflow_error when the kept total exceeds
+/// `max_exact_conn`, where that equality would no longer be guaranteed.
+[[nodiscard]] rtt_quantiles kept_rtt_quantiles(std::span<const std::uint32_t> order,
+                                               std::span<const double> cell_rtt_ms,
+                                               std::span<const std::int64_t> kept);
 
 [[nodiscard]] load_frontier_result compute_load_frontier(
     const cdn::cdn_network& cdn, const pop::user_base& base, const scenario::timeline& tl,

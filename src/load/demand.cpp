@@ -9,8 +9,12 @@ namespace ac::load {
 
 namespace {
 
-/// floor(v * num / den) through 128-bit so the product cannot overflow.
+/// floor(v * num / den) for non-negative operands. A product that fits in
+/// 64 bits divides there; a larger one goes through 128-bit so it cannot
+/// overflow. Both paths truncate the same exact product, so they agree.
 [[nodiscard]] std::int64_t scale(std::int64_t v, std::int64_t num, std::int64_t den) noexcept {
+    std::int64_t product = 0;
+    if (!__builtin_mul_overflow(v, num, &product)) return product / den;
     return static_cast<std::int64_t>(static_cast<__int128>(v) * num / den);
 }
 
@@ -120,6 +124,12 @@ std::int64_t demand_series::offered(std::size_t loc, int t, int level_pct) const
     c = scale(c, diurnal_pm_[bucket], 1000);
     c = scale(c, region_factor_[bucket * regions_ + region_[loc]], 100);
     return c;
+}
+
+std::vector<std::int64_t> demand_series::offered_bucket(int t, int level_pct) const {
+    std::vector<std::int64_t> out(base_conn_.size());
+    for (std::size_t l = 0; l < out.size(); ++l) out[l] = offered(l, t, level_pct);
+    return out;
 }
 
 } // namespace ac::load

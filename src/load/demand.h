@@ -67,6 +67,8 @@ public:
     /// Offered connections from location `loc` at bucket `t`, with the whole
     /// series additionally scaled by `level_pct` percent (the frontier sweep).
     [[nodiscard]] std::int64_t offered(std::size_t loc, int t, int level_pct) const noexcept;
+    /// `offered(loc, t, level_pct)` for every location, in location order.
+    [[nodiscard]] std::vector<std::int64_t> offered_bucket(int t, int level_pct) const;
 
     // Per-bucket state, exposed for tests and summaries.
     [[nodiscard]] int level_pct(int t) const noexcept {

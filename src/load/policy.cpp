@@ -79,6 +79,14 @@ route_plan::route_plan(const cdn::cdn_network& cdn, const pop::user_base& base,
             if (f >= 0) seg[cursor[static_cast<std::size_t>(f)]++] = static_cast<std::uint32_t>(l);
         }
     }
+
+    rtt_order_.reserve(rings * reachable_);
+    for (std::size_t cell = 0; cell < fe_.size(); ++cell) {
+        if (fe_[cell] >= 0) rtt_order_.push_back(static_cast<std::uint32_t>(cell));
+    }
+    std::sort(rtt_order_.begin(), rtt_order_.end(), [&](std::uint32_t a, std::uint32_t b) {
+        return rtt_[a] != rtt_[b] ? rtt_[a] < rtt_[b] : a < b;
+    });
 }
 
 std::span<const std::uint32_t> route_plan::members(int fe, int ring) const noexcept {
@@ -125,91 +133,69 @@ void apportion_shed(std::span<const std::uint32_t> mem, const std::int64_t* cur,
 
 } // namespace
 
-bucket_result assign_bucket(const route_plan& plan, const demand_series& demand, int t,
-                            int level_pct, std::span<const std::int64_t> capacity,
-                            policy_kind kind, engine::thread_pool* pool) {
+bucket_result assign_bucket(const route_plan& plan, std::span<const std::int64_t> offered,
+                            std::span<const std::int64_t> capacity, policy_kind kind) {
     obs::span assign_span{"load/assign"};
     assign_span.set_items(plan.locations());
 
     const auto locations = plan.locations();
-    const int rings = plan.rings();
+    const auto rings = static_cast<std::size_t>(plan.rings());
     const auto fe_count = static_cast<std::size_t>(plan.front_ends());
 
     bucket_result out;
-    out.kept.assign(locations * static_cast<std::size_t>(rings), 0);
+    out.kept.assign(locations * rings, 0);
     out.fe_load.assign(fe_count, 0);
 
     std::vector<std::int64_t> cur(locations, 0);
     for (std::size_t l = 0; l < locations; ++l) {
-        const std::int64_t c = demand.offered(l, t, level_pct);
         if (!plan.reachable(l)) {
-            out.unreachable += c;
+            out.unreachable += offered[l];
         } else {
-            cur[l] = c;
-            out.offered += c;
+            cur[l] = offered[l];
+            out.offered += offered[l];
         }
     }
 
-    const int top = rings - 1;
+    const int top = plan.rings() - 1;
     if (kind == policy_kind::latency_only) {
-        // Everyone is served by their outermost-ring front-end; per-front-end
-        // sums are self-contained (disjoint member lists), so full fan-out.
-        engine::parallel_over(
-            pool, fe_count,
-            [&](std::size_t begin, std::size_t end) {
-                for (std::size_t f = begin; f < end; ++f) {
-                    std::int64_t arrived = 0;
-                    for (const std::uint32_t l : plan.members(static_cast<int>(f), top)) {
-                        arrived += cur[l];
-                        out.kept[l * static_cast<std::size_t>(rings) +
-                                 static_cast<std::size_t>(top)] = cur[l];
-                    }
-                    out.fe_load[f] = arrived;
-                }
-            },
-            1);
-        out.served_first = out.offered;
+        // Everyone is served by their outermost-ring front-end.
         for (std::size_t f = 0; f < fe_count; ++f) {
-            out.unserved += std::max<std::int64_t>(0, out.fe_load[f] - capacity[f]);
+            std::int64_t arrived = 0;
+            for (const std::uint32_t l : plan.members(static_cast<int>(f), top)) {
+                arrived += cur[l];
+                out.kept[l * rings + static_cast<std::size_t>(top)] = cur[l];
+            }
+            out.fe_load[f] = arrived;
+            out.unserved += std::max<std::int64_t>(0, arrived - capacity[f]);
         }
+        out.served_first = out.offered;
         return out;
     }
 
     // Load-aware waterfall: outermost ring first, shed excess rides the next
-    // ring inward. Each ring pass fans out over front-ends (grain 1: member
-    // lists are uneven); a front-end touches only its own members' slots in
-    // `next`/`kept`, so passes are race-free and thread-count independent.
+    // ring inward. A front-end touches only its own members' slots in
+    // `next`/`kept`, so the order of front-ends within a pass is immaterial.
     std::vector<std::int64_t> next(locations, 0);
-    std::vector<std::int64_t> shed_at(fe_count, 0);
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> scratch;
     for (int r = top; r >= 0; --r) {
         std::fill(next.begin(), next.end(), 0);
-        std::fill(shed_at.begin(), shed_at.end(), 0);
-        engine::parallel_over(
-            pool, fe_count,
-            [&](std::size_t begin, std::size_t end) {
-                std::vector<std::pair<std::uint64_t, std::uint32_t>> scratch;
-                for (std::size_t f = begin; f < end; ++f) {
-                    const auto mem = plan.members(static_cast<int>(f), r);
-                    std::int64_t arrived = 0;
-                    for (const std::uint32_t l : mem) arrived += cur[l];
-                    if (arrived == 0) continue;
-                    const std::int64_t avail =
-                        std::max<std::int64_t>(0, capacity[f] - out.fe_load[f]);
-                    const std::int64_t excess = std::max<std::int64_t>(0, arrived - avail);
-                    if (excess > 0) {
-                        apportion_shed(mem, cur.data(), excess, arrived, next.data(), scratch);
-                    }
-                    for (const std::uint32_t l : mem) {
-                        out.kept[l * static_cast<std::size_t>(rings) +
-                                 static_cast<std::size_t>(r)] = cur[l] - next[l];
-                    }
-                    shed_at[f] = excess;
-                    out.fe_load[f] += arrived - excess;
-                }
-            },
-            1);
         std::int64_t ring_shed = 0;
-        for (const std::int64_t s : shed_at) ring_shed += s;
+        for (std::size_t f = 0; f < fe_count; ++f) {
+            const auto mem = plan.members(static_cast<int>(f), r);
+            std::int64_t arrived = 0;
+            for (const std::uint32_t l : mem) arrived += cur[l];
+            if (arrived == 0) continue;
+            const std::int64_t avail = std::max<std::int64_t>(0, capacity[f] - out.fe_load[f]);
+            const std::int64_t excess = std::max<std::int64_t>(0, arrived - avail);
+            if (excess > 0) {
+                apportion_shed(mem, cur.data(), excess, arrived, next.data(), scratch);
+            }
+            for (const std::uint32_t l : mem) {
+                out.kept[l * rings + static_cast<std::size_t>(r)] = cur[l] - next[l];
+            }
+            ring_shed += excess;
+            out.fe_load[f] += arrived - excess;
+        }
         if (r == top) out.shed = ring_shed;
         if (r > 0) {
             out.overflow_hop_conn += ring_shed;

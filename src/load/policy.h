@@ -13,9 +13,9 @@
 //     proportionally across the locations feeding it, and the shed
 //     connections ride the next ring inward. What ring 0 cannot take is
 //     unserved. This is a deterministic fixed-point: each ring pass is a
-//     parallel sweep over front-ends with per-front-end/per-location slot
-//     writes and integer largest-remainder apportionment, so the result is
-//     byte-identical at any thread count.
+//     sweep over front-ends in index order with integer largest-remainder
+//     apportionment. `assign_bucket` is serial; callers parallelize across
+//     buckets (analysis::compute_load_frontier fans out over its points).
 //
 // Connection counts are int64 throughout; every bucket satisfies
 // shed + served_first == offered exactly (tests/load_test.cpp pins it).
@@ -28,7 +28,6 @@
 
 #include "src/cdn/cdn.h"
 #include "src/engine/thread_pool.h"
-#include "src/load/demand.h"
 #include "src/population/population.h"
 
 namespace ac::load {
@@ -42,7 +41,8 @@ enum class policy_kind : std::uint8_t {
 
 /// Per-location routing state, fixed for a converged world: front-end and
 /// RTT per (location, ring), plus the inverse mapping (which locations feed
-/// each front-end on each ring) in CSR form for the per-front-end sweeps.
+/// each front-end on each ring) in CSR form for the per-front-end sweeps,
+/// and every reachable (location, ring) cell ordered by RTT for quantiles.
 class route_plan {
 public:
     /// Evaluates every <asn, region> location against every ring. A
@@ -66,6 +66,13 @@ public:
     [[nodiscard]] double rtt_ms(std::size_t loc, int ring) const noexcept {
         return rtt_[loc * static_cast<std::size_t>(rings_) + static_cast<std::size_t>(ring)];
     }
+    /// RTT per cell `loc * rings() + ring` (the `bucket_result::kept`
+    /// layout); unreachable cells read +infinity.
+    [[nodiscard]] std::span<const double> cell_rtt_ms() const noexcept { return rtt_; }
+    /// Every reachable cell, ascending by RTT (ties by cell index). RTT is
+    /// fixed by the plan, so a weighted quantile over any bucket's `kept`
+    /// is one pass over this order instead of a sort per bucket.
+    [[nodiscard]] std::span<const std::uint32_t> rtt_order() const noexcept { return rtt_order_; }
     /// Locations served by front-end `fe` on `ring`, ascending location id.
     [[nodiscard]] std::span<const std::uint32_t> members(int fe, int ring) const noexcept;
 
@@ -74,6 +81,7 @@ private:
     std::vector<double> rtt_;    // same layout
     std::vector<std::uint32_t> members_;  // ring-major CSR payload
     std::vector<std::uint32_t> offsets_;  // rings x (front_ends + 1)
+    std::vector<std::uint32_t> rtt_order_;  // reachable cells by (RTT, cell)
     std::size_t locations_ = 0;
     std::size_t reachable_ = 0;
     int rings_ = 0;
@@ -95,12 +103,12 @@ struct bucket_result {
     std::vector<std::int64_t> fe_load;   // connections landed per front-end
 };
 
-/// Assigns bucket `t` of `demand` (swept at `level_pct`) under `kind`.
-/// `capacity` is the per-front-end limit (capacity_model::per_front_end()).
-[[nodiscard]] bucket_result assign_bucket(const route_plan& plan, const demand_series& demand,
-                                          int t, int level_pct,
+/// Assigns one bucket's offered connections (per location, as from
+/// `demand_series::offered_bucket`) under `kind`. `capacity` is the
+/// per-front-end limit (capacity_model::per_front_end()).
+[[nodiscard]] bucket_result assign_bucket(const route_plan& plan,
+                                          std::span<const std::int64_t> offered,
                                           std::span<const std::int64_t> capacity,
-                                          policy_kind kind,
-                                          engine::thread_pool* pool = nullptr);
+                                          policy_kind kind);
 
 } // namespace ac::load

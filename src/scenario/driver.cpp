@@ -38,7 +38,10 @@ driver::target_state& driver::target_named(const std::string& name) {
 }
 
 void driver::apply_event(const event& e, step_metrics& step) {
-    const auto accumulate = [&](const route::anycast_rib::reconverge_stats& s) {
+    // Every mutation marks its target for re-measurement.
+    const auto accumulate = [&](target_state& t,
+                                const route::anycast_rib::reconverge_stats& s) {
+        t.stale = true;
         step.ases_touched += s.ases_touched;
         step.cache_entries_invalidated += s.cache_entries_invalidated;
         step.cache_shards_visited += s.cache_shards_visited;
@@ -72,7 +75,7 @@ void driver::apply_event(const event& e, step_metrics& step) {
             for (route::site_id s = 0; s < rib.site_count(); ++s) {
                 if (rib.is_withdrawn(s)) continue;
                 if (rib.announcements()[s].origin_region != e.region) continue;
-                accumulate(rib.withdraw(s));
+                accumulate(t, rib.withdraw(s));
             }
         }
         return;
@@ -83,25 +86,25 @@ void driver::apply_event(const event& e, step_metrics& step) {
     switch (e.type) {
         case event_type::drain: {
             check_site(t, e.site);
-            accumulate(rib.withdraw(e.site));
+            accumulate(t, rib.withdraw(e.site));
             break;
         }
         case event_type::restore: {
             check_site(t, e.site);
             // Reinstate with current parameters (a prior prepend/promote
             // survives the drain), not the add_target baseline.
-            accumulate(rib.announce(rib.announcements()[e.site]));
+            accumulate(t, rib.announce(rib.announcements()[e.site]));
             break;
         }
         case event_type::withdraw: {
             for (route::site_id s = 0; s < rib.site_count(); ++s) {
-                if (!rib.is_withdrawn(s)) accumulate(rib.withdraw(s));
+                if (!rib.is_withdrawn(s)) accumulate(t, rib.withdraw(s));
             }
             break;
         }
         case event_type::announce: {
             for (route::site_id s = 0; s < rib.site_count(); ++s) {
-                if (rib.is_withdrawn(s)) accumulate(rib.announce(rib.announcements()[s]));
+                if (rib.is_withdrawn(s)) accumulate(t, rib.announce(rib.announcements()[s]));
             }
             break;
         }
@@ -109,21 +112,21 @@ void driver::apply_event(const event& e, step_metrics& step) {
             check_site(t, e.site);
             auto a = rib.announcements()[e.site];
             a.prepend = static_cast<std::uint8_t>(e.prepend);
-            accumulate(rib.announce(a));
+            accumulate(t, rib.announce(a));
             break;
         }
         case event_type::promote: {
             check_site(t, e.site);
             auto a = rib.announcements()[e.site];
             a.scope = route::announcement_scope::global;
-            accumulate(rib.announce(a));
+            accumulate(t, rib.announce(a));
             break;
         }
         case event_type::demote: {
             check_site(t, e.site);
             auto a = rib.announcements()[e.site];
             a.scope = route::announcement_scope::local;
-            accumulate(rib.announce(a));
+            accumulate(t, rib.announce(a));
             break;
         }
         case event_type::outage:
@@ -135,7 +138,20 @@ void driver::apply_event(const event& e, step_metrics& step) {
     }
 }
 
-void driver::measure(target_state& t, const driver_options& options, step_metrics& step) {
+std::size_t driver::measure(target_state& t, const driver_options& options,
+                            step_metrics& step) {
+    if (!t.stale) {
+        // Nothing mutated this RIB since it was last measured, so every
+        // selection (and every metric derived from it) is unchanged and no
+        // source shifted or lost its route.
+        target_metrics m = t.last;
+        m.shifted_share = 0.0;
+        m.stranded_share = 0.0;
+        step.targets.push_back(std::move(m));
+        return 0;
+    }
+    t.stale = false;
+
     const auto& rib = t.dep->rib();
     target_metrics m;
     m.target = t.name;
@@ -188,7 +204,9 @@ void driver::measure(target_state& t, const driver_options& options, step_metric
         const double top = *std::max_element(site_weight.begin(), site_weight.end());
         m.max_site_share = top / reach_weight;
     }
+    t.last = m;
     step.targets.push_back(std::move(m));
+    return sources_.size();
 }
 
 std::vector<step_metrics> driver::run(const timeline& tl, const driver_options& options) {
@@ -225,6 +243,7 @@ std::vector<step_metrics> driver::run(const timeline& tl, const driver_options& 
     for (auto& t : targets_) {
         t.dep->mutable_rib().clear_select_cache();
         t.prev_site.clear();
+        t.stale = true;
     }
 
     std::vector<step_metrics> out;
@@ -248,8 +267,9 @@ std::vector<step_metrics> driver::run(const timeline& tl, const driver_options& 
             return next_event - first;
         });
         stages.add("analyze", {"apply"}, [&] {
-            for (auto& t : targets_) measure(t, options, sm);
-            return sources_.size() * targets_.size();
+            std::size_t selected = 0;
+            for (auto& t : targets_) selected += measure(t, options, sm);
+            return selected;
         });
         const auto report = stages.run(options.threads);
         for (const auto& st : report.stages) {

@@ -8,7 +8,10 @@
 // byte-identical metric series at any thread count. Each step mutates the
 // targets' RIBs *in place* via the incremental announce/withdraw entry
 // points (DESIGN §11); the per-step `reconverge` numbers report how much
-// work that saved versus a wholesale rebuild.
+// work that saved versus a wholesale rebuild. Only targets whose RIB a step
+// mutated are re-measured; the rest re-emit their previous metrics with no
+// shift or strand, which is what a full re-measure of an unchanged RIB
+// computes.
 #pragma once
 
 #include <cstdint>
@@ -91,11 +94,17 @@ private:
         /// Site chosen per source at the previous step (-1 = no route),
         /// for shift/strand accounting.
         std::vector<std::int64_t> prev_site;
+        /// Set when the RIB was mutated since the last measurement (and at
+        /// the start of every run); a clean target re-emits `last`.
+        bool stale = true;
+        target_metrics last;
     };
 
     void apply_event(const event& e, step_metrics& step);
     target_state& target_named(const std::string& name);
-    void measure(target_state& t, const driver_options& options, step_metrics& step);
+    /// Measures `t` into `step`; returns the number of sources selected
+    /// (0 when `t` was clean and its previous metrics were re-emitted).
+    std::size_t measure(target_state& t, const driver_options& options, step_metrics& step);
 
     const topo::as_graph* graph_;
     const topo::region_table* regions_;

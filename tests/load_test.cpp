@@ -1,18 +1,24 @@
 // Load subsystem tests: capacity apportionment, the integer demand model,
 // exact conservation under both assignment policies, the infinite-capacity
-// policy differential, thread-count determinism (with an FNV-pinned frontier
-// golden), demand-event replay through the scenario driver, and a TSan
-// stress over the parallel fixed-point (ci/verify.sh --tsan runs this
-// binary under AC_SANITIZE=thread).
+// policy differential, thread-count determinism (with FNV-pinned frontier
+// goldens), the one-pass frontier quantiles against weighted_cdf, demand-event
+// replay through the scenario driver, and a TSan stress over the pooled
+// frontier (ci/verify.sh --tsan runs this binary under AC_SANITIZE=thread).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/load_frontier.h"
+#include "src/analysis/stats.h"
 #include "src/anycast/deployment.h"
 #include "src/core/world.h"
 #include "src/load/capacity.h"
@@ -168,8 +174,8 @@ TEST_F(LoadFixture, ConservationExactPerBucket) {
     for (const auto kind : kinds) {
         for (const int level : {25, 100, 400}) {
             for (int t = 0; t < demand.buckets(); ++t) {
-                const auto r = load::assign_bucket(plan, demand, t, level,
-                                                   capacity.per_front_end(), kind, nullptr);
+                const auto r = load::assign_bucket(plan, demand.offered_bucket(t, level),
+                                                   capacity.per_front_end(), kind);
                 // The headline invariant: every offered connection is either
                 // served on its first-choice ring or shed — exactly.
                 EXPECT_EQ(r.served_first + r.shed, r.offered);
@@ -243,6 +249,26 @@ TEST_F(LoadFixture, ByteIdenticalAcrossThreads) {
     constexpr std::uint64_t golden = 0xdfabcd9042003048ull;
     EXPECT_EQ(fnv1a(serial), golden)
         << "load frontier checksum changed: 0x" << std::hex << fnv1a(serial);
+}
+
+TEST_F(LoadFixture, FrontierGoldenAcrossHeadroom) {
+    // Golden: the both-policy frontier CSV away from the default headroom
+    // (ByteIdenticalAcrossThreads pins 1.3x): the fleet is scarce at 0.4x
+    // and ample at 3.0x. The p50/p95 columns and the shed accounting are
+    // both covered, so any change to how quantiles are taken moves these
+    // bytes.
+    const std::pair<double, std::uint64_t> cases[] = {
+        {0.4, 0xa30a1f0168387666ull},
+        {3.0, 0xe2955d2c8b03753full},
+    };
+    for (const auto& [headroom, golden] : cases) {
+        auto options = frontier_options();
+        options.capacity.headroom = headroom;
+        const std::string csv = frontier_csv(nullptr, options);
+        EXPECT_EQ(fnv1a(csv), golden) << "headroom " << headroom
+                                      << ": load frontier checksum changed: 0x" << std::hex
+                                      << fnv1a(csv);
+    }
 }
 
 TEST_F(LoadFixture, DemandTimelineParsingAndConflicts) {
@@ -375,11 +401,13 @@ TEST(LoadDriver, DriverReplaysDemandEventsWithoutTouchingRoutes) {
 }
 
 TEST_F(LoadFixture, TSanStressParallelFixedPoint) {
-    // The parallel fixed-point must be race-free: one pooled assign_bucket
-    // runs concurrently with serial assignments on OTHER threads, all
-    // sharing one immutable route_plan / demand_series / capacity span.
-    // Under AC_SANITIZE=thread (ci/verify.sh --tsan) this is the detector's
-    // target; in a normal build it doubles as a determinism check.
+    // The pooled frontier (one job per (level, bucket), each writing its own
+    // points) must be race-free and thread-count independent: it runs on an
+    // 8-thread pool while serial assignments run on OTHER threads, all
+    // reading the same world and one immutable route_plan / demand_series /
+    // capacity span. Under AC_SANITIZE=thread (ci/verify.sh --tsan) this is
+    // the detector's target; in a normal build it doubles as a determinism
+    // check.
     const auto& cdn = w().cdn_net();
     load::demand_plan dplan;
     dplan.connections_per_user = w().config().telemetry.connections_per_user;
@@ -388,34 +416,121 @@ TEST_F(LoadFixture, TSanStressParallelFixedPoint) {
     const load::route_plan plan{cdn, w().users()};
     const load::capacity_model capacity{cdn, demand.nominal_total(), {}};
 
-    engine::thread_pool pool{8};
-    const auto expected = load::assign_bucket(plan, demand, 0, 400,
+    const auto options = frontier_options();
+    const std::string serial_csv = frontier_csv(nullptr, options);
+    const auto expected = load::assign_bucket(plan, demand.offered_bucket(0, 400),
                                               capacity.per_front_end(),
-                                              load::policy_kind::load_aware, nullptr);
+                                              load::policy_kind::load_aware);
 
     std::vector<load::bucket_result> serial_results(4);
     std::vector<std::thread> workers;
     workers.reserve(serial_results.size());
     for (auto& slot : serial_results) {
         workers.emplace_back([&] {
-            slot = load::assign_bucket(plan, demand, 0, 400, capacity.per_front_end(),
-                                       load::policy_kind::load_aware, nullptr);
+            slot = load::assign_bucket(plan, demand.offered_bucket(0, 400),
+                                       capacity.per_front_end(), load::policy_kind::load_aware);
         });
     }
-    load::bucket_result pooled;
-    for (int round = 0; round < 8; ++round) {
-        pooled = load::assign_bucket(plan, demand, 0, 400, capacity.per_front_end(),
-                                     load::policy_kind::load_aware, &pool);
-    }
+    engine::thread_pool pool{8};
+    std::vector<std::string> pooled_csv;
+    for (int round = 0; round < 4; ++round) pooled_csv.push_back(frontier_csv(&pool, options));
     for (auto& t : workers) t.join();
 
-    EXPECT_EQ(pooled.kept, expected.kept);
-    EXPECT_EQ(pooled.shed, expected.shed);
-    EXPECT_EQ(pooled.unserved, expected.unserved);
+    for (const auto& csv : pooled_csv) EXPECT_EQ(csv, serial_csv);
     for (const auto& r : serial_results) {
         EXPECT_EQ(r.kept, expected.kept);
         EXPECT_EQ(r.fe_load, expected.fe_load);
+        EXPECT_EQ(r.shed, expected.shed);
+        EXPECT_EQ(r.unserved, expected.unserved);
     }
+}
+
+TEST_F(LoadFixture, FrontierQuantilesMatchWeightedCdf) {
+    // Every point's p50/p95 (one pass over the plan's fixed RTT order) must
+    // be bit-equal to a weighted_cdf built from the same kept cells, at a
+    // headroom that sheds and at the default one.
+    const auto& cdn = w().cdn_net();
+    const auto tl = demand_timeline();
+    for (const double headroom : {0.4, 1.3}) {
+        auto options = frontier_options();
+        options.capacity.headroom = headroom;
+        const auto result =
+            analysis::compute_load_frontier(cdn, w().users(), tl, options, nullptr);
+
+        const load::demand_series demand{w().users(), tl, options.demand,
+                                         static_cast<topo::region_id>(cdn.regions().size())};
+        const load::route_plan plan{cdn, w().users()};
+        const load::capacity_model capacity{cdn, demand.nominal_total(), options.capacity};
+        std::size_t checked = 0;
+        for (const auto& p : result.points) {
+            const auto r = load::assign_bucket(plan, demand.offered_bucket(p.bucket, p.level_pct),
+                                               capacity.per_front_end(), p.policy);
+            analysis::weighted_cdf rtt;
+            for (std::size_t l = 0; l < plan.locations(); ++l) {
+                for (int ring = 0; ring < plan.rings(); ++ring) {
+                    const auto kept = r.kept[l * static_cast<std::size_t>(plan.rings()) +
+                                             static_cast<std::size_t>(ring)];
+                    if (kept > 0) rtt.add(plan.rtt_ms(l, ring), static_cast<double>(kept));
+                }
+            }
+            ASSERT_FALSE(rtt.empty());
+            EXPECT_EQ(p.p50_ms, rtt.quantile(0.5)) << "headroom " << headroom;
+            EXPECT_EQ(p.p95_ms, rtt.quantile(0.95)) << "headroom " << headroom;
+            ++checked;
+        }
+        EXPECT_EQ(checked, 2u * 5u * static_cast<std::size_t>(result.buckets));
+    }
+}
+
+TEST(LoadQuantiles, HeavyTiesMatchWeightedCdfInAnyTieOrder) {
+    // Synthetic plans over only 7 distinct RTTs: 4000 cells with integer
+    // counts up to 2^40, or a handful of cells with counts below 4, where a
+    // running sum often lands exactly on q x total at a group boundary.
+    // Whatever order the cells take inside an equal-RTT group, the one-pass
+    // quantiles equal weighted_cdf's bits.
+    std::mt19937_64 rng{20210823};
+    const double rtts[] = {3.25, 7.5, 7.5000000000000009, 12.0, 40.125, 95.0, 180.5};
+    for (int trial = 0; trial < 400; ++trial) {
+        const bool large = trial % 10 == 0;
+        const std::size_t cells = large ? 4000 : 2 + rng() % 12;
+        std::vector<double> rtt(cells);
+        std::vector<std::int64_t> kept(cells);
+        const int shift = large ? 1 + static_cast<int>(rng() % 40) : 2;
+        for (std::size_t c = 0; c < cells; ++c) {
+            rtt[c] = rtts[rng() % 7];
+            kept[c] = rng() % 3 == 0 ? 0 : static_cast<std::int64_t>(rng() >> (64 - shift));
+        }
+        analysis::weighted_cdf cdf;
+        for (std::size_t c = 0; c < cells; ++c) {
+            if (kept[c] > 0) cdf.add(rtt[c], static_cast<double>(kept[c]));
+        }
+        if (cdf.empty()) continue;
+
+        std::vector<std::uint32_t> order(cells);
+        std::iota(order.begin(), order.end(), 0u);
+        std::shuffle(order.begin(), order.end(), rng);  // arbitrary tie order
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::uint32_t a, std::uint32_t b) { return rtt[a] < rtt[b]; });
+        const auto q = analysis::kept_rtt_quantiles(order, rtt, kept);
+        EXPECT_EQ(q.p50_ms, cdf.quantile(0.5)) << "trial " << trial;
+        EXPECT_EQ(q.p95_ms, cdf.quantile(0.95)) << "trial " << trial;
+    }
+}
+
+TEST(LoadQuantiles, RejectsTotalsBeyondExactDoubles) {
+    // Two cells whose counts sum past 2^53: partial sums would round, so the
+    // one-pass quantile refuses rather than risk differing from weighted_cdf.
+    const std::vector<double> rtt{10.0, 20.0};
+    const std::vector<std::uint32_t> order{0, 1};
+    const std::int64_t half = analysis::max_exact_conn / 2;
+    EXPECT_NO_THROW((void)analysis::kept_rtt_quantiles(
+        order, rtt, std::vector<std::int64_t>{half, half}));
+    EXPECT_THROW((void)analysis::kept_rtt_quantiles(
+                     order, rtt, std::vector<std::int64_t>{half, half + 1}),
+                 std::overflow_error);
+    const auto none = analysis::kept_rtt_quantiles(order, rtt, std::vector<std::int64_t>{0, 0});
+    EXPECT_EQ(none.p50_ms, 0.0);
+    EXPECT_EQ(none.p95_ms, 0.0);
 }
 
 } // namespace

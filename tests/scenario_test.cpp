@@ -1,12 +1,17 @@
 // Scenario subsystem tests: timeline parsing (strict rejection of unknown
 // event types and malformed entries), deterministic event replay through the
-// driver, and per-step catchment/inflation metrics.
+// driver, per-step catchment/inflation metrics, and a small-world golden for
+// the step CSV of a mixed failover timeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/anycast/deployment.h"
+#include "src/core/world.h"
 #include "src/scenario/driver.h"
 #include "src/scenario/event.h"
 
@@ -287,6 +292,173 @@ TEST_F(ScenarioDriver, PrependEventReroutesTraffic) {
     EXPECT_EQ(after.active_sites, 2u);  // still announced, just unattractive
     EXPECT_DOUBLE_EQ(after.max_site_share, 1.0);
     EXPECT_DOUBLE_EQ(after.shifted_share, 0.5);
+}
+
+// ---------------------------------------------------------------------------
+// small world, every letter (what `acctx scenario --letters all` drives)
+// ---------------------------------------------------------------------------
+
+class ScenarioWorld : public ::testing::Test {
+protected:
+    /// A driver over every letter of `w`, measuring every user location.
+    static void attach(scenario::driver& drv, core::world& w) {
+        for (const char l : w.roots().all_letters()) {
+            drv.add_target(std::string{l}, w.mutable_roots().mutable_deployment_of(l));
+        }
+        std::vector<scenario::weighted_source> sources;
+        for (const auto& loc : w.users().locations()) {
+            sources.push_back({loc.asn, loc.region, loc.users});
+        }
+        drv.set_sources(std::move(sources));
+    }
+
+    /// The region hosting the most announced sites across all letters
+    /// (lowest id on ties): the outage that hits the most targets at once.
+    static topo::region_id busiest_region(const core::world& w) {
+        std::vector<int> count(w.regions().size(), 0);
+        for (const char l : w.roots().all_letters()) {
+            for (const auto& a : w.roots().deployment_of(l).rib().announcements()) {
+                ++count[a.origin_region];
+            }
+        }
+        return static_cast<topo::region_id>(
+            std::max_element(count.begin(), count.end()) - count.begin());
+    }
+
+    /// Drain, restore, withdraw, announce, outage, prepend and promote, with
+    /// event-free steps in between (0, 2, 6 and 9 carry no events).
+    static std::vector<std::string> mixed_timeline_lines(const core::world& w) {
+        return {
+            "1 drain K 0",
+            "3 prepend F 1 3",
+            "3 outage " + std::to_string(busiest_region(w)),
+            "4 restore K 0",
+            "5 withdraw B",
+            "7 promote L 2",
+            "7 announce B",
+            "8 drain J 1",
+            "10 drain K 1",
+        };
+    }
+
+    static std::string join_lines(const std::vector<std::string>& lines) {
+        std::string text;
+        for (const auto& line : lines) text += line + "\n";
+        return text;
+    }
+
+    static std::uint64_t fnv1a(const std::string& bytes) {
+        std::uint64_t hash = 0xcbf29ce484222325ull;
+        for (const unsigned char c : bytes) {
+            hash ^= c;
+            hash *= 0x100000001b3ull;
+        }
+        return hash;
+    }
+};
+
+TEST_F(ScenarioWorld, MixedTimelineStepCsvGolden) {
+    // Golden: the step CSV of the mixed timeline over the small world's 13
+    // letters is pinned. It covers event-free steps, every routing event
+    // kind and an outage that withdraws sites of several letters at once,
+    // so any change to which targets are re-measured, or to the shift and
+    // strand accounting, moves these bytes.
+    for (const int threads : {1, 2, 8}) {
+        auto config = core::world_config::small();
+        config.threads = threads;
+        core::world w{config};
+        scenario::driver drv{w.graph(), w.regions()};
+        attach(drv, w);
+        const auto tl = scenario::parse_timeline_text(join_lines(mixed_timeline_lines(w)));
+        const auto steps = drv.run(tl, {.pool = w.pool(), .threads = threads});
+        ASSERT_EQ(steps.size(), 11u);
+        std::ostringstream csv;
+        scenario::write_step_csv(csv, steps);
+        constexpr std::uint64_t golden = 0xefdba04da9699d0cull;
+        EXPECT_EQ(fnv1a(csv.str()), golden)
+            << "threads " << threads << ": step CSV checksum changed: 0x" << std::hex
+            << fnv1a(csv.str());
+    }
+}
+
+TEST_F(ScenarioWorld, IncrementalStepsMatchFreshOracle) {
+    // The driver re-measures only targets whose RIB a step mutated. Check
+    // every step against an oracle: a second world replays the timeline one
+    // step at a time, and after each step a fresh driver over its (equally
+    // mutated) deployments measures every target from scratch on an empty
+    // timeline. All fields but shifted/stranded must match exactly; those
+    // two must be 0 for every target the step did not mutate.
+    core::world live{core::world_config::small()};
+    scenario::driver drv{live.graph(), live.regions()};
+    attach(drv, live);
+    const auto lines = mixed_timeline_lines(live);
+    const auto tl = scenario::parse_timeline_text(join_lines(lines));
+    const auto steps = drv.run(tl);
+
+    core::world replay{core::world_config::small()};
+    for (const auto& step : steps) {
+        // This step's events, re-stepped to 1 for a one-step replay.
+        std::vector<std::string> step_lines;
+        for (const auto& line : lines) {
+            const auto space = line.find(' ');
+            if (std::stoi(line.substr(0, space)) == step.step) {
+                step_lines.push_back("1" + line.substr(space));
+            }
+        }
+        const auto step_tl = scenario::parse_timeline_text(join_lines(step_lines));
+
+        // Which targets this step mutates, read off the replay world's RIBs
+        // before the step applies.
+        std::vector<std::string> mutated;
+        for (const char l : replay.roots().all_letters()) {
+            const auto& rib = replay.roots().deployment_of(l).rib();
+            bool hit = false;
+            for (const auto& e : step_tl.events) {
+                if (e.type == scenario::event_type::outage) {
+                    for (route::site_id s = 0; s < rib.site_count(); ++s) {
+                        hit = hit || (!rib.is_withdrawn(s) &&
+                                      rib.announcements()[s].origin_region == e.region);
+                    }
+                } else if (e.target == std::string{l}) {
+                    const bool any_up = rib.active_site_count() > 0;
+                    const bool any_down = rib.active_site_count() < rib.site_count();
+                    hit = hit || (e.type == scenario::event_type::withdraw   ? any_up
+                                  : e.type == scenario::event_type::announce ? any_down
+                                                                             : true);
+                }
+            }
+            if (hit) mutated.emplace_back(1, l);
+        }
+
+        if (!step_tl.events.empty()) {
+            scenario::driver apply{replay.graph(), replay.regions()};
+            attach(apply, replay);
+            (void)apply.run(step_tl);
+        }
+        scenario::driver oracle{replay.graph(), replay.regions()};
+        attach(oracle, replay);
+        const auto fresh = oracle.run(scenario::timeline{});
+        ASSERT_EQ(fresh.size(), 1u);
+        ASSERT_EQ(step.targets.size(), fresh[0].targets.size());
+        for (std::size_t i = 0; i < step.targets.size(); ++i) {
+            const auto& got = step.targets[i];
+            const auto& want = fresh[0].targets[i];
+            SCOPED_TRACE("step " + std::to_string(step.step) + " target " + got.target);
+            EXPECT_EQ(got.target, want.target);
+            EXPECT_EQ(got.active_sites, want.active_sites);
+            EXPECT_EQ(got.reach_fraction, want.reach_fraction);
+            EXPECT_EQ(got.median_rtt_ms, want.median_rtt_ms);
+            EXPECT_EQ(got.p90_rtt_ms, want.p90_rtt_ms);
+            EXPECT_EQ(got.median_inflation_ms, want.median_inflation_ms);
+            EXPECT_EQ(got.max_site_share, want.max_site_share);
+            const bool was_mutated =
+                std::find(mutated.begin(), mutated.end(), got.target) != mutated.end();
+            if (!was_mutated) {
+                EXPECT_EQ(got.shifted_share, 0.0);
+                EXPECT_EQ(got.stranded_share, 0.0);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -244,7 +244,10 @@ protected:
     }
 
     void SetUp() override {
-        root_ = fs::temp_directory_path() / "ac_sweep_test";
+        // Unique per test: gtest_discover_tests runs every case as its own
+        // process, so under `ctest -j` cases run concurrently.
+        const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+        root_ = fs::temp_directory_path() / (std::string{"ac_sweep_test_"} + info->name());
         fs::remove_all(root_);
         fs::create_directories(root_);
     }
