@@ -67,7 +67,7 @@ void print_figure(std::ostream& os) {
                                   {bad_neighbor}};
             announcements.push_back(std::move(a));
         }
-        const route::anycast_rib engineered{w.graph(), w.regions(), std::move(announcements)};
+        const route::anycast_rib engineered{w.graph(), std::move(announcements)};
         const auto after = engineered.select(d.asn, d.region);
         if (!after) continue;
         const double gain = before->rtt_ms - after->rtt_ms;

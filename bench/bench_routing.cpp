@@ -49,7 +49,7 @@ std::vector<route::source_key> dedup_sources(const pop::user_base& users) {
 }
 
 route::anycast_rib fresh_rib(const core::world& w, engine::thread_pool* pool) {
-    return route::anycast_rib{w.graph(), w.regions(), w.cdn_net().pop_rib().announcements(),
+    return route::anycast_rib{w.graph(), w.cdn_net().pop_rib().announcements(),
                              pool};
 }
 

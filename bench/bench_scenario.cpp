@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
 
     // Leg 1: one-PoP withdrawal on the CDN PoP RIB, incremental vs rebuild.
     const auto announcements = w.cdn_net().pop_rib().announcements();
-    route::anycast_rib rib{w.graph(), w.regions(), announcements, &pool};
+    route::anycast_rib rib{w.graph(), announcements, &pool};
     const auto victim = static_cast<route::site_id>(announcements.size() / 2);
     std::cerr << "withdrawing site " << victim << " of " << announcements.size()
               << " PoPs, incremental vs rebuild...\n";
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
     degraded[victim].withdrawn = true;
     for (int i = 0; i < args.repeat; ++i) {
         const auto start = clock_type::now();
-        route::anycast_rib full{w.graph(), w.regions(), degraded, &pool};
+        route::anycast_rib full{w.graph(), degraded, &pool};
         rebuild_ms.add(bench::ms_since(start));
     }
 

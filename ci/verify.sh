@@ -133,6 +133,14 @@ if [[ ${run_tier1} -eq 1 ]]; then
     echo "verify: snapshot + observability round trips OK" \
          "($(ls "${rt}/live" | wc -l) figure files identical; trace and metrics JSON valid)"
 
+    # World bytes must not depend on the thread count: the graph fills its
+    # nearest-interconnect table serially per link, while RIB construction
+    # fans out over the pool.
+    ./build/tools/acctx snapshot --scale small --threads 1 --out "${rt}/world_t1.acx"
+    ./build/tools/acctx snapshot --scale small --threads 4 --out "${rt}/world_t4.acx"
+    cmp "${rt}/world_t1.acx" "${rt}/world_t4.acx"
+    echo "verify: snapshot bytes identical at 1 vs 4 threads"
+
     # Serving smoke: the offline grid and the served /grid must be the same
     # bytes, point queries must answer, and malformed requests must 400.
     ./build/tools/acctx serve --snapshot "${rt}/world.acx" --grid "${rt}/grid_offline.csv"
@@ -184,6 +192,9 @@ if [[ ${run_tsan} -eq 1 ]]; then
         --target engine_test --target routing_test --target obs_test \
         --target scenario_test --target serve_test --target load_test
     TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/engine_test
+    # routing_test includes the read-side stresses: concurrent cache fills,
+    # selects racing mutation, and RIB builds from several threads over one
+    # const graph (SharedGraph.ConcurrentRibBuildsOverConstGraphAgree).
     TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/routing_test
     TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/obs_test
     TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/scenario_test

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "src/netbase/rng.h"
+#include "src/obs/trace.h"
 
 namespace ac::anycast {
 
@@ -21,7 +22,7 @@ deployment::deployment(std::string name, std::vector<site> sites, const topo::as
                                                     sites_[i].region, sites_[i].scope, {}});
         if (sites_[i].scope == route::announcement_scope::global) ++global_count_;
     }
-    rib_ = std::make_unique<route::anycast_rib>(graph, regions, std::move(announcements), pool);
+    rib_ = std::make_unique<route::anycast_rib>(graph, std::move(announcements), pool);
 }
 
 double deployment::nearest_global_site_km(const geo::point& p) const {
@@ -87,6 +88,9 @@ topo::asn_t volunteer_host(const topo::as_graph& graph, topo::region_id region, 
 
 deployment build_deployment(const deployment_plan& plan, topo::as_graph& graph,
                             const topo::region_table& regions, engine::thread_pool* pool) {
+    // Site placement, host attachment and the RIB build; the nested
+    // topo/ and bgp/ spans split out the link table and routing.
+    obs::span build_span{"anycast/build_deployment"};
     rand::rng gen{rand::mix_seed(plan.seed, 0xdeb107u)};
     const bool population_weighted = plan.strategy != hosting_strategy::open_hosting;
 
@@ -154,6 +158,7 @@ deployment build_deployment(const deployment_plan& plan, topo::as_graph& graph,
         sites.push_back(std::move(s));
     }
 
+    build_span.set_items(sites.size());
     return deployment{plan.name, std::move(sites), graph, regions, pool};
 }
 

@@ -22,8 +22,7 @@ degraded_deployment::degraded_deployment(const deployment& dep,
     }
     surviving_ = static_cast<int>(site_map_.size());
     if (surviving_ > 0) {
-        rib_ = std::make_unique<route::anycast_rib>(graph, dep.regions(),
-                                                    std::move(announcements));
+        rib_ = std::make_unique<route::anycast_rib>(graph, std::move(announcements));
     }
 }
 

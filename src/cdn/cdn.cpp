@@ -72,8 +72,7 @@ cdn_network::cdn_network(const cdn_plan& plan, topo::as_graph& graph,
                                                     front_ends_[i],
                                                     route::announcement_scope::global, {}});
     }
-    pop_rib_ = std::make_unique<route::anycast_rib>(graph, regions, std::move(announcements),
-                                                    pool);
+    pop_rib_ = std::make_unique<route::anycast_rib>(graph, std::move(announcements), pool);
 
     // Precompute every (ingress PoP, ring) WAN leg. Same argmin loop (strict
     // less, members in ring order) over the same distance values the per-call

@@ -179,7 +179,7 @@ private:
     std::unique_ptr<engine::thread_pool> pool_;
     engine::stage_report timing_;
     topo::region_table regions_;
-    topo::as_graph graph_;
+    topo::as_graph graph_{regions_};
     topo::address_space space_;
     std::unique_ptr<pop::user_base> users_;
     std::unique_ptr<dns::root_system> roots_;

@@ -27,9 +27,13 @@ double distance_km(const point& a, const point& b) noexcept {
 
 distance_table::distance_table(std::span<const point> points) : count_(points.size()) {
     km_.resize(count_ * count_);
+    // Haversine is bit-exact symmetric (pinned by topology_test), so the upper
+    // triangle is computed once and mirrored: half the trig, same bytes.
     for (std::size_t a = 0; a < count_; ++a) {
-        for (std::size_t b = 0; b < count_; ++b) {
-            km_[a * count_ + b] = geo::distance_km(points[a], points[b]);
+        for (std::size_t b = a; b < count_; ++b) {
+            const double km = geo::distance_km(points[a], points[b]);
+            km_[a * count_ + b] = km;
+            km_[b * count_ + a] = km;
         }
     }
 }

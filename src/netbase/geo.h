@@ -63,6 +63,8 @@ struct point {
 /// Entry (a, b) holds exactly `distance_km(points[a], points[b])`, so
 /// consumers replacing on-the-fly haversine calls with lookups stay
 /// bit-identical (the routing fast path depends on this — DESIGN §8).
+/// The table is symmetric: entry (b, a) holds the same bits, so a row
+/// `between(p, ·)` may stand in for the column `between(·, p)`.
 class distance_table {
 public:
     distance_table() = default;
@@ -70,6 +72,10 @@ public:
 
     [[nodiscard]] double between(std::size_t a, std::size_t b) const noexcept {
         return km_[a * count_ + b];
+    }
+    /// Distances from point `a` to every point: `row(a)[b] == between(a, b)`.
+    [[nodiscard]] std::span<const double> row(std::size_t a) const noexcept {
+        return std::span<const double>{km_}.subspan(a * count_, count_);
     }
     [[nodiscard]] std::size_t size() const noexcept { return count_; }
     [[nodiscard]] bool empty() const noexcept { return count_ == 0; }

@@ -29,8 +29,10 @@
 //     lists, direct-route flag) is precomputed once after propagation, so
 //     `best_candidates` and `has_direct_route` never rescan site tables;
 //   * all geographic terms come from precomputed tables — the region-pair
-//     distance matrix (`topo::region_table::distance_km`) and a per-link
-//     nearest-interconnect table — no haversine trig at query time;
+//     distance matrix (`topo::region_table::distance_km`) and the graph's
+//     per-link nearest-interconnect table (`topo::as_graph::
+//     nearest_interconnect`, shared by every RIB over the graph) — no
+//     haversine trig at query time;
 //   * `select` results are memoized in a sharded, lazily-filled cache.
 //     Selection is a pure function of (asn, region), so cached and uncached
 //     results are bit-identical, and concurrent fills are race-safe: any
@@ -136,11 +138,13 @@ struct source_key {
 /// Routing state for one anycast prefix (one deployment or ring).
 class anycast_rib {
 public:
-    /// With a non-serial `pool`, per-site propagation and the fast-path index
-    /// build run in parallel (each site owns a disjoint matrix row and each
-    /// AS owns its index slot, so the result is schedule-free).
-    anycast_rib(const topo::as_graph& graph, const topo::region_table& regions,
-                std::vector<announcement> announcements, engine::thread_pool* pool = nullptr);
+    /// Routes over `graph` and its region table (`graph.regions()`), both of
+    /// which must outlive the RIB. Construction only reads the graph. With a
+    /// non-serial `pool`, per-site propagation and the fast-path index build
+    /// run in parallel (each site owns a disjoint matrix row and each AS owns
+    /// its index slot, so the result is schedule-free).
+    anycast_rib(const topo::as_graph& graph, std::vector<announcement> announcements,
+                engine::thread_pool* pool = nullptr);
 
     /// Work done by one incremental re-convergence (announce or withdraw).
     struct reconverge_stats {
@@ -376,12 +380,6 @@ private:
     // one vector-empty test. candidate_span prefers the overlay when set.
     std::vector<std::uint8_t> overlaid_;         // per dense AS index
     std::vector<std::vector<site_id>> overlay_;  // valid where overlaid_[i]
-
-    // Per-link nearest-interconnect table: entry (link, region) is the id of
-    // the link's interconnect region nearest that source region, resolving
-    // early-exit geometry to one lookup + one distance-matrix read.
-    std::vector<topo::region_id> nearest_interconnect_;  // link-major, stride = region count
-    std::size_t region_count_ = 0;
 
     // Sharded select memoization, keyed by (asn << 32) | region. Mutable:
     // the cache is an observably-pure accelerator of const queries. The

@@ -71,13 +71,35 @@ struct neighbor_ref {
 
 class as_graph {
 public:
+    /// A graph over `regions`, which must outlive it and not change size:
+    /// every interconnect region id indexes it, and the nearest-interconnect
+    /// table has one entry per (link, region).
+    explicit as_graph(const region_table& regions);
+    as_graph(region_table&&) = delete;  // would dangle
+
     /// Registers an AS; asn must be unique.
     void add_as(autonomous_system as);
 
     /// Connects two registered ASes. `kind_for_a` is from a's perspective.
-    /// Duplicate (a, b) links are rejected; self-links are rejected.
+    /// Duplicate (a, b) links are rejected; self-links are rejected;
+    /// interconnect regions must be ids of the graph's region table. Gives
+    /// the new link its nearest-interconnect row; rows of existing links
+    /// never change.
     void add_link(asn_t a, asn_t b, as_relationship kind_for_a,
                   std::vector<region_id> interconnect_regions, double circuitousness = 1.3);
+
+    /// The region table the graph was built over.
+    [[nodiscard]] const region_table& regions() const noexcept { return *regions_; }
+
+    /// The interconnect region of `link` nearest the source `region` (first
+    /// of the link's interconnects on a distance tie): early-exit geometry
+    /// as one table read. A property of the link, shared by every RIB over
+    /// this graph. Unchecked: `link < link_count()`, `region <
+    /// regions().size()`.
+    [[nodiscard]] region_id nearest_interconnect(std::uint32_t link,
+                                                 region_id region) const noexcept {
+        return nearest_rows_[std::size_t{row_of_link_[link]} * region_count_ + region];
+    }
 
     [[nodiscard]] bool has_as(asn_t asn) const noexcept { return index_.contains(asn); }
     [[nodiscard]] bool has_link(asn_t a, asn_t b) const noexcept;
@@ -117,12 +139,26 @@ public:
 
 private:
     [[nodiscard]] std::size_t index_of(asn_t asn) const;
+    /// Points the link being added at its nearest-interconnect row,
+    /// appending the row if no existing one fits.
+    void append_nearest_row(std::span<const region_id> interconnects);
+    /// Appends a row holding `fill` in every column; returns its index.
+    std::uint32_t new_row(region_id fill);
 
+    const region_table* regions_;
+    std::size_t region_count_;
     std::vector<autonomous_system> systems_;
     std::vector<as_link> links_;
     std::unordered_map<asn_t, std::size_t> index_;
     std::vector<std::vector<neighbor_ref>> adjacency_;  // parallel to systems_
     std::unordered_map<std::uint64_t, std::uint32_t> link_lookup_;  // (min,max) -> index
+    // Nearest-interconnect table (DESIGN §8), append-only: rows of stride
+    // region count, one per multi-interconnect link. Every link meeting in
+    // one region r has the constant row "r", shared by all such links.
+    static constexpr std::uint32_t no_row = static_cast<std::uint32_t>(-1);
+    std::vector<region_id> nearest_rows_;
+    std::vector<std::uint32_t> row_of_link_;  // parallel to links_
+    std::vector<std::uint32_t> single_row_;   // per region: its shared row, or no_row
 };
 
 /// Flips a relationship to the other endpoint's perspective.

@@ -95,7 +95,7 @@ continent pick_continent_by_share(rand::rng& gen) {
 
 as_graph make_graph(const region_table& regions, const graph_plan& plan, std::uint64_t seed) {
     rand::rng gen{rand::mix_seed(seed, 0xa59b17u)};
-    as_graph graph;
+    as_graph graph{regions};
 
     std::vector<region_id> all_regions;
     all_regions.reserve(regions.size());

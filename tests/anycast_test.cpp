@@ -24,7 +24,7 @@ protected:
     }
 
     topo::region_table regions_;
-    topo::as_graph graph_;
+    topo::as_graph graph_{regions_};
 };
 
 TEST_F(DeploymentFixture, BuildsRequestedSiteCounts) {

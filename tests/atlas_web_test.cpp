@@ -74,7 +74,7 @@ TEST_F(AtlasFixture, MinOfAttemptsNeverExceedsSingle) {
 
 TEST_F(AtlasFixture, OrganizationMergeCollapsesSiblings) {
     // Hand-built path with consecutive same-org hops.
-    topo::as_graph graph;
+    topo::as_graph graph{w().regions()};
     for (topo::asn_t asn : {1u, 2u, 3u}) {
         topo::autonomous_system as;
         as.asn = asn;

@@ -345,7 +345,7 @@ TEST(LoadDriver, DriverReplaysDemandEventsWithoutTouchingRoutes) {
         raw.push_back(r);
     }
     topo::region_table regions{std::move(raw)};
-    topo::as_graph graph;
+    topo::as_graph graph{regions};
     auto mk = [](topo::asn_t asn, topo::as_role role, std::vector<topo::region_id> presence) {
         topo::autonomous_system as;
         as.asn = asn;

@@ -26,7 +26,7 @@ protected:
     }
 
     topo::region_table regions_;
-    topo::as_graph graph_;
+    topo::as_graph graph_{regions_};
     topo::address_space space_;
     std::unique_ptr<pop::user_base> base_;
 };

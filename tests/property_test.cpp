@@ -42,7 +42,7 @@ protected:
     }
 
     topo::region_table regions_;
-    topo::as_graph graph_;
+    topo::as_graph graph_{regions_};
     std::unique_ptr<anycast::deployment> dep_;
 };
 

@@ -7,12 +7,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "src/netbase/rng.h"
 #include "src/routing/bgp.h"
+#include "src/topology/generator.h"
 
 namespace {
 
@@ -73,11 +75,11 @@ protected:
     }
 
     route::anycast_rib make_rib(std::vector<route::announcement> announcements) {
-        return route::anycast_rib{graph_, regions_, std::move(announcements)};
+        return route::anycast_rib{graph_, std::move(announcements)};
     }
 
     topo::region_table regions_;
-    topo::as_graph graph_;
+    topo::as_graph graph_{regions_};
 };
 
 TEST_F(RoutingPolicy, OriginHoldsOriginRoute) {
@@ -202,12 +204,11 @@ protected:
     }
 
     topo::region_table regions_;
-    topo::as_graph graph_;
+    topo::as_graph graph_{regions_};
 };
 
 TEST_F(HotPotato, SelectsNearestEgressAmongEqualRoutes) {
     route::anycast_rib rib{graph_,
-                           regions_,
                            {{0, 1, 0, route::announcement_scope::global, {}},
                             {1, 1, 3, route::announcement_scope::global, {}}}};
     // Both sites are peer routes of identical length; the eyeball at region 1
@@ -319,7 +320,6 @@ TEST_F(RoutingPolicy, ConcurrentCacheFillMatchesSerialOracle) {
     // runs select_many over it. Every answer must equal the uncached oracle.
     engine::thread_pool pool{4};
     route::anycast_rib rib{graph_,
-                           regions_,
                            {{0, 1, 0, route::announcement_scope::global, {}},
                             {1, 1, 3, route::announcement_scope::global, {}}},
                            &pool};
@@ -461,7 +461,6 @@ TEST_F(RoutingPolicy, IncrementalMatchesRebuildAfterRandomizedTimeline) {
     for (const int threads : {1, 2, 8}) {
         engine::thread_pool pool{threads};
         route::anycast_rib rib{graph_,
-                               regions_,
                                {{0, 1, 0, route::announcement_scope::global, {}},
                                 {1, 1, 3, route::announcement_scope::global, {}},
                                 {2, 1, 1, route::announcement_scope::local, {}}},
@@ -488,7 +487,6 @@ TEST_F(RoutingPolicy, IncrementalMatchesRebuildAfterRandomizedTimeline) {
                 }
             }
             route::anycast_rib fresh{graph_,
-                                     regions_,
                                      std::vector<route::announcement>(
                                          rib.announcements().begin(),
                                          rib.announcements().end()),
@@ -510,7 +508,6 @@ TEST_F(RoutingPolicy, ConcurrentSelectsDuringInvalidationAreSafe) {
     // converged state — one of the two the mutation moves between.
     engine::thread_pool pool{4};
     route::anycast_rib rib{graph_,
-                           regions_,
                            {{0, 1, 0, route::announcement_scope::global, {}},
                             {1, 1, 3, route::announcement_scope::global, {}}},
                            &pool};
@@ -620,7 +617,6 @@ TEST_F(RoutingPolicy, FrozenReadersRaceMutationsSafely) {
     // must only ever observe answers equal to one of the two settled states.
     engine::thread_pool pool{2};
     route::anycast_rib rib{graph_,
-                           regions_,
                            {{0, 1, 0, route::announcement_scope::global, {}},
                             {1, 1, 3, route::announcement_scope::global, {}}},
                            &pool};
@@ -677,7 +673,6 @@ TEST_F(RoutingPolicy, FrozenReadersRaceMutationsSafely) {
 
 TEST_F(HotPotato, EvaluateReportsDirectDistance) {
     route::anycast_rib rib{graph_,
-                           regions_,
                            {{0, 1, 0, route::announcement_scope::global, {}},
                             {1, 1, 3, route::announcement_scope::global, {}}}};
     const auto path = rib.evaluate(2, 1, 1);
@@ -685,6 +680,175 @@ TEST_F(HotPotato, EvaluateReportsDirectDistance) {
     // Direct distance to the far site (region 3) is ~2 region-steps.
     EXPECT_NEAR(path->direct_km,
                 geo::distance_km(regions_.at(1).location, regions_.at(3).location), 1.0);
+}
+
+// The nearest-interconnect table lives in the graph and is shared by every
+// RIB over it (DESIGN §8). These tests run on a generated graph, whose links
+// meet in one to six regions.
+class SharedGraph : public ::testing::Test {
+protected:
+    SharedGraph()
+        : regions_(topo::make_regions(topo::region_plan{40, 12, 40, 16, 30, 10, 2}, 17)),
+          graph_(topo::make_graph(regions_, small_plan(), 17)) {}
+
+    static topo::graph_plan small_plan() {
+        topo::graph_plan plan;
+        plan.tier1_count = 5;
+        plan.transits_per_continent = 3;
+        plan.eyeball_count = 60;
+        plan.enterprise_count = 8;
+        plan.public_dns_count = 1;
+        return plan;
+    }
+
+    // Sites at two tier-1s and one transit.
+    std::vector<route::announcement> announcements() const {
+        const auto tier1s = graph_.with_role(topo::as_role::tier1);
+        const auto transits = graph_.with_role(topo::as_role::transit);
+        return {{0, tier1s[0], graph_.at(tier1s[0]).presence.front(),
+                 route::announcement_scope::global, {}},
+                {1, tier1s[1], graph_.at(tier1s[1]).presence.back(),
+                 route::announcement_scope::global, {}},
+                {2, transits[0], graph_.at(transits[0]).presence.front(),
+                 route::announcement_scope::global, {}}};
+    }
+
+    // The per-link argmin the table replaces: interconnects in link order,
+    // strict less over the region distance matrix.
+    topo::region_id scan_nearest(std::uint32_t link, topo::region_id region) const {
+        const auto& interconnects = graph_.link(link).interconnect_regions;
+        topo::region_id best = interconnects.front();
+        double best_km = std::numeric_limits<double>::infinity();
+        for (const topo::region_id p : interconnects) {
+            const double d = regions_.distance_km(region, p);
+            if (d < best_km) {
+                best_km = d;
+                best = p;
+            }
+        }
+        return best;
+    }
+
+    std::vector<topo::region_id> table_rows(std::size_t links) const {
+        std::vector<topo::region_id> rows;
+        for (std::uint32_t l = 0; l < links; ++l) {
+            for (topo::region_id r = 0; r < regions_.size(); ++r) {
+                rows.push_back(graph_.nearest_interconnect(l, r));
+            }
+        }
+        return rows;
+    }
+
+    void expect_select_matches_reference(const route::anycast_rib& rib, const char* label) {
+        for (const topo::asn_t asn : rib.known_asns()) {
+            for (topo::region_id region = 0; region < regions_.size(); ++region) {
+                ASSERT_EQ(rib.select(asn, region), rib.select_reference(asn, region))
+                    << label << " asn " << asn << " region " << region;
+            }
+        }
+    }
+
+    topo::region_table regions_;
+    topo::as_graph graph_;
+};
+
+TEST_F(SharedGraph, NearestInterconnectTableIsAppendOnlyAndShared) {
+    const auto old_links = static_cast<std::uint32_t>(graph_.link_count());
+    for (std::uint32_t l = 0; l < old_links; ++l) {
+        for (topo::region_id r = 0; r < regions_.size(); ++r) {
+            ASSERT_EQ(graph_.nearest_interconnect(l, r), scan_nearest(l, r))
+                << "link " << l << " region " << r;
+        }
+    }
+    const auto old_rows = table_rows(old_links);
+    const topo::as_graph before = graph_;  // the graph RIB 1 was built over
+    route::anycast_rib rib1{graph_, announcements()};
+
+    // New multi-interconnect peerings from the first site's origin to every
+    // eyeball it does not yet touch: a peer route beats the eyeballs'
+    // provider routes, so RIB 2 must use them.
+    const topo::asn_t origin = announcements().front().origin_asn;
+    const auto& origin_presence = graph_.at(origin).presence;
+    std::size_t added = 0;
+    for (const topo::asn_t eyeball : graph_.with_role(topo::as_role::eyeball)) {
+        if (graph_.has_link(origin, eyeball)) continue;
+        const topo::region_id near = graph_.at(eyeball).presence.front();
+        const topo::region_id far = origin_presence[added % origin_presence.size()];
+        if (near == far) continue;
+        graph_.add_link(origin, eyeball, topo::as_relationship::peer, {far, near}, 1.2);
+        ++added;
+    }
+    ASSERT_GT(added, 10u);
+
+    // Rows of the old links are unchanged; the new rows are the argmin.
+    EXPECT_EQ(table_rows(old_links), old_rows);
+    for (auto l = old_links; l < graph_.link_count(); ++l) {
+        for (topo::region_id r = 0; r < regions_.size(); ++r) {
+            ASSERT_EQ(graph_.nearest_interconnect(l, r), scan_nearest(l, r))
+                << "link " << l << " region " << r;
+        }
+    }
+
+    route::anycast_rib rib2{graph_, announcements()};
+    expect_select_matches_reference(rib1, "rib1");
+    expect_select_matches_reference(rib2, "rib2");
+    bool rib2_uses_new_link = false;
+    for (const topo::asn_t asn : rib2.known_asns()) {
+        const auto r = rib2.route_toward(asn, 0);
+        if (r && r->cls != route::route_class::origin && r->link_index >= old_links) {
+            rib2_uses_new_link = true;
+        }
+    }
+    EXPECT_TRUE(rib2_uses_new_link);
+
+    // RIB 1 re-propagates over its construction snapshot only: after a
+    // re-announcement it still equals a RIB over the graph without the new
+    // links.
+    (void)rib1.announce(rib1.announcements().front());
+    const route::anycast_rib snapshot{before, announcements()};
+    for (const topo::asn_t asn : rib1.known_asns()) {
+        const auto r = rib1.route_toward(asn, 0);
+        if (r && r->cls != route::route_class::origin) {
+            EXPECT_LT(r->link_index, old_links) << "asn " << asn;
+        }
+        for (topo::region_id region = 0; region < regions_.size(); ++region) {
+            ASSERT_EQ(rib1.select(asn, region), snapshot.select(asn, region))
+                << "asn " << asn << " region " << region;
+        }
+    }
+}
+
+TEST_F(SharedGraph, ConcurrentRibBuildsOverConstGraphAgree) {
+    // TSan target: RIB construction and every query only read the graph, so
+    // RIBs built at once from several threads over one const graph must
+    // agree with a serial build — no lazily filled state in the graph.
+    const topo::as_graph& graph = graph_;
+    const route::anycast_rib oracle{graph, announcements()};
+    std::vector<route::source_key> keys;
+    for (const topo::asn_t asn : oracle.known_asns()) {
+        for (topo::region_id region = 0; region < regions_.size(); region += 5) {
+            keys.push_back({asn, region});
+        }
+    }
+    const auto expected = oracle.select_many(keys);
+
+    std::atomic<std::size_t> mismatches{0};
+    std::vector<std::thread> builders;
+    for (int t = 0; t < 4; ++t) {
+        builders.emplace_back([&, t] {
+            // Half the builders fan propagation out over their own pool.
+            engine::thread_pool pool{t % 2 == 0 ? 1 : 2};
+            for (int round = 0; round < 2; ++round) {
+                const route::anycast_rib rib{graph, announcements(), &pool};
+                const auto got = rib.select_many(keys);
+                for (std::size_t k = 0; k < keys.size(); ++k) {
+                    if (!(got[k] == expected[k])) mismatches.fetch_add(1);
+                }
+            }
+        });
+    }
+    for (auto& b : builders) b.join();
+    EXPECT_EQ(mismatches.load(), 0u);
 }
 
 } // namespace

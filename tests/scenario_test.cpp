@@ -73,7 +73,7 @@ protected:
     }
 
     topo::region_table regions_;
-    topo::as_graph graph_;
+    topo::as_graph graph_{regions_};
 };
 
 TEST(ScenarioTimeline, ParsesSortsAndDescribes) {

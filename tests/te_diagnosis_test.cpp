@@ -9,23 +9,27 @@ namespace {
 
 using namespace ac;
 
+// Four regions 10 degrees of longitude apart.
+topo::region_table make_te_regions() {
+    std::vector<topo::region> region_list;
+    for (int i = 0; i < 4; ++i) {
+        topo::region r;
+        r.id = static_cast<topo::region_id>(i);
+        r.name = "r" + std::to_string(i);
+        r.cont = topo::continent::europe;
+        r.location = geo::point{50.0, static_cast<double>(i) * 10.0};
+        r.population_weight = 1.0;
+        region_list.push_back(r);
+    }
+    return topo::region_table{std::move(region_list)};
+}
+
 // Mini topology reused from the routing suite: origin(1) with provider(2),
 // peer(4), customer(6); tier1(3) above 2; eyeballs 7 (under 2) and 8
 // (under 3).
 class TeFixture : public ::testing::Test {
 protected:
-    TeFixture() {
-        std::vector<topo::region> region_list;
-        for (int i = 0; i < 4; ++i) {
-            topo::region r;
-            r.id = static_cast<topo::region_id>(i);
-            r.name = "r" + std::to_string(i);
-            r.cont = topo::continent::europe;
-            r.location = geo::point{50.0, static_cast<double>(i) * 10.0};
-            r.population_weight = 1.0;
-            region_list.push_back(r);
-        }
-        regions_ = topo::region_table{std::move(region_list)};
+    TeFixture() : regions_(make_te_regions()) {
 
         auto add = [&](topo::asn_t asn, topo::as_role role, std::vector<topo::region_id> at) {
             topo::autonomous_system as;
@@ -53,12 +57,12 @@ protected:
     }
 
     topo::region_table regions_;
-    topo::as_graph graph_;
+    topo::as_graph graph_{regions_};
 };
 
 TEST_F(TeFixture, SuppressedProviderLearnsNothingDirectly) {
     route::announcement a{0, 1, 0, route::announcement_scope::global, {2}};
-    route::anycast_rib rib{graph_, regions_, {a}};
+    route::anycast_rib rib{graph_, {a}};
     // AS 2 is suppressed and has no other path to the origin.
     EXPECT_FALSE(rib.route_toward(2, 0).has_value());
     // Everything behind 2 goes dark too.
@@ -71,7 +75,7 @@ TEST_F(TeFixture, SuppressedProviderLearnsNothingDirectly) {
 
 TEST_F(TeFixture, SuppressedPeerStillBlocked) {
     route::announcement a{0, 1, 0, route::announcement_scope::global, {4}};
-    route::anycast_rib rib{graph_, regions_, {a}};
+    route::anycast_rib rib{graph_, {a}};
     EXPECT_FALSE(rib.route_toward(4, 0).has_value());
     EXPECT_TRUE(rib.route_toward(2, 0).has_value());
 }
@@ -80,13 +84,13 @@ TEST_F(TeFixture, SuppressionOnlyAppliesAtOrigin) {
     // Suppress toward 3: but 3 is not the origin's neighbor, so this is a
     // no-op — 3 learns the route from 2 transitively.
     route::announcement a{0, 1, 0, route::announcement_scope::global, {3}};
-    route::anycast_rib rib{graph_, regions_, {a}};
+    route::anycast_rib rib{graph_, {a}};
     EXPECT_TRUE(rib.route_toward(3, 0).has_value());
 }
 
 TEST_F(TeFixture, LocalScopeRespectsSuppression) {
     route::announcement a{0, 1, 0, route::announcement_scope::local, {2, 4}};
-    route::anycast_rib rib{graph_, regions_, {a}};
+    route::anycast_rib rib{graph_, {a}};
     EXPECT_FALSE(rib.route_toward(2, 0).has_value());
     EXPECT_FALSE(rib.route_toward(4, 0).has_value());
     EXPECT_TRUE(rib.route_toward(6, 0).has_value());
@@ -99,7 +103,7 @@ TEST_F(TeFixture, SuppressedNeighborCanRouteViaAlternatives) {
     // multi-site case — site 0 suppressed toward 2, site 1 not.
     route::announcement a0{0, 1, 0, route::announcement_scope::global, {2}};
     route::announcement a1{1, 1, 0, route::announcement_scope::global, {}};
-    route::anycast_rib rib{graph_, regions_, {a0, a1}};
+    route::anycast_rib rib{graph_, {a0, a1}};
     EXPECT_FALSE(rib.route_toward(2, 0).has_value());
     EXPECT_TRUE(rib.route_toward(2, 1).has_value());
     // AS 7 reaches the deployment via site 1 only.

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <unordered_set>
 
+#include "src/core/world.h"
 #include "src/topology/addressing.h"
 #include "src/topology/as_graph.h"
 #include "src/topology/generator.h"
@@ -54,14 +56,49 @@ TEST(Regions, CoordinatesAreValid) {
     }
 }
 
+TEST(Regions, MirroredDistanceTableMatchesPairwiseHaversine) {
+    // The distance table computes its upper triangle and mirrors it, which
+    // is exact only because haversine is bit-exact symmetric. Pin that over
+    // every tier's region set against a full pairwise computation.
+    for (const auto tier :
+         {core::scale_tier::small, core::scale_tier::medium, core::scale_tier::large}) {
+        const auto plan = core::world_config::for_tier(tier).regions;
+        for (const std::uint64_t seed : {1u, 7u, 42u, 2021u}) {
+            const auto table = topo::make_regions(plan, seed);
+            const std::size_t n = table.size();
+            std::vector<double> pairwise(n * n);
+            std::vector<double> stored(n * n);
+            for (std::size_t a = 0; a < n; ++a) {
+                for (std::size_t b = 0; b < n; ++b) {
+                    pairwise[a * n + b] =
+                        geo::distance_km(table.all()[a].location, table.all()[b].location);
+                }
+                const auto row = table.distances().row(a);
+                std::copy(row.begin(), row.end(), stored.begin() + static_cast<long>(a * n));
+            }
+            EXPECT_EQ(std::memcmp(pairwise.data(), stored.data(), n * n * sizeof(double)), 0)
+                << core::to_string(tier) << " seed " << seed;
+        }
+    }
+}
+
 TEST(Regions, NearestFindsSelf) {
     const auto table = topo::make_regions(topo::region_plan{}, 3);
     const auto& target = table.all()[100];
     EXPECT_EQ(table.nearest(target.location), target.id);
 }
 
+// A one-region table: enough for hand-built graphs whose links all meet
+// in region 0.
+topo::region_table single_region() {
+    topo::region r;
+    r.name = "r0";
+    return topo::region_table{{r}};
+}
+
 TEST(AsGraph, RejectsDuplicatesAndSelfLinks) {
-    topo::as_graph graph;
+    const auto regions = single_region();
+    topo::as_graph graph{regions};
     topo::autonomous_system as;
     as.asn = 1;
     as.presence = {0};
@@ -82,7 +119,8 @@ TEST(AsGraph, RejectsDuplicatesAndSelfLinks) {
 }
 
 TEST(AsGraph, RelationshipIsMirrored) {
-    topo::as_graph graph;
+    const auto regions = single_region();
+    topo::as_graph graph{regions};
     for (topo::asn_t asn : {1u, 2u}) {
         topo::autonomous_system as;
         as.asn = asn;
@@ -94,6 +132,52 @@ TEST(AsGraph, RelationshipIsMirrored) {
     ASSERT_EQ(graph.neighbors(2).size(), 1u);
     EXPECT_EQ(graph.neighbors(1)[0].relationship, topo::as_relationship::provider);
     EXPECT_EQ(graph.neighbors(2)[0].relationship, topo::as_relationship::customer);
+}
+
+TEST(AsGraph, RejectsInterconnectsOutsideRegionTable) {
+    const auto regions = single_region();
+    topo::as_graph graph{regions};
+    for (topo::asn_t asn : {1u, 2u}) {
+        topo::autonomous_system as;
+        as.asn = asn;
+        as.presence = {0};
+        graph.add_as(as);
+    }
+    EXPECT_THROW(graph.add_link(1, 2, topo::as_relationship::peer, {0, 1}),
+                 std::invalid_argument);
+    EXPECT_FALSE(graph.has_link(1, 2));
+    graph.add_link(1, 2, topo::as_relationship::peer, {0});
+    EXPECT_EQ(graph.nearest_interconnect(0, 0), 0u);
+}
+
+TEST(AsGraph, NearestInterconnectTakesFirstOnTies) {
+    // Regions 0, 1, 2 on one parallel, 14 degrees apart: region 1 is exactly
+    // as far from 0 as from 2, so link order decides, as the argmin scan did.
+    std::vector<topo::region> raw;
+    for (int i = 0; i < 3; ++i) {
+        topo::region r;
+        r.id = static_cast<topo::region_id>(i);
+        r.name = "r" + std::to_string(i);
+        r.location = geo::point{50.0, static_cast<double>(i) * 14.0};
+        raw.push_back(r);
+    }
+    const topo::region_table regions{std::move(raw)};
+    ASSERT_EQ(regions.distance_km(1, 0), regions.distance_km(1, 2));
+    topo::as_graph graph{regions};
+    for (topo::asn_t asn : {1u, 2u, 3u}) {
+        topo::autonomous_system as;
+        as.asn = asn;
+        as.presence = {0, 2};
+        graph.add_as(as);
+    }
+    graph.add_link(1, 2, topo::as_relationship::peer, {2, 0});
+    graph.add_link(1, 3, topo::as_relationship::peer, {0, 2});
+    EXPECT_EQ(graph.nearest_interconnect(0, 1), 2u);
+    EXPECT_EQ(graph.nearest_interconnect(1, 1), 0u);
+    for (std::uint32_t link : {0u, 1u}) {
+        EXPECT_EQ(graph.nearest_interconnect(link, 0), 0u);
+        EXPECT_EQ(graph.nearest_interconnect(link, 2), 2u);
+    }
 }
 
 TEST(AsGraph, InvertIsInvolution) {
