@@ -139,7 +139,37 @@ if [[ ${run_tier1} -eq 1 ]]; then
     ./build/tools/acctx snapshot --scale small --threads 1 --out "${rt}/world_t1.acx"
     ./build/tools/acctx snapshot --scale small --threads 4 --out "${rt}/world_t4.acx"
     cmp "${rt}/world_t1.acx" "${rt}/world_t4.acx"
-    echo "verify: snapshot bytes identical at 1 vs 4 threads"
+    # Medium too: its RIBs share keyed route rows across many sites (the CDN
+    # hosts every PoP in one AS), propagated once per key over the pool.
+    ./build/tools/acctx snapshot --scale medium --threads 1 --out "${rt}/medium_t1.acx"
+    ./build/tools/acctx snapshot --scale medium --threads 4 --out "${rt}/medium_t4.acx"
+    cmp "${rt}/medium_t1.acx" "${rt}/medium_t4.acx"
+    echo "verify: snapshot bytes identical at 1 vs 4 threads (small, medium)"
+
+    # Scenario replay over every letter: withdraw, drain, prepend, announce,
+    # restore and outage reattach, append and re-key shared route rows; the
+    # step CSV (including ases_touched and cache_invalidated) must not
+    # depend on the thread count.
+    cat > "${rt}/timeline.txt" <<'TIMELINE'
+0 drain K 0
+1 withdraw F
+1 prepend K 1 2
+2 promote J 0
+3 announce F
+3 restore K 0
+4 outage 12
+5 prepend K 1 3
+6 drain K 1
+7 restore K 1
+8 prepend K 1 2
+TIMELINE
+    for t in 1 4; do
+        ./build/tools/acctx scenario --scale small --letters all \
+            --timeline "${rt}/timeline.txt" --threads "${t}" --out "${rt}/steps_t${t}.csv" \
+            > /dev/null
+    done
+    cmp "${rt}/steps_t1.csv" "${rt}/steps_t4.csv"
+    echo "verify: scenario step CSV identical at 1 vs 4 threads"
 
     # Serving smoke: the offline grid and the served /grid must be the same
     # bytes, point queries must answer, and malformed requests must 400.
@@ -194,7 +224,9 @@ if [[ ${run_tsan} -eq 1 ]]; then
     TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/engine_test
     # routing_test includes the read-side stresses: concurrent cache fills,
     # selects racing mutation, and RIB builds from several threads over one
-    # const graph (SharedGraph.ConcurrentRibBuildsOverConstGraphAgree).
+    # const graph (SharedGraph.ConcurrentRibBuildsOverConstGraphAgree). It
+    # also covers pooled per-key propagation: those builds fan their keys
+    # out over a pool, and KeyedRows builds a small world at 4 threads.
     TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/routing_test
     TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/obs_test
     TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/scenario_test

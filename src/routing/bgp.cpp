@@ -74,6 +74,18 @@ obs::counter& reconverge_shards_counter() {
     return c;
 }
 
+/// Keyed-row counters (DESIGN §8): rows propagated, and site attachments
+/// (construction or announce) that found their key's row already present.
+obs::counter& rows_counter() {
+    static obs::counter& c = obs::registry::global().get_counter("route.propagate.rows");
+    return c;
+}
+obs::counter& rows_reused_counter() {
+    static obs::counter& c =
+        obs::registry::global().get_counter("route.propagate.rows_reused");
+    return c;
+}
+
 bool better(route_class cls, std::uint8_t len, route_class incumbent_cls,
             std::uint8_t incumbent_len) {
     if (cls != incumbent_cls) return cls < incumbent_cls;
@@ -81,11 +93,9 @@ bool better(route_class cls, std::uint8_t len, route_class incumbent_cls,
 }
 
 /// Reusable propagation buffers. One instance per worker thread, reused
-/// across announcements and RIBs, so propagate() performs no per-call heap
+/// across rows and RIBs, so propagate() performs no per-call heap
 /// allocation once the buffers are warm.
 struct propagate_scratch {
-    std::vector<std::uint8_t> suppressed;  // flag per dense AS index
-    std::vector<std::uint32_t> marks;      // set flags, cleared after each call
     std::vector<std::uint32_t> frontier;   // phase-1 BFS queue (head walks it)
     struct pending_route {
         std::uint32_t index = 0;
@@ -97,12 +107,8 @@ struct propagate_scratch {
     std::vector<std::pair<std::uint8_t, std::uint32_t>> heap;  // phase-3 (len, index)
 };
 
-propagate_scratch& local_scratch(std::size_t as_count) {
+propagate_scratch& local_scratch() {
     static thread_local propagate_scratch sc;
-    if (sc.suppressed.size() < as_count) sc.suppressed.resize(as_count, 0);
-    // Defensive: if a previous call unwound mid-propagation, clear its marks.
-    for (const std::uint32_t i : sc.marks) sc.suppressed[i] = 0;
-    sc.marks.clear();
     return sc;
 }
 
@@ -116,48 +122,33 @@ anycast_rib::anycast_rib(const topo::as_graph& graph, std::vector<announcement> 
     as_count_ = asns_.size();
     link_count_ = graph.link_count();
 
-    const std::size_t cells = announcements_.size() * as_count_;
-    cls_.assign(cells, static_cast<std::uint8_t>(route_class::none));
-    len_.assign(cells, 0);
-    next_idx_.assign(cells, no_next_hop);
-    link_.assign(cells, 0);
-
-    bool unique_sites = true;
-    std::vector<std::uint8_t> seen(announcements_.size(), 0);
-    withdrawn_.assign(announcements_.size(), 0);
-    for (const auto& a : announcements_) {
-        if (!graph.has_as(a.origin_asn)) {
+    // Distinct keys in site order: the first site with a key gives it a row,
+    // later sites with the same key attach to that row.
+    std::vector<std::uint32_t> fresh;  // rows to propagate
+    site_row_.reserve(announcements_.size());
+    for (std::size_t i = 0; i < announcements_.size(); ++i) {
+        if (!graph.has_as(announcements_[i].origin_asn)) {
             throw std::invalid_argument("anycast_rib: announcement from unknown ASN");
         }
-        if (a.site >= announcements_.size()) {
-            throw std::invalid_argument("anycast_rib: site ids must be dense [0, n)");
+        if (announcements_[i].site != i) {
+            throw std::invalid_argument("anycast_rib: site ids must be dense [0, n), in order");
         }
-        if (seen[a.site]) unique_sites = false;
-        seen[a.site] = 1;
-        if (a.withdrawn) withdrawn_[a.site] = 1;
+        site_row_.push_back(attach(key_of(announcements_[i]), &fresh));
     }
-    // Each site's propagation writes only its own matrix row, so sites are
-    // independent work items — unless two announcements share a site id, in
-    // which case only the serial order is well-defined. Per-site work is
-    // heavy (a full graph traversal), so grain 1 keeps full fan-out despite
-    // the pool's inline threshold for small auto-grain ranges.
+    size_rows();
+    // Each key's propagation writes only its own matrix row, so keys are
+    // independent work items. Per-key work is heavy (a full graph
+    // traversal), so grain 1 keeps full fan-out despite the pool's inline
+    // threshold for small auto-grain ranges.
     {
         obs::span propagation_span{"bgp/propagate_all"};
-        propagation_span.set_items(announcements_.size());
-        if (unique_sites) {
-            engine::parallel_over(
-                pool, announcements_.size(),
-                [this](std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                        if (!announcements_[i].withdrawn) propagate(announcements_[i]);
-                    }
-                },
-                /*grain=*/1);
-        } else {
-            for (const auto& a : announcements_) {
-                if (!a.withdrawn) propagate(a);
-            }
-        }
+        propagation_span.set_items(fresh.size());
+        engine::parallel_over(
+            pool, fresh.size(),
+            [&](std::size_t begin, std::size_t end) {
+                for (std::size_t i = begin; i < end; ++i) propagate(fresh[i]);
+            },
+            /*grain=*/1);
     }
 
     {
@@ -167,12 +158,60 @@ anycast_rib::anycast_rib(const topo::as_graph& graph, std::vector<announcement> 
     }
 }
 
-void anycast_rib::propagate(const announcement& a) {
+anycast_rib::row_key anycast_rib::key_of(const announcement& a) const {
+    row_key key;
+    if (a.withdrawn) return key;
+    key.origin = static_cast<std::uint32_t>(graph_->dense_index(a.origin_asn));
+    key.scope = a.scope;
+    key.prepend = a.prepend;
+    // An ASN propagation would skip (unknown, or attached after the
+    // snapshot) never splits a key.
+    for (const topo::asn_t s : a.suppressed_neighbors) {
+        const std::size_t i = graph_->find_index(s);
+        if (i != topo::as_graph::npos && i < as_count_) {
+            key.suppressed.push_back(static_cast<std::uint32_t>(i));
+        }
+    }
+    std::sort(key.suppressed.begin(), key.suppressed.end());
+    key.suppressed.erase(std::unique(key.suppressed.begin(), key.suppressed.end()),
+                         key.suppressed.end());
+    return key;
+}
+
+std::uint32_t anycast_rib::attach(row_key key, std::vector<std::uint32_t>* deferred) {
+    const bool routed = key.origin != no_next_hop;
+    const auto found = std::find(row_keys_.begin(), row_keys_.end(), key);
+    const auto row = static_cast<std::uint32_t>(found - row_keys_.begin());
+    if (found != row_keys_.end()) {
+        if (routed) rows_reused_counter().add(1);
+        return row;
+    }
+    row_keys_.push_back(std::move(key));
+    if (deferred != nullptr) {
+        if (routed) deferred->push_back(row);
+        return row;
+    }
+    size_rows();
+    if (routed) propagate(row);
+    return row;
+}
+
+void anycast_rib::size_rows() {
+    const std::size_t cells = row_keys_.size() * as_count_;
+    cls_.resize(cells, static_cast<std::uint8_t>(route_class::none));
+    len_.resize(cells, 0);
+    next_idx_.resize(cells, no_next_hop);
+    link_.resize(cells, 0);
+}
+
+void anycast_rib::propagate(std::uint32_t row) {
     obs::span propagate_span{"bgp/propagate_site"};
     propagate_span.set_items(as_count_);
-    propagate_scratch& sc = local_scratch(as_count_);
-    const std::size_t base = static_cast<std::size_t>(a.site) * as_count_;
-    const std::size_t origin = graph_->dense_index(a.origin_asn);
+    rows_counter().add(1);
+    propagate_scratch& sc = local_scratch();
+    const row_key& a = row_keys_[row];
+    const std::size_t base = static_cast<std::size_t>(row) * as_count_;
+    const std::size_t origin = a.origin;
 
     const auto cls_at = [&](std::size_t i) { return static_cast<route_class>(cls_[base + i]); };
     const auto is_better = [&](route_class c, std::uint8_t l, std::size_t i) {
@@ -199,20 +238,16 @@ void anycast_rib::propagate(const announcement& a) {
     const auto origin_len = static_cast<std::uint8_t>(1 + a.prepend);
     set(origin, route_class::origin, origin_len, no_next_hop, 0);
 
-    for (const topo::asn_t s : a.suppressed_neighbors) {
-        const std::size_t i = graph_->find_index(s);
-        if (i == topo::as_graph::npos || i >= as_count_) continue;
-        if (!sc.suppressed[i]) {
-            sc.suppressed[i] = 1;
-            sc.marks.push_back(static_cast<std::uint32_t>(i));
-        }
-    }
+    // Suppression only filters the origin's own neighbors.
+    const auto suppressed = [&](std::uint32_t i) {
+        return std::binary_search(a.suppressed.begin(), a.suppressed.end(), i);
+    };
 
     if (a.scope == announcement_scope::local) {
         // Local sites: announced to direct neighbors with no re-export.
         for (const auto& nb : graph_->neighbors_at(origin)) {
             if (!in_snapshot(nb)) continue;
-            if (sc.suppressed[nb.neighbor_index]) continue;
+            if (suppressed(nb.neighbor_index)) continue;
             // Relationship seen from the *neighbor*: it learned the route
             // from `origin`, which is its customer/peer/provider.
             const route_class cls = [&] {
@@ -230,8 +265,6 @@ void anycast_rib::propagate(const announcement& a) {
                     nb.link_index);
             }
         }
-        for (const std::uint32_t i : sc.marks) sc.suppressed[i] = 0;
-        sc.marks.clear();
         return;
     }
 
@@ -246,7 +279,7 @@ void anycast_rib::propagate(const announcement& a) {
             for (const auto& nb : graph_->neighbors_at(cur)) {
                 if (nb.relationship != topo::as_relationship::provider) continue;
                 if (!in_snapshot(nb)) continue;
-                if (cur == origin && sc.suppressed[nb.neighbor_index]) continue;
+                if (cur == origin && suppressed(nb.neighbor_index)) continue;
                 const std::size_t i = nb.neighbor_index;
                 const auto len = static_cast<std::uint8_t>(cur_len + 1);
                 if (is_better(route_class::customer, len, i)) {
@@ -269,7 +302,7 @@ void anycast_rib::propagate(const announcement& a) {
             for (const auto& nb : graph_->neighbors_at(cur)) {
                 if (nb.relationship != topo::as_relationship::peer) continue;
                 if (!in_snapshot(nb)) continue;
-                if (cur == origin && sc.suppressed[nb.neighbor_index]) continue;
+                if (cur == origin && suppressed(nb.neighbor_index)) continue;
                 const auto len = static_cast<std::uint8_t>(len_[base + cur] + 1);
                 sc.pending.push_back(propagate_scratch::pending_route{
                     nb.neighbor_index, len, static_cast<std::uint32_t>(cur), nb.link_index});
@@ -305,7 +338,7 @@ void anycast_rib::propagate(const announcement& a) {
             for (const auto& nb : graph_->neighbors_at(cur)) {
                 if (nb.relationship != topo::as_relationship::customer) continue;
                 if (!in_snapshot(nb)) continue;
-                if (cur == origin && sc.suppressed[nb.neighbor_index]) continue;
+                if (cur == origin && suppressed(nb.neighbor_index)) continue;
                 if (is_better(route_class::provider, len, nb.neighbor_index)) {
                     set(nb.neighbor_index, route_class::provider, len, cur, nb.link_index);
                     heap_push(static_cast<std::uint8_t>(len + 1), nb.neighbor_index);
@@ -313,13 +346,37 @@ void anycast_rib::propagate(const announcement& a) {
             }
         }
     }
+}
 
-    for (const std::uint32_t i : sc.marks) sc.suppressed[i] = 0;
-    sc.marks.clear();
+void anycast_rib::set_best(std::size_t as) {
+    route_class best = route_class::none;
+    std::uint8_t best_len = std::numeric_limits<std::uint8_t>::max();
+    std::uint8_t direct = 0;
+    for (site_id s = 0; s < announcements_.size(); ++s) {
+        const std::size_t c = cell(s, as);
+        const auto cls = static_cast<route_class>(cls_[c]);
+        if (cls == route_class::none) continue;
+        if (len_[c] <= 2) direct = 1;
+        if (better(cls, len_[c], best, best_len)) {
+            best = cls;
+            best_len = len_[c];
+        }
+    }
+    best_cls_[as] = static_cast<std::uint8_t>(best);
+    best_len_[as] = best_len;
+    direct_[as] = direct;
+}
+
+template <class F>
+void anycast_rib::for_each_candidate(std::size_t as, F&& visit) const {
+    if (static_cast<route_class>(best_cls_[as]) == route_class::none) return;
+    for (site_id s = 0; s < announcements_.size(); ++s) {
+        const std::size_t c = cell(s, as);
+        if (cls_[c] == best_cls_[as] && len_[c] == best_len_[as]) visit(s);
+    }
 }
 
 void anycast_rib::build_fast_path(engine::thread_pool* pool) {
-    const std::size_t sites = announcements_.size();
     best_cls_.assign(as_count_, static_cast<std::uint8_t>(route_class::none));
     best_len_.assign(as_count_, std::numeric_limits<std::uint8_t>::max());
     direct_.assign(as_count_, 0);
@@ -329,32 +386,8 @@ void anycast_rib::build_fast_path(engine::thread_pool* pool) {
     // Pass A: per-AS best (class, length), direct flag, candidate count.
     engine::parallel_over(pool, as_count_, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-            route_class best = route_class::none;
-            std::uint8_t best_len = std::numeric_limits<std::uint8_t>::max();
-            std::uint8_t direct = 0;
-            for (std::size_t s = 0; s < sites; ++s) {
-                const auto c = static_cast<route_class>(cls_[cell(static_cast<site_id>(s), i)]);
-                if (c == route_class::none) continue;
-                const std::uint8_t l = len_[cell(static_cast<site_id>(s), i)];
-                if (l <= 2) direct = 1;
-                if (c < best || (c == best && l < best_len)) {
-                    best = c;
-                    best_len = l;
-                }
-            }
-            std::uint32_t count = 0;
-            if (best != route_class::none) {
-                for (std::size_t s = 0; s < sites; ++s) {
-                    const std::size_t c = cell(static_cast<site_id>(s), i);
-                    if (static_cast<route_class>(cls_[c]) == best && len_[c] == best_len) {
-                        ++count;
-                    }
-                }
-            }
-            best_cls_[i] = static_cast<std::uint8_t>(best);
-            best_len_[i] = best_len;
-            direct_[i] = direct;
-            counts[i] = count;
+            set_best(i);
+            for_each_candidate(i, [&](site_id) { ++counts[i]; });
         }
     });
 
@@ -365,15 +398,8 @@ void anycast_rib::build_fast_path(engine::thread_pool* pool) {
     // best_candidates scan produced them).
     engine::parallel_over(pool, as_count_, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-            const auto best = static_cast<route_class>(best_cls_[i]);
-            if (best == route_class::none) continue;
             std::uint32_t k = cand_begin_[i];
-            for (std::size_t s = 0; s < sites; ++s) {
-                const std::size_t c = cell(static_cast<site_id>(s), i);
-                if (static_cast<route_class>(cls_[c]) == best && len_[c] == best_len_[i]) {
-                    cand_sites_[k++] = static_cast<site_id>(s);
-                }
-            }
+            for_each_candidate(i, [&](site_id s) { cand_sites_[k++] = s; });
         }
     });
 }
@@ -386,9 +412,7 @@ std::vector<site_id> anycast_rib::best_candidates(topo::asn_t asn) const {
 
 std::optional<site_route> anycast_rib::route_toward(topo::asn_t asn, site_id site) const {
     std::shared_lock lock{topo_mutex_};
-    if (site >= announcements_.size()) {
-        throw std::out_of_range("anycast_rib: unknown site");
-    }
+    check_site(site);
     const std::size_t c = cell(site, as_index(asn));
     if (static_cast<route_class>(cls_[c]) == route_class::none) return std::nullopt;
     site_route r;
@@ -401,9 +425,7 @@ std::optional<site_route> anycast_rib::route_toward(topo::asn_t asn, site_id sit
 
 anycast_rib::site_route_view anycast_rib::site_routes(site_id site) const {
     std::shared_lock lock{topo_mutex_};
-    if (site >= announcements_.size()) {
-        throw std::out_of_range("anycast_rib: unknown site");
-    }
+    check_site(site);
     const std::size_t base = cell(site, 0);
     return site_route_view{
         std::span<const std::uint8_t>{cls_}.subspan(base, as_count_),
@@ -416,9 +438,7 @@ anycast_rib::site_route_view anycast_rib::site_routes(site_id site) const {
 std::optional<path_result> anycast_rib::evaluate(topo::asn_t asn, topo::region_id region,
                                                  site_id site) const {
     std::shared_lock lock{topo_mutex_};
-    if (site >= announcements_.size()) {
-        throw std::out_of_range("anycast_rib: unknown site");
-    }
+    check_site(site);
     return evaluate_indexed(as_index(asn), asn, region, site);
 }
 
@@ -693,6 +713,10 @@ bool anycast_rib::has_direct_route(topo::asn_t asn) const {
     return direct_[as_index(asn)] != 0;
 }
 
+void anycast_rib::check_site(site_id site) const {
+    if (site >= announcements_.size()) throw std::out_of_range("anycast_rib: unknown site");
+}
+
 std::size_t anycast_rib::as_index(topo::asn_t asn) const {
     const std::size_t i = graph_->find_index(asn);
     if (i == topo::as_graph::npos || i >= as_count_) {
@@ -710,18 +734,13 @@ anycast_rib::reconverge_stats anycast_rib::withdraw(site_id site) {
     reconverge_stats stats;
     std::unique_lock lock{topo_mutex_};
     unpublish_frozen();
-    if (site >= announcements_.size()) {
-        throw std::out_of_range("anycast_rib: unknown site");
-    }
-    if (withdrawn_[site]) return stats;  // idempotent: already out of the RIB
+    check_site(site);
+    if (announcements_[site].withdrawn) return stats;  // idempotent
 
-    // A site's routes live in exactly one matrix row, so a withdrawal never
-    // needs re-propagation: clearing the row and repairing the per-AS index
-    // for the ASes that held a route to it is the complete fix.
     std::vector<std::uint8_t> touched(as_count_, 0);
-    clear_row(site, touched);
-    withdrawn_[site] = 1;
+    mark_routed(site_row_[site], touched);
     announcements_[site].withdrawn = true;
+    site_row_[site] = attach(row_key{});
     reconverge_touched(touched, stats);
     event_span.set_items(stats.ases_touched);
     return stats;
@@ -741,29 +760,17 @@ anycast_rib::reconverge_stats anycast_rib::announce(announcement a) {
     }
     a.withdrawn = false;
 
+    // The frontier is every AS the site's old row or new row routes.
     std::vector<std::uint8_t> touched(as_count_, 0);
     if (a.site == announcements_.size()) {
-        // New site: append a fresh matrix row.
-        cls_.resize(cls_.size() + as_count_, static_cast<std::uint8_t>(route_class::none));
-        len_.resize(len_.size() + as_count_, 0);
-        next_idx_.resize(next_idx_.size() + as_count_, no_next_hop);
-        link_.resize(link_.size() + as_count_, 0);
         announcements_.push_back(a);
-        withdrawn_.push_back(0);
+        site_row_.push_back(0);
     } else {
-        // Re-announce (possibly with new parameters): the old row's routes
-        // are stale either way, so clear first and re-propagate from scratch.
-        clear_row(a.site, touched);
+        mark_routed(site_row_[a.site], touched);
         announcements_[a.site] = a;
-        withdrawn_[a.site] = 0;
     }
-    propagate(announcements_[a.site]);
-
-    // Everything the new row reached joins the touched frontier.
-    const std::size_t base = cell(a.site, 0);
-    for (std::size_t i = 0; i < as_count_; ++i) {
-        if (static_cast<route_class>(cls_[base + i]) != route_class::none) touched[i] = 1;
-    }
+    site_row_[a.site] = attach(key_of(a));
+    mark_routed(site_row_[a.site], touched);
     reconverge_touched(touched, stats);
     event_span.set_items(stats.ases_touched);
     return stats;
@@ -771,61 +778,28 @@ anycast_rib::reconverge_stats anycast_rib::announce(announcement a) {
 
 bool anycast_rib::is_withdrawn(site_id site) const {
     std::shared_lock lock{topo_mutex_};
-    if (site >= announcements_.size()) {
-        throw std::out_of_range("anycast_rib: unknown site");
-    }
-    return withdrawn_[site] != 0;
+    check_site(site);
+    return announcements_[site].withdrawn;
 }
 
 std::size_t anycast_rib::active_site_count() const {
     std::shared_lock lock{topo_mutex_};
-    std::size_t n = 0;
-    for (const std::uint8_t w : withdrawn_) n += (w == 0);
-    return n;
+    return static_cast<std::size_t>(std::count_if(announcements_.begin(), announcements_.end(),
+                                                  [](const auto& a) { return !a.withdrawn; }));
 }
 
-void anycast_rib::clear_row(site_id site, std::vector<std::uint8_t>& touched) {
-    const std::size_t base = cell(site, 0);
+void anycast_rib::mark_routed(std::uint32_t row, std::vector<std::uint8_t>& touched) const {
+    const std::size_t base = static_cast<std::size_t>(row) * as_count_;
     for (std::size_t i = 0; i < as_count_; ++i) {
-        if (static_cast<route_class>(cls_[base + i]) == route_class::none) continue;
-        touched[i] = 1;
-        cls_[base + i] = static_cast<std::uint8_t>(route_class::none);
-        len_[base + i] = 0;
-        next_idx_[base + i] = no_next_hop;
-        link_[base + i] = 0;
+        if (static_cast<route_class>(cls_[base + i]) != route_class::none) touched[i] = 1;
     }
 }
 
 void anycast_rib::recompute_as_index(std::size_t as) {
-    // Same scan order and comparisons as build_fast_path passes A and B, so
-    // the recomputed candidate list is byte-identical to a full rebuild's.
-    const std::size_t sites = announcements_.size();
-    route_class best = route_class::none;
-    std::uint8_t best_len = std::numeric_limits<std::uint8_t>::max();
-    std::uint8_t direct = 0;
-    for (std::size_t s = 0; s < sites; ++s) {
-        const auto c = static_cast<route_class>(cls_[cell(static_cast<site_id>(s), as)]);
-        if (c == route_class::none) continue;
-        const std::uint8_t l = len_[cell(static_cast<site_id>(s), as)];
-        if (l <= 2) direct = 1;
-        if (c < best || (c == best && l < best_len)) {
-            best = c;
-            best_len = l;
-        }
-    }
-    best_cls_[as] = static_cast<std::uint8_t>(best);
-    best_len_[as] = best_len;
-    direct_[as] = direct;
-
+    set_best(as);
     overlay_[as].clear();
     overlaid_[as] = 1;
-    if (best == route_class::none) return;
-    for (std::size_t s = 0; s < sites; ++s) {
-        const std::size_t c = cell(static_cast<site_id>(s), as);
-        if (static_cast<route_class>(cls_[c]) == best && len_[c] == best_len) {
-            overlay_[as].push_back(static_cast<site_id>(s));
-        }
-    }
+    for_each_candidate(as, [&](site_id s) { overlay_[as].push_back(s); });
 }
 
 void anycast_rib::clear_select_cache() {

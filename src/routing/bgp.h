@@ -23,7 +23,7 @@
 // through `select`), so the RIB is built for O(1)-amortized queries
 // (DESIGN §8):
 //
-//   * the route matrix is a flat struct-of-arrays (site-major), not a
+//   * the route matrix is a flat struct-of-arrays (one row per key), not a
 //     vector-of-vectors;
 //   * a per-AS best-route index (best class, best length, CSR candidate
 //     lists, direct-route flag) is precomputed once after propagation, so
@@ -39,16 +39,19 @@
 //     thread that computes a key computes the same bytes, and the first
 //     insert wins.
 //
-// The RIB is *mutable* (DESIGN §11): per-source `announce`/`withdraw` entry
-// points re-converge incrementally. Because every site owns a disjoint route
-// row, an event only rewrites that one row; the per-AS best-route index is
-// then fixed up for exactly the ASes whose row entry changed (the event's
-// frontier), and only the select-cache shards holding those ASes are
-// invalidated. Nothing else — other rows, the geo tables, untouched index
-// slots, untouched cache shards — is rebuilt. A `shared_mutex` makes
-// mutation safe against concurrent selects: readers see either the pre- or
-// the post-event state, never a torn one, and the post-event state is
-// byte-identical to a from-scratch rebuild with the same announcement set.
+// Routes are stored per announcement key, not per site (DESIGN §8): a row
+// depends only on origin AS, scope, prepend and suppressed set, so sites with
+// equal keys (a CDN's PoPs, a letter's sites in one host AS) share one
+// immutable row, propagated once, and differ only at evaluation (region).
+//
+// The RIB is *mutable* (DESIGN §11): `withdraw` points the site at the
+// all-`none` row, and `announce` reuses the row of a key the RIB holds,
+// propagating only a key it has never seen; no row is ever rewritten. The
+// per-AS best-route index is then fixed up for exactly the ASes routed by
+// the site's old or new row, and only the select-cache shards holding them
+// are invalidated. A `shared_mutex` makes mutation safe against concurrent
+// selects: readers see the pre- or the post-event state, never a torn one,
+// and the post-event state is byte-identical to a from-scratch rebuild.
 #pragma once
 
 #include <array>
@@ -139,10 +142,12 @@ struct source_key {
 class anycast_rib {
 public:
     /// Routes over `graph` and its region table (`graph.regions()`), both of
-    /// which must outlive the RIB. Construction only reads the graph. With a
-    /// non-serial `pool`, per-site propagation and the fast-path index build
-    /// run in parallel (each site owns a disjoint matrix row and each AS owns
-    /// its index slot, so the result is schedule-free).
+    /// which must outlive the RIB. Construction only reads the graph. Site
+    /// ids must be dense and in order (`announcements[i].site == i`), so
+    /// duplicates are rejected with std::invalid_argument. With a non-serial
+    /// `pool`, per-key propagation and the fast-path index build run in
+    /// parallel (each key owns a disjoint matrix row and each AS owns its
+    /// index slot, so the result is schedule-free).
     anycast_rib(const topo::as_graph& graph, std::vector<announcement> announcements,
                 engine::thread_pool* pool = nullptr);
 
@@ -154,10 +159,10 @@ public:
     };
 
     /// Withdraws `site`'s announcement and re-converges incrementally:
-    /// clears the site's route row, recomputes the best-route index for
-    /// exactly the ASes that held a route to it, and invalidates only the
-    /// select-cache shards containing those ASes. Every other site's routes
-    /// are untouched (per-site rows are independent). No-op on an already
+    /// points the site at the all-`none` row (its old row is kept, other
+    /// sites may share it), recomputes the best-route index for exactly the
+    /// ASes that held a route to it, and invalidates only the select-cache
+    /// shards containing those ASes. No row is rewritten. No-op on an already
     /// withdrawn site. Thread-safe against concurrent selects; afterwards
     /// `select` is byte-identical to a from-scratch rebuild without the
     /// site. Throws std::out_of_range on an unknown site.
@@ -165,11 +170,11 @@ public:
 
     /// (Re-)announces a site and re-converges incrementally. `a.site` must
     /// be an existing site id (re-announce: scope/prepend/suppression/origin
-    /// may all change) or exactly `site_count()` (a brand-new site, whose
-    /// row is appended). The changed row is re-propagated from scratch and
-    /// the index/cache fixed up for the union of ASes that held the old
-    /// route or hold the new one. Throws std::invalid_argument on an
-    /// unknown origin ASN or a non-dense site id.
+    /// may all change) or exactly `site_count()` (a brand-new site). A key
+    /// the RIB already holds reuses its row; only a new key is propagated,
+    /// into an appended row. The index/cache is fixed up for the union of
+    /// ASes that held the old route or hold the new one. Throws
+    /// std::invalid_argument on an unknown origin ASN or a non-dense site id.
     reconverge_stats announce(announcement a);
 
     /// True if `site` is currently withdrawn (no routes).
@@ -235,10 +240,10 @@ public:
     /// ASes attached to the graph later are unknown to this RIB).
     [[nodiscard]] std::span<const topo::asn_t> known_asns() const noexcept { return asns_; }
 
-    /// Read-only struct-of-arrays view over one site's route row
-    /// (src/table/column.h-style spans; position = dense AS index, aligned
-    /// with known_asns()). `next_index` is the dense index of the next hop,
-    /// or `no_next_hop` at the origin and for absent routes.
+    /// Read-only spans over the route row `site` reads (shared by its key's
+    /// sites; all `none` while withdrawn), aligned with known_asns() and
+    /// valid until the next announce/withdraw. `next_index` is the next
+    /// hop's dense index, or `no_next_hop` at the origin and if absent.
     struct site_route_view {
         std::span<const std::uint8_t> cls;        // route_class values
         std::span<const std::uint8_t> path_len;
@@ -313,16 +318,34 @@ public:
     void clear_select_cache();
 
 private:
-    void propagate(const announcement& a);
+    /// What propagation reads from an announcement; the suppressed set is
+    /// sorted, unique dense indices inside the snapshot. The default key is
+    /// the all-`none` row of withdrawn sites, never propagated.
+    struct row_key {
+        std::uint32_t origin = no_next_hop;
+        announcement_scope scope = announcement_scope::global;
+        std::uint8_t prepend = 0;
+        std::vector<std::uint32_t> suppressed;
+        friend bool operator==(const row_key&, const row_key&) = default;
+    };
+    [[nodiscard]] row_key key_of(const announcement& a) const;
+    /// The row holding `key`. A key the RIB has never seen gets a new row,
+    /// sized and propagated now, or listed in `deferred` for the caller.
+    std::uint32_t attach(row_key key, std::vector<std::uint32_t>* deferred = nullptr);
+    void size_rows();  // grows the columns to row_keys_.size() rows
+    void propagate(std::uint32_t row);
     void build_fast_path(engine::thread_pool* pool);
-    /// Recomputes one AS's best (class, len), direct flag, and candidate
-    /// list after a row changed, writing candidates into the overlay. Same
-    /// scan order and comparisons as the bulk build, so the result is
-    /// byte-identical to a from-scratch index.
+    /// The bulk build and the per-AS repair share these two scans, so a
+    /// repaired index slot is byte-identical to a from-scratch one:
+    /// `set_best` stores one AS's best (class, len) and direct flag,
+    /// `for_each_candidate` visits its best-route sites in ascending order.
+    void set_best(std::size_t as);
+    template <class F>
+    void for_each_candidate(std::size_t as, F&& visit) const;
+    /// Repairs one AS's index slot, moving its candidates into the overlay.
     void recompute_as_index(std::size_t as);
-    /// Clears `site`'s route row, marking every AS that held a route in
-    /// `touched` (bitmap by dense index).
-    void clear_row(site_id site, std::vector<std::uint8_t>& touched);
+    /// Marks every AS that `row` routes in `touched` (bitmap by dense index).
+    void mark_routed(std::uint32_t row, std::vector<std::uint8_t>& touched) const;
     /// Drops memoized selects for the touched ASes, visiting only the cache
     /// shards that can hold them. Returns (entries erased, shards visited).
     std::pair<std::size_t, std::size_t> invalidate_cache(
@@ -330,8 +353,9 @@ private:
     /// Index fix-up + cache invalidation for a touched set; fills `out`.
     void reconverge_touched(const std::vector<std::uint8_t>& touched, reconverge_stats& out);
     [[nodiscard]] std::size_t as_index(topo::asn_t asn) const;
+    void check_site(site_id site) const;  // throws std::out_of_range
     [[nodiscard]] std::size_t cell(site_id site, std::size_t as) const noexcept {
-        return static_cast<std::size_t>(site) * as_count_ + as;
+        return static_cast<std::size_t>(site_row_[site]) * as_count_ + as;
     }
     [[nodiscard]] std::span<const site_id> candidate_span(std::size_t as) const noexcept {
         if (!overlaid_.empty() && overlaid_[as]) {
@@ -352,16 +376,18 @@ private:
     std::vector<topo::asn_t> asns_;  // dense index -> asn (graph snapshot)
     std::size_t as_count_ = 0;
     std::size_t link_count_ = 0;  // graph link snapshot at construction
-    std::vector<std::uint8_t> withdrawn_;  // per site: currently not announced
 
     // Reader/writer gate for mutation: every query path holds it shared,
     // announce/withdraw hold it exclusively. Selection under a shared lock
     // is unchanged bytes; the lock only serializes against re-convergence.
     mutable std::shared_mutex topo_mutex_;
 
-    // Route matrix, struct-of-arrays, site-major: entry for (site, as) lives
-    // at site * as_count_ + as in each column. Dense because every AS usually
-    // holds a route to every globally announced site.
+    // Route matrix, struct-of-arrays, one immutable row per key: entry for
+    // (row, as) lives at row * as_count_ + as in each column, and site s
+    // reads row site_row_[s]. Rows are never freed, so their count is
+    // bounded by the distinct keys ever announced (plus the all-`none` row).
+    std::vector<row_key> row_keys_;        // row -> key
+    std::vector<std::uint32_t> site_row_;  // site -> row
     std::vector<std::uint8_t> cls_;        // route_class
     std::vector<std::uint8_t> len_;        // AS-path length
     std::vector<std::uint32_t> next_idx_;  // dense index of next hop (no_next_hop at origin)

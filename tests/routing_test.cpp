@@ -1,8 +1,9 @@
 // BGP policy-routing tests on hand-built mini topologies: Gao-Rexford
 // export rules, local-preference ordering, path-length tie-breaks, local
-// announcement scope, hot-potato site selection, and the fast-path layer
+// announcement scope, hot-potato site selection, the fast-path layer
 // (best-route index, geo tables, select memoization) — which must be
-// bit-identical to the reference implementation and race-safe.
+// bit-identical to the reference implementation and race-safe — and keyed
+// route rows, where sites with equal announcement keys share one row.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +13,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/world.h"
 #include "src/netbase/rng.h"
+#include "src/obs/metrics.h"
 #include "src/routing/bgp.h"
 #include "src/topology/generator.h"
 
@@ -45,6 +48,31 @@ topo::autonomous_system make_as(topo::asn_t asn, topo::as_role role,
     as.presence = std::move(presence);
     as.last_mile_ms = 1.0;
     return as;
+}
+
+// Process-wide keyed-row counters: rows propagated, and site attachments
+// that reused a row already held.
+std::uint64_t rows_propagated() {
+    return obs::registry::global().get_counter("route.propagate.rows").value();
+}
+std::uint64_t rows_reused() {
+    return obs::registry::global().get_counter("route.propagate.rows_reused").value();
+}
+
+// Every AS's route toward `site`, in known_asns() order.
+std::vector<std::optional<route::site_route>> routes_of(const route::anycast_rib& rib,
+                                                        route::site_id site) {
+    std::vector<std::optional<route::site_route>> out;
+    for (const topo::asn_t asn : rib.known_asns()) out.push_back(rib.route_toward(asn, site));
+    return out;
+}
+
+// Element-wise equality of two sites' route-row views.
+bool same_view(const route::anycast_rib::site_route_view& a,
+               const route::anycast_rib::site_route_view& b) {
+    return std::ranges::equal(a.cls, b.cls) && std::ranges::equal(a.path_len, b.path_len) &&
+           std::ranges::equal(a.next_index, b.next_index) &&
+           std::ranges::equal(a.link_index, b.link_index);
 }
 
 class RoutingPolicy : public ::testing::Test {
@@ -185,6 +213,13 @@ TEST_F(RoutingPolicy, HasDirectRouteDetectsShortPaths) {
 
 TEST_F(RoutingPolicy, DenseSiteIdsEnforced) {
     EXPECT_THROW(make_rib({{5, 1, 0, route::announcement_scope::global, {}}}),
+                 std::invalid_argument);
+}
+
+TEST_F(RoutingPolicy, RejectsDuplicateSiteIds) {
+    // Two announcements claiming site 0 leave site 1 undefined.
+    EXPECT_THROW(make_rib({{0, 1, 0, route::announcement_scope::global, {}},
+                           {0, 1, 3, route::announcement_scope::global, {}}}),
                  std::invalid_argument);
 }
 
@@ -849,6 +884,177 @@ TEST_F(SharedGraph, ConcurrentRibBuildsOverConstGraphAgree) {
     }
     for (auto& b : builders) b.join();
     EXPECT_EQ(mismatches.load(), 0u);
+}
+
+// Keyed route rows (DESIGN §8): a row depends only on the announcement key
+// (origin, scope, prepend, canonical suppressed set), so sites with equal
+// keys share one row, and each site still reads exactly the routes a RIB
+// holding its announcement alone would compute.
+
+TEST_F(RoutingPolicy, EqualKeysShareARowAndDistinctKeysDoNot) {
+    using route::announcement_scope;
+    // AS 99 is not in the graph: like an ASN attached after the snapshot,
+    // propagation skips it, so it must not split a key.
+    const std::vector<route::announcement> anns{
+        {0, 1, 0, announcement_scope::global, {6, 4}},
+        {1, 1, 1, announcement_scope::global, {4, 6}},      // permutation
+        {2, 1, 2, announcement_scope::global, {6, 4, 6}},   // duplicate
+        {3, 1, 3, announcement_scope::global, {4, 6, 99}},  // outside the snapshot
+        {4, 1, 0, announcement_scope::global, {4, 6}, 1},   // other prepend
+        {5, 1, 0, announcement_scope::local, {4, 6}},       // other scope
+        {6, 6, 0, announcement_scope::global, {4, 6}},      // other origin
+    };
+    const auto rows_before = rows_propagated();
+    const auto reused_before = rows_reused();
+    const auto rib = make_rib(anns);
+    EXPECT_EQ(rows_propagated() - rows_before, 4u);
+    EXPECT_EQ(rows_reused() - reused_before, 3u);
+
+    for (route::site_id s = 1; s < 4; ++s) {
+        EXPECT_TRUE(same_view(rib.site_routes(s), rib.site_routes(0))) << "site " << s;
+    }
+    for (route::site_id s = 4; s < anns.size(); ++s) {
+        EXPECT_FALSE(same_view(rib.site_routes(s), rib.site_routes(0))) << "site " << s;
+    }
+    // Every site equals a RIB holding its announcement alone.
+    for (const auto& a : anns) {
+        auto alone = a;
+        alone.site = 0;
+        const auto oracle = make_rib({alone});
+        EXPECT_TRUE(same_view(rib.site_routes(a.site), oracle.site_routes(0))) << a.site;
+        EXPECT_EQ(routes_of(rib, a.site), routes_of(oracle, 0)) << "site " << a.site;
+    }
+}
+
+TEST_F(RoutingPolicy, MutationUnderSharingKeepsTheOtherSite) {
+    // Sites 0 and 1 are both hosted by AS 1: one key, one row.
+    auto rib = make_rib({{0, 1, 0, route::announcement_scope::global, {}},
+                         {1, 1, 3, route::announcement_scope::global, {}}});
+    const auto other_routes = routes_of(rib, 1);
+    std::vector<std::vector<route::site_id>> candidates;
+    std::size_t routed = 0;
+    for (const topo::asn_t asn : rib.known_asns()) {
+        candidates.push_back(rib.best_candidates(asn));
+        routed += rib.route_toward(asn, 0).has_value();
+    }
+
+    // Withdrawing site 0 leaves the shared row, and site 1, intact.
+    const auto stats = rib.withdraw(0);
+    EXPECT_EQ(stats.ases_touched, routed);
+    EXPECT_EQ(routes_of(rib, 1), other_routes);
+    const auto asns = rib.known_asns();
+    for (std::size_t i = 0; i < asns.size(); ++i) {
+        auto expected = candidates[i];
+        std::erase(expected, route::site_id{0});
+        EXPECT_EQ(rib.best_candidates(asns[i]), expected) << "asn " << asns[i];
+        EXPECT_FALSE(rib.route_toward(asns[i], 0).has_value()) << "asn " << asns[i];
+    }
+    const auto view = rib.site_routes(0);
+    ASSERT_EQ(view.cls.size(), asns.size());
+    for (std::size_t i = 0; i < asns.size(); ++i) {
+        EXPECT_EQ(static_cast<route::route_class>(view.cls[i]), route::route_class::none);
+        EXPECT_EQ(view.path_len[i], 0u);
+        EXPECT_EQ(view.next_index[i], route::anycast_rib::no_next_hop);
+        EXPECT_EQ(view.link_index[i], 0u);
+    }
+
+    const auto expect_matches_rebuild = [&](const char* label) {
+        const route::anycast_rib fresh{graph_, std::vector<route::announcement>(
+                                                   rib.announcements().begin(),
+                                                   rib.announcements().end())};
+        for (const topo::asn_t asn : rib.known_asns()) {
+            for (topo::region_id region = 0; region < regions_.size(); ++region) {
+                ASSERT_EQ(rib.select(asn, region), fresh.select(asn, region))
+                    << label << " asn " << asn << " region " << region;
+            }
+        }
+    };
+
+    // Re-announcing the same key reattaches the held row: nothing propagates.
+    auto rows_before = rows_propagated();
+    const auto reused_before = rows_reused();
+    (void)rib.announce(rib.announcements()[0]);
+    EXPECT_EQ(rows_propagated() - rows_before, 0u);
+    EXPECT_EQ(rows_reused() - reused_before, 1u);
+    EXPECT_EQ(routes_of(rib, 0), other_routes);
+    expect_matches_rebuild("re-announced");
+
+    // A new prepend is a new key: exactly one row propagates.
+    auto prepended = rib.announcements()[0];
+    prepended.prepend = 2;
+    rows_before = rows_propagated();
+    (void)rib.announce(prepended);
+    EXPECT_EQ(rows_propagated() - rows_before, 1u);
+    EXPECT_EQ(routes_of(rib, 1), other_routes);
+    expect_matches_rebuild("prepended");
+}
+
+// The announcements of one world's 14 RIBs: 13 letters and the CDN.
+std::vector<std::vector<route::announcement>> rib_announcements(const core::world& w) {
+    std::vector<std::vector<route::announcement>> out;
+    for (const auto& spec : w.roots().specs()) {
+        const auto& anns = w.roots().deployment_of(spec.letter).rib().announcements();
+        out.emplace_back(anns.begin(), anns.end());
+    }
+    const auto& cdn = w.cdn_net().pop_rib().announcements();
+    out.emplace_back(cdn.begin(), cdn.end());
+    return out;
+}
+
+// The RIBs are rebuilt over the world's final graph: the letter RIBs
+// themselves hold earlier snapshots of it, which later deployments extend.
+TEST(KeyedRows, EverySiteMatchesAOneAnnouncementRib) {
+    const core::world w{core::world_config::small()};
+    const auto ribs = rib_announcements(w);
+    ASSERT_EQ(ribs.size(), 14u);
+    std::size_t checked = 0;
+    for (const auto& anns : ribs) {
+        const route::anycast_rib rib{w.graph(), anns};
+        for (const auto& a : anns) {
+            if (a.withdrawn) continue;
+            auto alone = a;
+            alone.site = 0;
+            const route::anycast_rib oracle{w.graph(), {alone}};
+            ASSERT_TRUE(same_view(rib.site_routes(a.site), oracle.site_routes(0)))
+                << "origin " << a.origin_asn << " site " << a.site;
+            ASSERT_EQ(routes_of(rib, a.site), routes_of(oracle, 0))
+                << "origin " << a.origin_asn << " site " << a.site;
+            ++checked;
+        }
+    }
+    EXPECT_GT(checked, 100u);
+}
+
+TEST(KeyedRows, SmallWorldCountsRowsOncePerKeyAtAnyThreadCount) {
+    for (const int threads : {1, 4}) {
+        auto config = core::world_config::small();
+        config.threads = threads;
+        const auto rows_before = rows_propagated();
+        const auto reused_before = rows_reused();
+        const core::world w{config};
+        const auto rows = rows_propagated() - rows_before;
+        const auto reused = rows_reused() - reused_before;
+
+        // Independent count: distinct (origin, scope) per RIB — a fresh
+        // world announces no prepend and no suppression.
+        std::size_t keys = 0;
+        std::size_t sites = 0;
+        for (const auto& anns : rib_announcements(w)) {
+            std::vector<std::pair<topo::asn_t, route::announcement_scope>> distinct;
+            for (const auto& a : anns) {
+                ASSERT_EQ(a.prepend, 0u);
+                ASSERT_TRUE(a.suppressed_neighbors.empty());
+                distinct.emplace_back(a.origin_asn, a.scope);
+            }
+            std::ranges::sort(distinct);
+            keys += static_cast<std::size_t>(
+                std::distance(distinct.begin(), std::unique(distinct.begin(), distinct.end())));
+            sites += anns.size();
+        }
+        EXPECT_EQ(rows, keys) << "threads " << threads;
+        EXPECT_EQ(reused, sites - keys) << "threads " << threads;
+        EXPECT_LT(rows, sites) << "threads " << threads;
+    }
 }
 
 } // namespace
