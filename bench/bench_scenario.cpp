@@ -1,9 +1,9 @@
 // Scenario/event baseline: incremental re-convergence vs full RIB rebuild.
 //
 // The mutable-RIB contract (DESIGN §11) is that a single-site withdrawal
-// re-converges incrementally — clear one matrix row, repair the per-AS index
-// for touched ASes, invalidate only their cache shards — instead of
-// re-propagating every site. This bench pins that claim on the small world:
+// re-converges incrementally — point the site at the all-`none` route row,
+// delta-repair the per-AS index for touched ASes, invalidate only their
+// cache shards — instead of re-propagating every site. This bench pins that claim on the small world:
 //
 //   * incremental.withdraw_ms — anycast_rib::withdraw of one PoP
 //   * incremental.announce_ms — re-announcing the same PoP

@@ -171,6 +171,40 @@ TIMELINE
     cmp "${rt}/steps_t1.csv" "${rt}/steps_t4.csv"
     echo "verify: scenario step CSV identical at 1 vs 4 threads"
 
+    # Whole-prefix round trip at medium: withdrawing every site of F, then
+    # of L, and re-announcing them must restore every target's metrics to
+    # the baseline (shifted and stranded back to 0), at any thread count.
+    cat > "${rt}/roundtrip.txt" <<'TIMELINE'
+1 withdraw F
+2 announce F
+3 withdraw L
+4 announce L
+TIMELINE
+    for t in 1 4; do
+        ./build/tools/acctx scenario --scale medium --letters all \
+            --timeline "${rt}/roundtrip.txt" --threads "${t}" \
+            --out "${rt}/roundtrip_t${t}.csv" > /dev/null
+    done
+    cmp "${rt}/roundtrip_t1.csv" "${rt}/roundtrip_t4.csv"
+    python3 - "${rt}/roundtrip_t1.csv" <<'PY'
+import csv
+import sys
+
+with open(sys.argv[1], newline="") as f:
+    reader = csv.reader(f)
+    header = next(reader)
+    rows = list(reader)
+first = header.index("active_sites")
+last = header.index("max_site_share")
+metrics = {(r[0], r[1]): r[first:last + 1] for r in rows}
+targets = sorted({r[1] for r in rows})
+bad = [(step, t) for t in targets for step in ("2", "4")
+       if metrics.get((step, t)) != metrics[("0", t)]]
+if bad:
+    sys.exit(f"verify: round trip did not restore the baseline at {bad}")
+PY
+    echo "verify: medium withdraw/announce round trip restores every target"
+
     # Serving smoke: the offline grid and the served /grid must be the same
     # bytes, point queries must answer, and malformed requests must 400.
     ./build/tools/acctx serve --snapshot "${rt}/world.acx" --grid "${rt}/grid_offline.csv"

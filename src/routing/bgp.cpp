@@ -57,8 +57,8 @@ obs::counter& freeze_counter() {
 }
 
 /// Incremental re-convergence work counters (DESIGN §11): how many events
-/// ran, how many per-AS index slots they recomputed, and how many cache
-/// shards they had to visit.
+/// ran, how many per-AS index slots they repaired, how many of those fell
+/// back to a full rescan, and how many cache shards they had to visit.
 obs::counter& reconverge_event_counter() {
     static obs::counter& c = obs::registry::global().get_counter("route.reconverge.events");
     return c;
@@ -66,6 +66,10 @@ obs::counter& reconverge_event_counter() {
 obs::counter& reconverge_ases_counter() {
     static obs::counter& c =
         obs::registry::global().get_counter("route.reconverge.ases_touched");
+    return c;
+}
+obs::counter& reconverge_rescans_counter() {
+    static obs::counter& c = obs::registry::global().get_counter("route.reconverge.rescans");
     return c;
 }
 obs::counter& reconverge_shards_counter() {
@@ -737,11 +741,12 @@ anycast_rib::reconverge_stats anycast_rib::withdraw(site_id site) {
     check_site(site);
     if (announcements_[site].withdrawn) return stats;  // idempotent
 
+    const std::uint32_t old_row = site_row_[site];
     std::vector<std::uint8_t> touched(as_count_, 0);
-    mark_routed(site_row_[site], touched);
+    mark_routed(old_row, touched);
     announcements_[site].withdrawn = true;
     site_row_[site] = attach(row_key{});
-    reconverge_touched(touched, stats);
+    reconverge_touched(touched, site, old_row, stats);
     event_span.set_items(stats.ases_touched);
     return stats;
 }
@@ -761,17 +766,20 @@ anycast_rib::reconverge_stats anycast_rib::announce(announcement a) {
     a.withdrawn = false;
 
     // The frontier is every AS the site's old row or new row routes.
+    // A brand-new site has no old row.
     std::vector<std::uint8_t> touched(as_count_, 0);
+    std::uint32_t old_row = no_next_hop;
     if (a.site == announcements_.size()) {
         announcements_.push_back(a);
         site_row_.push_back(0);
     } else {
-        mark_routed(site_row_[a.site], touched);
+        old_row = site_row_[a.site];
+        mark_routed(old_row, touched);
         announcements_[a.site] = a;
     }
     site_row_[a.site] = attach(key_of(a));
     mark_routed(site_row_[a.site], touched);
-    reconverge_touched(touched, stats);
+    reconverge_touched(touched, a.site, old_row, stats);
     event_span.set_items(stats.ases_touched);
     return stats;
 }
@@ -795,11 +803,46 @@ void anycast_rib::mark_routed(std::uint32_t row, std::vector<std::uint8_t>& touc
     }
 }
 
-void anycast_rib::recompute_as_index(std::size_t as) {
-    set_best(as);
-    overlay_[as].clear();
-    overlaid_[as] = 1;
-    for_each_candidate(as, [&](site_id s) { overlay_[as].push_back(s); });
+bool anycast_rib::repair_as_index(std::size_t as, site_id site, std::uint32_t old_row) {
+    const auto best = static_cast<route_class>(best_cls_[as]);
+    const std::uint8_t best_len = best_len_[as];
+    if (!overlaid_[as]) {
+        const auto span = candidate_span(as);
+        overlay_[as].assign(span.begin(), span.end());
+        overlaid_[as] = 1;
+    }
+    std::vector<site_id>& list = overlay_[as];
+    const auto rescan = [&] {
+        set_best(as);
+        list.clear();
+        for_each_candidate(as, [&](site_id s) { list.push_back(s); });
+        return true;
+    };
+    // Remove: the old cell leaves the candidate list if it held the best.
+    // Only a rescan can tell whether another site keeps a direct route, or
+    // which (class, len) is best once the list empties.
+    if (old_row != no_next_hop) {
+        const std::size_t o = static_cast<std::size_t>(old_row) * as_count_ + as;
+        const auto cls = static_cast<route_class>(cls_[o]);
+        if (cls != route_class::none && len_[o] <= 2) return rescan();
+        if (cls != route_class::none && cls == best && len_[o] == best_len) {
+            list.erase(std::lower_bound(list.begin(), list.end(), site));
+            if (list.empty()) return rescan();
+        }
+    }
+    // Add: the new cell beats, ties or loses to the (unchanged) best.
+    const std::size_t n = cell(site, as);
+    const auto cls = static_cast<route_class>(cls_[n]);
+    if (cls == route_class::none) return false;
+    if (len_[n] <= 2) direct_[as] = 1;
+    if (better(cls, len_[n], best, best_len)) {
+        best_cls_[as] = cls_[n];
+        best_len_[as] = len_[n];
+        list.assign(1, site);
+    } else if (cls == best && len_[n] == best_len) {
+        list.insert(std::lower_bound(list.begin(), list.end(), site), site);
+    }
+    return false;
 }
 
 void anycast_rib::clear_select_cache() {
@@ -835,8 +878,8 @@ std::pair<std::size_t, std::size_t> anycast_rib::invalidate_cache(
     return {erased, visited};
 }
 
-void anycast_rib::reconverge_touched(const std::vector<std::uint8_t>& touched,
-                                     reconverge_stats& out) {
+void anycast_rib::reconverge_touched(const std::vector<std::uint8_t>& touched, site_id site,
+                                     std::uint32_t old_row, reconverge_stats& out) {
     obs::span reconverge_span{"bgp/reconverge"};
     if (overlaid_.empty()) {
         // First mutation on this RIB: activate the overlay layer. The CSR
@@ -846,7 +889,7 @@ void anycast_rib::reconverge_touched(const std::vector<std::uint8_t>& touched,
     }
     for (std::size_t i = 0; i < as_count_; ++i) {
         if (!touched[i]) continue;
-        recompute_as_index(i);
+        out.rescans += repair_as_index(i, site, old_row) ? 1 : 0;
         ++out.ases_touched;
     }
     const auto [erased, visited] = invalidate_cache(touched);
@@ -857,6 +900,7 @@ void anycast_rib::reconverge_touched(const std::vector<std::uint8_t>& touched,
     reconverge_span.set_items(out.ases_touched);
     reconverge_event_counter().add(1);
     reconverge_ases_counter().add(out.ases_touched);
+    reconverge_rescans_counter().add(out.rescans);
     reconverge_shards_counter().add(visited);
     select_invalidation_counter().add(erased);
 }

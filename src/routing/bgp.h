@@ -47,9 +47,10 @@
 // The RIB is *mutable* (DESIGN §11): `withdraw` points the site at the
 // all-`none` row, and `announce` reuses the row of a key the RIB holds,
 // propagating only a key it has never seen; no row is ever rewritten. The
-// per-AS best-route index is then fixed up for exactly the ASes routed by
-// the site's old or new row, and only the select-cache shards holding them
-// are invalidated. A `shared_mutex` makes mutation safe against concurrent
+// per-AS best-route index is then repaired for exactly the ASes routed by
+// the site's old or new row, each from the one cell that changed (a full
+// site rescan only when that cell was a direct route or the sole best), and
+// only the select-cache shards holding them are invalidated. A `shared_mutex` makes mutation safe against concurrent
 // selects: readers see the pre- or the post-event state, never a torn one,
 // and the post-event state is byte-identical to a from-scratch rebuild.
 #pragma once
@@ -153,14 +154,15 @@ public:
 
     /// Work done by one incremental re-convergence (announce or withdraw).
     struct reconverge_stats {
-        std::size_t ases_touched = 0;              // index slots recomputed
+        std::size_t ases_touched = 0;              // index slots repaired
+        std::size_t rescans = 0;                   // of those, rebuilt by a full site scan
         std::size_t cache_entries_invalidated = 0; // memoized selects dropped
         std::size_t cache_shards_visited = 0;      // shards that held them
     };
 
     /// Withdraws `site`'s announcement and re-converges incrementally:
     /// points the site at the all-`none` row (its old row is kept, other
-    /// sites may share it), recomputes the best-route index for exactly the
+    /// sites may share it), repairs the best-route index for exactly the
     /// ASes that held a route to it, and invalidates only the select-cache
     /// shards containing those ASes. No row is rewritten. No-op on an already
     /// withdrawn site. Thread-safe against concurrent selects; afterwards
@@ -335,23 +337,29 @@ private:
     void size_rows();  // grows the columns to row_keys_.size() rows
     void propagate(std::uint32_t row);
     void build_fast_path(engine::thread_pool* pool);
-    /// The bulk build and the per-AS repair share these two scans, so a
-    /// repaired index slot is byte-identical to a from-scratch one:
+    /// The bulk build and the repair's fallback share these two scans, so a
+    /// rescanned index slot is byte-identical to a from-scratch one:
     /// `set_best` stores one AS's best (class, len) and direct flag,
     /// `for_each_candidate` visits its best-route sites in ascending order.
     void set_best(std::size_t as);
     template <class F>
     void for_each_candidate(std::size_t as, F&& visit) const;
-    /// Repairs one AS's index slot, moving its candidates into the overlay.
-    void recompute_as_index(std::size_t as);
+    /// Repairs one AS's slot, in the overlay, from the one cell that
+    /// changed: `site`'s cell in `old_row` (`no_next_hop` for a brand-new
+    /// site) against its cell now (DESIGN §11). Falls back to the bulk
+    /// build's scans over every site, returning true, when the old cell was
+    /// a direct route or the sole best candidate.
+    bool repair_as_index(std::size_t as, site_id site, std::uint32_t old_row);
     /// Marks every AS that `row` routes in `touched` (bitmap by dense index).
     void mark_routed(std::uint32_t row, std::vector<std::uint8_t>& touched) const;
     /// Drops memoized selects for the touched ASes, visiting only the cache
     /// shards that can hold them. Returns (entries erased, shards visited).
     std::pair<std::size_t, std::size_t> invalidate_cache(
         const std::vector<std::uint8_t>& touched);
-    /// Index fix-up + cache invalidation for a touched set; fills `out`.
-    void reconverge_touched(const std::vector<std::uint8_t>& touched, reconverge_stats& out);
+    /// Index repair + cache invalidation for a touched set after `site`
+    /// moved off `old_row`; fills `out`.
+    void reconverge_touched(const std::vector<std::uint8_t>& touched, site_id site,
+                            std::uint32_t old_row, reconverge_stats& out);
     [[nodiscard]] std::size_t as_index(topo::asn_t asn) const;
     void check_site(site_id site) const;  // throws std::out_of_range
     [[nodiscard]] std::size_t cell(site_id site, std::size_t as) const noexcept {

@@ -293,9 +293,6 @@ void http_server::accept_loop() {
 
 void http_server::handle_connection(int fd) {
     constexpr std::size_t max_request_bytes = 8192;
-    timeval timeout{};
-    timeout.tv_sec = 10;  // idle keep-alive connections release their thread
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
@@ -304,10 +301,21 @@ void http_server::handle_connection(int fd) {
     bool keep_alive = true;
 
     while (keep_alive && !stopping_.load(std::memory_order_relaxed)) {
-        // Read until the end of the header block.
+        // Read until the end of the header block, within one deadline for
+        // the whole block: each recv may wait only for the time left, so
+        // neither an idle keep-alive client nor a trickling one holds its
+        // thread past it.
         arena.request.clear();
         std::size_t header_end = std::string::npos;
+        const auto deadline = std::chrono::steady_clock::now() + options_.header_deadline;
         while (header_end == std::string::npos) {
+            const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+                deadline - std::chrono::steady_clock::now());
+            if (left.count() <= 0) return;  // deadline passed
+            timeval timeout{};
+            timeout.tv_sec = static_cast<time_t>(left.count() / 1000000);
+            timeout.tv_usec = static_cast<suseconds_t>(left.count() % 1000000);
+            ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
             const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
             if (n < 0 && errno == EINTR) continue;
             if (n <= 0) {

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -41,6 +42,9 @@ struct conn_arena;  // the per-connection request-scoped buffers (http.cpp)
 struct http_options {
     std::uint16_t port = 0;    // 0 = kernel-assigned ephemeral port
     int max_connections = 64;  // concurrent connection cap (excess queue in listen backlog)
+    /// Whole-request budget for reading one header block, idle keep-alive
+    /// wait included: a client that trickles bytes is dropped once it passes.
+    std::chrono::milliseconds header_deadline{10000};
 };
 
 class http_server {

@@ -2,15 +2,18 @@
 // export rules, local-preference ordering, path-length tie-breaks, local
 // announcement scope, hot-potato site selection, the fast-path layer
 // (best-route index, geo tables, select memoization) — which must be
-// bit-identical to the reference implementation and race-safe — and keyed
-// route rows, where sites with equal announcement keys share one row.
+// bit-identical to the reference implementation and race-safe — keyed
+// route rows, where sites with equal announcement keys share one row, and
+// the per-AS delta repair of the best-route index on withdraw/announce.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/core/world.h"
@@ -537,6 +540,157 @@ TEST_F(RoutingPolicy, IncrementalMatchesRebuildAfterRandomizedTimeline) {
     }
 }
 
+// Index-level equivalence: the per-AS slot itself (candidate list, direct
+// flag) must equal a fresh rebuild after every event, not just `select`,
+// which can hide a stale candidate list behind an unchanged hot-potato pick.
+// `with_selects` also diffs `select` at every (AS, region).
+void expect_index_matches_rebuild(const route::anycast_rib& rib, const topo::as_graph& graph,
+                                  engine::thread_pool* pool, const std::string& label,
+                                  bool with_selects = true) {
+    const route::anycast_rib fresh{graph, std::vector<route::announcement>(
+                                              rib.announcements().begin(),
+                                              rib.announcements().end()),
+                                   pool};
+    for (const topo::asn_t asn : rib.known_asns()) {
+        ASSERT_EQ(rib.best_candidates(asn), fresh.best_candidates(asn))
+            << label << " asn " << asn;
+        ASSERT_EQ(rib.has_direct_route(asn), fresh.has_direct_route(asn))
+            << label << " asn " << asn;
+        for (topo::region_id region = 0; with_selects && region < graph.regions().size();
+             ++region) {
+            ASSERT_EQ(rib.select(asn, region), fresh.select(asn, region))
+                << label << " asn " << asn << " region " << region;
+        }
+    }
+}
+
+std::uint64_t rescans_counted() {
+    return obs::registry::global().get_counter("route.reconverge.rescans").value();
+}
+
+TEST_F(RoutingPolicy, DeltaRepairMatchesRebuildUnderTies) {
+    using route::announcement_scope;
+    // Nine sites from four origins: shared keys (0/1, 3/4), one local site,
+    // and prepends that tie different origins at equal (class, len).
+    const std::vector<route::announcement> initial{
+        {0, 1, 0, announcement_scope::global, {}},
+        {1, 1, 3, announcement_scope::global, {}},
+        {2, 1, 1, announcement_scope::global, {}, 1},
+        {3, 6, 0, announcement_scope::global, {}},
+        {4, 6, 2, announcement_scope::global, {}},
+        {5, 2, 1, announcement_scope::global, {}, 1},
+        {6, 1, 2, announcement_scope::local, {}},
+        {7, 4, 2, announcement_scope::global, {}, 2},
+        {8, 2, 1, announcement_scope::global, {}, 2},
+    };
+    const std::vector<topo::asn_t> origins{1, 2, 4, 6};
+    // Which repair branch each event exercised, observed from outside.
+    bool sole_best_removal = false;
+    bool direct_removal = false;
+    bool tie_insert = false;
+    bool better_replaces_best = false;
+    bool same_key_reannounce = false;
+    for (const int threads : {1, 2, 8}) {
+        engine::thread_pool pool{threads};
+        route::anycast_rib rib{graph_, initial, &pool};
+        rand::rng gen{rand::mix_seed(0xde17a5ULL, static_cast<std::uint64_t>(threads))};
+        for (int round = 0; round < 48; ++round) {
+            // Midway, a brand-new site (no old row) joins from AS 6.
+            const bool append = round == 24;
+            const auto site = append ? static_cast<route::site_id>(rib.site_count())
+                                     : static_cast<route::site_id>(
+                                           gen.uniform_index(rib.site_count()));
+            std::vector<std::vector<route::site_id>> before;
+            std::vector<std::optional<route::site_route>> old_cells;
+            for (const topo::asn_t asn : rib.known_asns()) {
+                before.push_back(rib.best_candidates(asn));
+                old_cells.push_back(append ? std::nullopt : rib.route_toward(asn, site));
+            }
+            const auto rescans_before = rescans_counted();
+            auto a = append ? route::announcement{site, 6, 1, announcement_scope::global, {}, 1}
+                            : rib.announcements()[site];
+            route::anycast_rib::reconverge_stats stats;
+            switch (append ? 1 : gen.uniform_index(5)) {
+                case 0: stats = rib.withdraw(site); break;
+                case 1:
+                    same_key_reannounce = same_key_reannounce || (!append && !a.withdrawn);
+                    stats = rib.announce(a);
+                    break;
+                case 2:
+                    a.prepend = static_cast<std::uint8_t>(gen.uniform_index(3));
+                    stats = rib.announce(a);
+                    break;
+                case 3:
+                    a.scope = a.scope == announcement_scope::global ? announcement_scope::local
+                                                                    : announcement_scope::global;
+                    stats = rib.announce(a);
+                    break;
+                default:
+                    a.origin_asn = origins[gen.uniform_index(origins.size())];
+                    stats = rib.announce(a);
+                    break;
+            }
+            const std::string label =
+                "threads " + std::to_string(threads) + " round " + std::to_string(round);
+            EXPECT_LE(stats.rescans, stats.ases_touched) << label;
+            EXPECT_EQ(rescans_counted() - rescans_before, stats.rescans) << label;
+            expect_index_matches_rebuild(rib, graph_, &pool, label);
+            if (HasFatalFailure()) return;
+
+            const auto asns = rib.known_asns();
+            for (std::size_t i = 0; i < asns.size(); ++i) {
+                const auto after = rib.best_candidates(asns[i]);
+                auto others = before[i];
+                std::erase(others, site);
+                const bool was_best = others.size() != before[i].size();
+                const bool was_direct = old_cells[i] && old_cells[i]->path_len <= 2;
+                direct_removal = direct_removal || was_direct;
+                if (was_best && others.empty() && !was_direct) {
+                    sole_best_removal = true;
+                    EXPECT_GT(stats.rescans, 0u) << label;
+                }
+                if (!others.empty() && after == std::vector<route::site_id>{site}) {
+                    better_replaces_best = true;
+                }
+                if (!others.empty() && after.size() == others.size() + 1 &&
+                    std::ranges::includes(after, others) && std::ranges::count(after, site)) {
+                    tie_insert = true;
+                }
+            }
+        }
+    }
+    EXPECT_TRUE(sole_best_removal);
+    EXPECT_TRUE(direct_removal);
+    EXPECT_TRUE(tie_insert);
+    EXPECT_TRUE(better_replaces_best);
+    EXPECT_TRUE(same_key_reannounce);
+}
+
+TEST_F(RoutingPolicy, RescansOnlyWhereTheOldCellWasDirectOrSoleBest) {
+    // Site 1 shares site 0's origin but prepends 3: it is no AS's best
+    // candidate and never a direct route, so withdrawing it rescans nothing.
+    auto rib = make_rib({{0, 1, 0, route::announcement_scope::global, {}},
+                         {1, 1, 3, route::announcement_scope::global, {}, 3}});
+    for (const topo::asn_t asn : rib.known_asns()) {
+        const auto cands = rib.best_candidates(asn);
+        ASSERT_EQ(std::ranges::count(cands, route::site_id{1}), 0) << "asn " << asn;
+    }
+    auto counted = rescans_counted();
+    const auto quiet = rib.withdraw(1);
+    EXPECT_GT(quiet.ases_touched, 0u);
+    EXPECT_EQ(quiet.rescans, 0u);
+    EXPECT_EQ(rescans_counted() - counted, 0u);
+
+    // Site 0 is now every routed AS's sole best (a direct route at its
+    // origin and neighbours): every touched slot falls back.
+    counted = rescans_counted();
+    const auto loud = rib.withdraw(0);
+    EXPECT_GT(loud.rescans, 0u);
+    EXPECT_EQ(loud.rescans, loud.ases_touched);
+    EXPECT_EQ(rescans_counted() - counted, loud.rescans);
+    expect_index_matches_rebuild(rib, graph_, nullptr, "both withdrawn");
+}
+
 TEST_F(RoutingPolicy, ConcurrentSelectsDuringInvalidationAreSafe) {
     // TSan target: reader threads hammer select() while the main thread
     // withdraws and re-announces sites. Readers must always observe a fully
@@ -1023,6 +1177,48 @@ TEST(KeyedRows, EverySiteMatchesAOneAnnouncementRib) {
         }
     }
     EXPECT_GT(checked, 100u);
+}
+
+// Whole-prefix round trip on a medium world: withdraw every site of the
+// letter with the most sites one at a time, then re-announce them in the
+// reverse order, so repairs both empty candidate lists and insert at every
+// position. The RIB is rebuilt over the final graph, as above.
+TEST(DeltaRepair, MediumWholePrefixRoundTripMatchesRebuild) {
+    const core::world w{core::world_config::medium()};
+    std::vector<route::announcement> largest;
+    for (const auto& anns : rib_announcements(w)) {
+        if (anns.size() > largest.size()) largest = anns;
+    }
+    ASSERT_GT(largest.size(), 50u);
+    route::anycast_rib rib{w.graph(), largest};
+
+    using view_copy = std::tuple<std::vector<std::uint8_t>, std::vector<std::uint8_t>,
+                                 std::vector<std::uint32_t>, std::vector<std::uint32_t>>;
+    const auto copy_of = [&](route::site_id s) {
+        const auto v = rib.site_routes(s);
+        return view_copy{{v.cls.begin(), v.cls.end()},
+                         {v.path_len.begin(), v.path_len.end()},
+                         {v.next_index.begin(), v.next_index.end()},
+                         {v.link_index.begin(), v.link_index.end()}};
+    };
+    std::vector<view_copy> views_before;
+    for (route::site_id s = 0; s < rib.site_count(); ++s) views_before.push_back(copy_of(s));
+
+    for (const auto& a : largest) {
+        (void)rib.withdraw(a.site);
+        if (a.site == largest.size() / 2) {
+            expect_index_matches_rebuild(rib, w.graph(), nullptr, "half withdrawn", false);
+        }
+    }
+    EXPECT_EQ(rib.active_site_count(), 0u);
+    expect_index_matches_rebuild(rib, w.graph(), nullptr, "all withdrawn", false);
+    for (auto it = largest.rbegin(); it != largest.rend(); ++it) {
+        if (!it->withdrawn) (void)rib.announce(*it);
+    }
+    expect_index_matches_rebuild(rib, w.graph(), nullptr, "re-announced", false);
+    for (route::site_id s = 0; s < rib.site_count(); ++s) {
+        EXPECT_TRUE(copy_of(s) == views_before[s]) << "site " << s;
+    }
 }
 
 TEST(KeyedRows, SmallWorldCountsRowsOncePerKeyAtAnyThreadCount) {

@@ -1,14 +1,18 @@
 // Serving layer tests (DESIGN §13): the query engine's answers must match
 // the offline analysis point queries byte for byte, the HTTP front end must
-// honour its 400/404/405 contract, and the read hot path must survive eight
-// concurrent clients (the verify --tsan lane runs this binary under TSan).
+// honour its 400/404/405 contract and drop clients that trickle a request
+// past its deadline, and the read hot path must survive eight concurrent
+// clients (the verify --tsan lane runs this binary under TSan).
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -83,6 +87,17 @@ public:
 
     std::string get(const std::string& target) {
         return round_trip("GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n");
+    }
+
+    /// Sends one byte; false once the server has reset the connection.
+    bool send_byte(char byte) { return ::send(fd_, &byte, 1, MSG_NOSIGNAL) == 1; }
+
+    /// Waits up to `wait` for the server to close the connection.
+    bool closed_within(std::chrono::milliseconds wait) {
+        pollfd p{fd_, POLLIN, 0};
+        if (::poll(&p, 1, static_cast<int>(wait.count())) <= 0) return false;
+        char byte = 0;
+        return ::recv(fd_, &byte, 1, MSG_DONTWAIT) <= 0;
     }
 
     static int status_of(const std::string& response) {
@@ -293,6 +308,49 @@ TEST(ServeHttp, KeepAliveServesManyRequestsPerConnection) {
         ASSERT_EQ(test_client::status_of(response), 200) << "request " << i;
         ASSERT_EQ(test_client::body_of(response), expected) << "request " << i;
     }
+}
+
+TEST(ServeHttp, TricklingClientIsDroppedWhileOthersAreServed) {
+    serve::http_options options;
+    options.header_deadline = std::chrono::milliseconds{300};
+    serve::http_server server{engine(), options};
+    server.start();
+
+    // One byte every 50 ms: each recv alone is well inside the deadline, and
+    // the whole header block would take ~5 s, so only the whole-request
+    // deadline can drop this client.
+    const std::string request = "GET /healthz HTTP/1.1\r\nHost: t\r\nX-Pad: " +
+                                std::string(60, 'x') + "\r\n\r\n";
+    const auto started = std::chrono::steady_clock::now();
+    test_client trickler{server.port()};
+    ASSERT_TRUE(trickler.connected());
+    std::atomic<bool> trickle_done{false};
+    std::size_t sent = 0;
+    std::chrono::milliseconds dropped_after{0};
+    std::thread trickle([&] {
+        for (; sent < request.size(); ++sent) {
+            if (!trickler.send_byte(request[sent])) break;
+            if (trickler.closed_within(std::chrono::milliseconds{50})) break;
+        }
+        dropped_after = std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - started);
+        trickle_done.store(true);
+    });
+
+    // Meanwhile a normal client on a second connection is served.
+    test_client normal{server.port()};
+    EXPECT_TRUE(normal.connected());
+    const auto response = normal.get("/healthz");
+    const bool trickler_still_connected = !trickle_done.load();
+    trickle.join();
+    server.stop();
+
+    EXPECT_EQ(test_client::status_of(response), 200);
+    EXPECT_EQ(test_client::body_of(response), "ok\n");
+    EXPECT_TRUE(trickler_still_connected);
+    EXPECT_LT(sent, request.size()) << "the trickler was never dropped";
+    EXPECT_GE(dropped_after.count(), 300);
+    EXPECT_LT(dropped_after.count(), 3000);
 }
 
 // ---------------------------------------------------------------------------
