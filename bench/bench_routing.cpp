@@ -1,10 +1,6 @@
 // Route-selection fast-path baseline: measures select_many throughput over
 // every user <region, AS> source against the CDN PoP RIB, comparing
 //
-//   * reference  — pre-index selection (per-call route-row rescan plus
-//     on-the-fly haversine hot-potato geometry),
-//   * uncached   — indexed selection (best-route index + geo tables), no
-//     memoization,
 //   * cold       — first select_many pass on a fresh RIB (cache fills),
 //   * warm       — repeated select_many on the filled cache,
 //
@@ -54,8 +50,6 @@ route::anycast_rib fresh_rib(const core::world& w, engine::thread_pool* pool) {
 }
 
 struct leg_metrics {
-    bench::metric* reference_ms = nullptr;
-    bench::metric* uncached_ms = nullptr;
     bench::metric* cold_ms = nullptr;
     bench::metric* warm_ms = nullptr;
     double hit_rate = 0.0;
@@ -63,19 +57,6 @@ struct leg_metrics {
 
 void run(const core::world& w, std::span<const route::source_key> sources,
          engine::thread_pool* pool, int repeat, leg_metrics& leg) {
-    {
-        const auto rib = fresh_rib(w, pool);
-        for (int i = 0; i < repeat; ++i) {
-            auto start = clock_type::now();
-            for (const auto& s : sources) (void)rib.select_reference(s.asn, s.region);
-            leg.reference_ms->add(bench::ms_since(start));
-
-            start = clock_type::now();
-            for (const auto& s : sources) (void)rib.select_uncached(s.asn, s.region);
-            leg.uncached_ms->add(bench::ms_since(start));
-        }
-    }
-
     // Cold vs warm on one rib: the first pass fills the cache, later passes
     // hit it. Cold is a single sample per leg (a second "cold" pass would be
     // warm, and rebuilding the rib per repeat would dominate the run).
@@ -101,10 +82,6 @@ leg_metrics add_leg(bench::report& report, const char* prefix) {
     using bench::direction;
     leg_metrics leg;
     const std::string p{prefix};
-    leg.reference_ms =
-        &report.add_metric(p + ".reference_ms", "ms", direction::lower_is_better, 2.0);
-    leg.uncached_ms =
-        &report.add_metric(p + ".uncached_ms", "ms", direction::lower_is_better, 2.0);
     leg.cold_ms = &report.add_metric(p + ".cold_ms", "ms", direction::lower_is_better, 2.0);
     leg.warm_ms = &report.add_metric(p + ".warm_ms", "ms", direction::lower_is_better, 2.0);
     return leg;
@@ -124,9 +101,7 @@ int main(int argc, char** argv) {
     std::cerr << sources.size() << " distinct <AS, region> sources\n";
 
     bench::report report{"routing", "small", args.repeat};
-    report.set_note("reference = pre-index rescan selection; uncached = best-route index "
-                    "+ geo tables without memoization; cold/warm = select_many before and "
-                    "after the select cache fills");
+    report.set_note("cold/warm = select_many before and after the select cache fills");
     auto serial = add_leg(report, "serial");
     auto parallel = add_leg(report, "parallel");
 
@@ -137,8 +112,6 @@ int main(int argc, char** argv) {
     run(w, sources, &pool, args.repeat, parallel);
 
     using bench::direction;
-    report.add_scalar("index_speedup_serial", "x", direction::higher_is_better, 0.6,
-                      serial.reference_ms->median() / serial.uncached_ms->median());
     report.add_scalar("warm_cache_speedup_serial", "x", direction::higher_is_better, 0.6,
                       serial.cold_ms->median() / serial.warm_ms->median());
     report.add_scalar("warm_cache_speedup_parallel", "x", direction::higher_is_better, 0.6,

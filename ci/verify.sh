@@ -257,8 +257,9 @@ if [[ ${run_tsan} -eq 1 ]]; then
         --target scenario_test --target serve_test --target load_test
     TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/engine_test
     # routing_test includes the read-side stresses: concurrent cache fills,
-    # selects racing mutation, and RIB builds from several threads over one
-    # const graph (SharedGraph.ConcurrentRibBuildsOverConstGraphAgree). It
+    # lock-free readers of a sealed RIB (warmed and cold keys), and RIB
+    # builds from several threads over one const graph
+    # (SharedGraph.ConcurrentRibBuildsOverConstGraphAgree). It
     # also covers pooled per-key propagation: those builds fan their keys
     # out over a pool, and KeyedRows builds a small world at 4 threads.
     TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/routing_test

@@ -31,8 +31,8 @@ obs::counter& select_invalidation_counter() {
     return c;
 }
 
-/// Frozen-table counters: post-freeze lookups are accounted separately from
-/// the sharded cache so serving dashboards can see the wait-free hit rate.
+/// Sealed-memo counters: post-freeze lookups are accounted separately so
+/// serving dashboards can see the lock-free hit rate.
 obs::counter& frozen_hit_counter() {
     static obs::counter& c =
         obs::registry::global().get_counter("route.select_cache.frozen_hits");
@@ -46,14 +46,6 @@ obs::counter& frozen_miss_counter() {
 obs::counter& freeze_counter() {
     static obs::counter& c = obs::registry::global().get_counter("route.select_cache.freezes");
     return c;
-}
-
-/// Slot hash for the frozen open-addressing table. Collision quality only
-/// affects probe length, never results (lookups compare full keys).
-[[nodiscard]] constexpr std::uint64_t frozen_mix(std::uint64_t key) noexcept {
-    std::uint64_t mix = key * 0x9e3779b97f4a7c15ULL;
-    mix ^= mix >> 29;
-    return mix;
 }
 
 /// Incremental re-convergence work counters (DESIGN §11): how many events
@@ -409,13 +401,11 @@ void anycast_rib::build_fast_path(engine::thread_pool* pool) {
 }
 
 std::vector<site_id> anycast_rib::best_candidates(topo::asn_t asn) const {
-    std::shared_lock lock{topo_mutex_};
     const auto span = candidate_span(as_index(asn));
     return std::vector<site_id>(span.begin(), span.end());
 }
 
 std::optional<site_route> anycast_rib::route_toward(topo::asn_t asn, site_id site) const {
-    std::shared_lock lock{topo_mutex_};
     check_site(site);
     const std::size_t c = cell(site, as_index(asn));
     if (static_cast<route_class>(cls_[c]) == route_class::none) return std::nullopt;
@@ -428,7 +418,6 @@ std::optional<site_route> anycast_rib::route_toward(topo::asn_t asn, site_id sit
 }
 
 anycast_rib::site_route_view anycast_rib::site_routes(site_id site) const {
-    std::shared_lock lock{topo_mutex_};
     check_site(site);
     const std::size_t base = cell(site, 0);
     return site_route_view{
@@ -441,7 +430,6 @@ anycast_rib::site_route_view anycast_rib::site_routes(site_id site) const {
 
 std::optional<path_result> anycast_rib::evaluate(topo::asn_t asn, topo::region_id region,
                                                  site_id site) const {
-    std::shared_lock lock{topo_mutex_};
     check_site(site);
     return evaluate_indexed(as_index(asn), asn, region, site);
 }
@@ -531,30 +519,19 @@ std::optional<path_result> anycast_rib::select_indexed(std::size_t as, topo::asn
 }
 
 std::optional<path_result> anycast_rib::select(topo::asn_t asn, topo::region_id region) const {
-    // Wait-free fast path first: a sealed key is answered straight from the
-    // frozen table — no shard mutex, no topo gate. Keys that were never
-    // warmed (or an unfrozen RIB) fall through to the locked path below.
-    if (const auto* sealed = select_frozen(asn, region)) {
-        return *sealed;
-    }
-    if (frozen_.load(std::memory_order_acquire) != nullptr) {
+    if (sealed_) {
+        if (const auto* hit = select_frozen(asn, region)) return *hit;
         frozen_misses_.fetch_add(1, std::memory_order_relaxed);
         frozen_miss_counter().add(1);
     }
-
-    // Shared (reader) side of the topology gate: any number of selects run
-    // concurrently; announce/withdraw take the exclusive side, so a select
-    // never observes a half-reconverged matrix. Lock order is topo gate →
-    // cache shard, matching invalidate_cache under the writer.
-    std::shared_lock lock{topo_mutex_};
     const std::size_t as = as_index(asn);
     if (candidate_span(as).empty()) return std::nullopt;
 
-    const std::uint64_t key = (std::uint64_t{asn} << 32) | region;
     cache_shard& shard = cache_shards_[shard_of(asn)];
-    {
+    if (!sealed_) {
         std::lock_guard lock{shard.mutex};
-        if (const auto it = shard.entries.find(key); it != shard.entries.end()) {
+        if (const auto it = shard.entries.find(cache_key(asn, region));
+            it != shard.entries.end()) {
             cache_hits_.fetch_add(1, std::memory_order_relaxed);
             select_hit_counter().add(1);
             return it->second;
@@ -562,141 +539,39 @@ std::optional<path_result> anycast_rib::select(topo::asn_t asn, topo::region_id 
     }
     // Compute outside the lock: a racing thread may duplicate the work, but
     // selection is pure, so both compute identical bytes and the first
-    // emplace wins — the cache never changes an output.
+    // emplace wins — the cache never changes an output. A sealed memo is
+    // read-only, so a cold key is answered without being stored.
     cache_misses_.fetch_add(1, std::memory_order_relaxed);
     select_miss_counter().add(1);
     auto result = select_indexed(as, asn, region);
-    {
+    if (!sealed_) {
         std::lock_guard lock{shard.mutex};
-        shard.entries.emplace(key, result);
+        shard.entries.emplace(cache_key(asn, region), result);
     }
     return result;
 }
 
 const std::optional<path_result>* anycast_rib::select_frozen(
     topo::asn_t asn, topo::region_id region) const noexcept {
-    const frozen_cache* f = frozen_.load(std::memory_order_acquire);
-    if (f == nullptr) return nullptr;
-    const std::uint64_t key = (std::uint64_t{asn} << 32) | region;
-    std::uint64_t slot = frozen_mix(key) & f->mask;
-    while (f->occupied[slot] != 0) {
-        if (f->keys[slot] == key) {
-            frozen_hits_.fetch_add(1, std::memory_order_relaxed);
-            frozen_hit_counter().add(1);
-            return &f->values[slot];
-        }
-        slot = (slot + 1) & f->mask;
-    }
-    return nullptr;
+    if (!sealed_) return nullptr;
+    // No lock: while sealed nothing writes the shards (fills are off and
+    // mutation needs exclusive access).
+    const auto& entries = cache_shards_[shard_of(asn)].entries;
+    const auto it = entries.find(cache_key(asn, region));
+    if (it == entries.end()) return nullptr;
+    frozen_hits_.fetch_add(1, std::memory_order_relaxed);
+    frozen_hit_counter().add(1);
+    return &it->second;
 }
 
 std::size_t anycast_rib::freeze_select_cache() {
     obs::span freeze_span{"bgp/freeze_select_cache"};
-    // Writer on the topo gate: no select can be mid-fill while the shards
-    // are walked, and re-freezing retires the previously published table.
-    std::unique_lock lock{topo_mutex_};
-    unpublish_frozen();
-
     std::size_t entries = 0;
-    for (auto& shard : cache_shards_) {
-        std::lock_guard shard_lock{shard.mutex};
-        entries += shard.entries.size();
-    }
-    auto table = std::make_unique<frozen_cache>();
-    std::uint64_t capacity = 1;
-    while (capacity < entries * 2 + 1) capacity <<= 1;
-    table->keys.assign(capacity, 0);
-    table->occupied.assign(capacity, 0);
-    table->values.assign(capacity, std::nullopt);
-    table->mask = capacity - 1;
-    for (auto& shard : cache_shards_) {
-        std::lock_guard shard_lock{shard.mutex};
-        for (const auto& [key, value] : shard.entries) {
-            std::uint64_t slot = frozen_mix(key) & table->mask;
-            while (table->occupied[slot] != 0) slot = (slot + 1) & table->mask;
-            table->keys[slot] = key;
-            table->values[slot] = value;
-            table->occupied[slot] = 1;
-        }
-    }
-    const frozen_cache* published = table.get();
-    retired_frozen_.push_back(std::move(table));
-    frozen_.store(published, std::memory_order_release);
+    for (const auto& shard : cache_shards_) entries += shard.entries.size();
+    sealed_ = true;
     freeze_counter().add(1);
     freeze_span.set_items(entries);
     return entries;
-}
-
-void anycast_rib::unpublish_frozen() {
-    // The table stays owned by retired_frozen_ so in-flight wait-free
-    // probes (which never take the topo gate) can finish against it.
-    frozen_.store(nullptr, std::memory_order_release);
-}
-
-std::optional<path_result> anycast_rib::select_uncached(topo::asn_t asn,
-                                                        topo::region_id region) const {
-    std::shared_lock lock{topo_mutex_};
-    const std::size_t as = as_index(asn);
-    if (candidate_span(as).empty()) return std::nullopt;
-    return select_indexed(as, asn, region);
-}
-
-std::optional<path_result> anycast_rib::select_reference(topo::asn_t asn,
-                                                         topo::region_id region) const {
-    std::shared_lock lock{topo_mutex_};
-    // Pre-index candidate scan: walk every site's route row for this AS.
-    const std::size_t i = as_index(asn);
-    route_class best_cls = route_class::none;
-    std::uint8_t best_len = std::numeric_limits<std::uint8_t>::max();
-    for (std::size_t s = 0; s < announcements_.size(); ++s) {
-        const std::size_t c = cell(static_cast<site_id>(s), i);
-        const auto cls = static_cast<route_class>(cls_[c]);
-        if (cls == route_class::none) continue;
-        if (cls < best_cls || (cls == best_cls && len_[c] < best_len)) {
-            best_cls = cls;
-            best_len = len_[c];
-        }
-    }
-    if (best_cls == route_class::none) return std::nullopt;
-    std::vector<site_id> candidates;
-    for (std::size_t s = 0; s < announcements_.size(); ++s) {
-        const std::size_t c = cell(static_cast<site_id>(s), i);
-        if (static_cast<route_class>(cls_[c]) == best_cls && len_[c] == best_len) {
-            candidates.push_back(static_cast<site_id>(s));
-        }
-    }
-
-    // Pre-table hot potato: on-the-fly haversine over interconnect points.
-    const geo::point source_loc = regions_->at(region).location;
-    site_id best_site = candidates.front();
-    double best_first_km = std::numeric_limits<double>::infinity();
-    for (const site_id s : candidates) {
-        const std::size_t c = cell(s, i);
-        double first_km = 0.0;
-        if (static_cast<route_class>(cls_[c]) == route_class::origin) {
-            first_km = geo::distance_km(
-                source_loc, regions_->at(announcements_[s].origin_region).location);
-        } else {
-            const auto& link = graph_->link(link_[c]);
-            first_km = std::numeric_limits<double>::infinity();
-            for (const topo::region_id p : link.interconnect_regions) {
-                first_km =
-                    std::min(first_km, geo::distance_km(source_loc, regions_->at(p).location));
-            }
-            const auto& site_loc = regions_->at(announcements_[s].origin_region).location;
-            double egress_to_site = std::numeric_limits<double>::infinity();
-            for (const topo::region_id p : link.interconnect_regions) {
-                egress_to_site = std::min(
-                    egress_to_site, geo::distance_km(regions_->at(p).location, site_loc));
-            }
-            first_km += 0.25 * egress_to_site;
-        }
-        if (first_km < best_first_km) {
-            best_first_km = first_km;
-            best_site = s;
-        }
-    }
-    return evaluate_indexed(i, asn, region, best_site);
 }
 
 std::vector<std::optional<path_result>> anycast_rib::select_many(
@@ -713,7 +588,6 @@ std::vector<std::optional<path_result>> anycast_rib::select_many(
 }
 
 bool anycast_rib::has_direct_route(topo::asn_t asn) const {
-    std::shared_lock lock{topo_mutex_};
     return direct_[as_index(asn)] != 0;
 }
 
@@ -736,8 +610,7 @@ std::size_t anycast_rib::as_index(topo::asn_t asn) const {
 anycast_rib::reconverge_stats anycast_rib::withdraw(site_id site) {
     obs::span event_span{"bgp/withdraw"};
     reconverge_stats stats;
-    std::unique_lock lock{topo_mutex_};
-    unpublish_frozen();
+    sealed_ = false;
     check_site(site);
     if (announcements_[site].withdrawn) return stats;  // idempotent
 
@@ -754,8 +627,7 @@ anycast_rib::reconverge_stats anycast_rib::withdraw(site_id site) {
 anycast_rib::reconverge_stats anycast_rib::announce(announcement a) {
     obs::span event_span{"bgp/announce"};
     reconverge_stats stats;
-    std::unique_lock lock{topo_mutex_};
-    unpublish_frozen();
+    sealed_ = false;
     const std::size_t origin = graph_->find_index(a.origin_asn);
     if (origin == topo::as_graph::npos || origin >= as_count_) {
         throw std::invalid_argument("anycast_rib: announcement from unknown ASN");
@@ -785,13 +657,11 @@ anycast_rib::reconverge_stats anycast_rib::announce(announcement a) {
 }
 
 bool anycast_rib::is_withdrawn(site_id site) const {
-    std::shared_lock lock{topo_mutex_};
     check_site(site);
     return announcements_[site].withdrawn;
 }
 
 std::size_t anycast_rib::active_site_count() const {
-    std::shared_lock lock{topo_mutex_};
     return static_cast<std::size_t>(std::count_if(announcements_.begin(), announcements_.end(),
                                                   [](const auto& a) { return !a.withdrawn; }));
 }
@@ -846,14 +716,8 @@ bool anycast_rib::repair_as_index(std::size_t as, site_id site, std::uint32_t ol
 }
 
 void anycast_rib::clear_select_cache() {
-    // Writer on the topo gate so no select can be filling a shard while it
-    // drops (same lock order as invalidate_cache: topo gate, then shard).
-    std::unique_lock lock{topo_mutex_};
-    unpublish_frozen();
-    for (auto& shard : cache_shards_) {
-        std::lock_guard shard_lock{shard.mutex};
-        shard.entries.clear();
-    }
+    sealed_ = false;
+    for (auto& shard : cache_shards_) shard.entries.clear();
 }
 
 std::pair<std::size_t, std::size_t> anycast_rib::invalidate_cache(
@@ -868,7 +732,6 @@ std::pair<std::size_t, std::size_t> anycast_rib::invalidate_cache(
     for (std::size_t s = 0; s < cache_shard_count; ++s) {
         if (((dirty >> s) & 1) == 0) continue;
         ++visited;
-        std::lock_guard shard_lock{cache_shards_[s].mutex};
         erased += std::erase_if(cache_shards_[s].entries, [&](const auto& kv) {
             const auto asn = static_cast<topo::asn_t>(kv.first >> 32);
             const std::size_t i = graph_->find_index(asn);

@@ -33,11 +33,12 @@
 //     per-link nearest-interconnect table (`topo::as_graph::
 //     nearest_interconnect`, shared by every RIB over the graph) — no
 //     haversine trig at query time;
-//   * `select` results are memoized in a sharded, lazily-filled cache.
-//     Selection is a pure function of (asn, region), so cached and uncached
-//     results are bit-identical, and concurrent fills are race-safe: any
-//     thread that computes a key computes the same bytes, and the first
-//     insert wins.
+//   * `select` results are memoized in one sharded, lazily-filled cache.
+//     Selection is a pure function of (asn, region), so a memoized answer
+//     is bit-identical to a fresh one, and concurrent fills are race-safe:
+//     any thread that computes a key computes the same bytes, and the first
+//     insert wins. For serving, `freeze_select_cache` seals that same memo:
+//     sealed reads take no lock and store nothing.
 //
 // Routes are stored per announcement key, not per site (DESIGN §8): a row
 // depends only on origin AS, scope, prepend and suppressed set, so sites with
@@ -50,19 +51,22 @@
 // per-AS best-route index is then repaired for exactly the ASes routed by
 // the site's old or new row, each from the one cell that changed (a full
 // site rescan only when that cell was a direct route or the sole best), and
-// only the select-cache shards holding them are invalidated. A `shared_mutex` makes mutation safe against concurrent
-// selects: readers see the pre- or the post-event state, never a torn one,
-// and the post-event state is byte-identical to a from-scratch rebuild.
+// only the select-cache shards holding them are invalidated. The post-event
+// state is byte-identical to a from-scratch rebuild.
+//
+// Concurrency is the standard-container contract: const members may run
+// concurrently with each other, and the four non-const members (`withdraw`,
+// `announce`, `clear_select_cache`, `freeze_select_cache`) need exclusive
+// access. The RIB takes no lock for mutation; the only locks are the memo's
+// shard mutexes, which let concurrent const `select`s fill it.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -165,9 +169,9 @@ public:
     /// sites may share it), repairs the best-route index for exactly the
     /// ASes that held a route to it, and invalidates only the select-cache
     /// shards containing those ASes. No row is rewritten. No-op on an already
-    /// withdrawn site. Thread-safe against concurrent selects; afterwards
-    /// `select` is byte-identical to a from-scratch rebuild without the
-    /// site. Throws std::out_of_range on an unknown site.
+    /// withdrawn site. Afterwards `select` is byte-identical to a
+    /// from-scratch rebuild without the site. Throws std::out_of_range on an
+    /// unknown site.
     reconverge_stats withdraw(site_id site);
 
     /// (Re-)announces a site and re-converges incrementally. `a.site` must
@@ -206,21 +210,11 @@ public:
     /// by lowest first-segment IGP distance (early exit), returning the
     /// evaluated path. Returns nullopt if the AS has no route at all.
     /// Memoized: repeat queries for the same (asn, region) are cache hits.
-    /// Thread-safe, and byte-identical at any thread count (selection is
-    /// pure, so every fill of a key stores the same value).
+    /// Safe to call concurrently, and byte-identical at any thread count
+    /// (selection is pure, so every fill of a key stores the same value).
+    /// While sealed, a key warmed before the freeze is read without locking
+    /// and a cold key is computed but not stored.
     [[nodiscard]] std::optional<path_result> select(topo::asn_t asn, topo::region_id region) const;
-
-    /// `select` without the memoization layer: always recomputes, never reads
-    /// or writes the cache. Differential-testing and cold-benchmark surface.
-    [[nodiscard]] std::optional<path_result> select_uncached(topo::asn_t asn,
-                                                             topo::region_id region) const;
-
-    /// Pre-fast-path reference implementation: rescans every site's route
-    /// row per call and evaluates hot-potato geometry with on-the-fly
-    /// haversine instead of the precomputed tables. Kept so tests can assert
-    /// the fast path is bit-identical and benchmarks can measure the win.
-    [[nodiscard]] std::optional<path_result> select_reference(topo::asn_t asn,
-                                                              topo::region_id region) const;
 
     /// Bulk `select` over many sources, chunked across the pool (inline when
     /// `pool` is null or serial). Result i corresponds to sources[i];
@@ -255,20 +249,19 @@ public:
     static constexpr std::uint32_t no_next_hop = std::numeric_limits<std::uint32_t>::max();
     [[nodiscard]] site_route_view site_routes(site_id site) const;
 
-    /// Memoization counters (monotone; relaxed atomics). Under concurrent
-    /// fills `misses` counts computations, which can slightly exceed the
+    /// Memoization counters (monotone; relaxed atomics). `misses` counts
+    /// computations: under concurrent fills it can slightly exceed the
     /// number of distinct keys when two threads race on the same key.
-    /// Post-freeze lookups are counted separately (`frozen_hits` /
-    /// `frozen_misses`), so the sharded counters keep describing the
-    /// mutex-guarded path alone: a frozen miss that falls through to the
-    /// shards is counted on both layers.
+    /// Lookups while sealed are also counted as `frozen_hits` (a key warmed
+    /// before the freeze) or `frozen_misses` (a cold key, which is then
+    /// computed and so counted in `misses` too).
     struct cache_stats {
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         std::uint64_t invalidations = 0;  // entries dropped by announce/withdraw
-        bool frozen = false;              // a sealed table is currently published
-        std::uint64_t frozen_hits = 0;    // lookups answered by the sealed table
-        std::uint64_t frozen_misses = 0;  // lookups that fell through to the shards
+        bool frozen = false;              // the memo is currently sealed
+        std::uint64_t frozen_hits = 0;    // sealed lookups of a warmed key
+        std::uint64_t frozen_misses = 0;  // sealed lookups of a cold key
 
         /// Hit fraction over all lookups; 0.0 before the first lookup (the
         /// zero-query case must not divide by zero).
@@ -282,41 +275,34 @@ public:
         return {cache_hits_.load(std::memory_order_relaxed),
                 cache_misses_.load(std::memory_order_relaxed),
                 cache_invalidations_.load(std::memory_order_relaxed),
-                frozen_.load(std::memory_order_acquire) != nullptr,
+                sealed_,
                 frozen_hits_.load(std::memory_order_relaxed),
                 frozen_misses_.load(std::memory_order_relaxed)};
     }
 
-    /// Seals the selects currently memoized in the sharded cache into an
-    /// immutable open-addressing table and publishes it, making subsequent
-    /// `select` calls for sealed keys wait-free: no shard mutex, no
-    /// `topo_mutex_` shared lock, just a probe over const arrays. Returns
-    /// the number of entries sealed. Keys that were never warmed fall
-    /// through to the normal locked path (counted as `frozen_misses`).
-    ///
-    /// Intended for read-only serving (`acctx serve`): warm the cache with
-    /// `select_many` over the query population, then freeze. Any later
-    /// `announce`/`withdraw`/`clear_select_cache` unpublishes the table
-    /// (stats report frozen = false again); the sealed storage is retired,
-    /// not freed, so in-flight wait-free probes stay valid — a concurrent
-    /// reader may observe the pre-event selection, which is a consistent
-    /// (never torn) historical state. Not safe to call concurrently with
-    /// itself; calling again re-seals the current shard contents.
+    /// Seals the select memo for read-only serving (`acctx serve`): warm it
+    /// with `select_many` over the query population, then freeze. While
+    /// sealed, `select` and `select_frozen` read the memo without locking,
+    /// and keys that were never warmed are computed but not stored, so the
+    /// sealed contents stay exactly the warmed set. Returns the number of
+    /// memoized entries. Any later `announce`/`withdraw`/
+    /// `clear_select_cache` unseals (stats report frozen = false again);
+    /// calling it again re-seals the current contents.
     std::size_t freeze_select_cache();
 
-    /// Wait-free probe of the frozen table: returns a pointer to the sealed
-    /// result (valid until the RIB is destroyed — retired tables are kept),
-    /// or nullptr when nothing is frozen or the key was not sealed. Never
+    /// Lock-free lookup in the sealed memo: returns a pointer to the
+    /// memoized result (valid until the next non-const call on the RIB), or
+    /// nullptr when the memo is not sealed or the key was not warmed. Never
     /// locks, never allocates, never copies. Counts frozen_hits only (a
     /// nullptr return is not counted; use `select` for fall-through).
     [[nodiscard]] const std::optional<path_result>* select_frozen(
         topo::asn_t asn, topo::region_id region) const noexcept;
 
-    /// Empties every select-cache shard (counters are left alone). Makes
-    /// subsequent invalidation work counts a pure function of the queries
-    /// run since, independent of prior process history — the scenario
-    /// driver calls this so its per-step work accounting is reproducible
-    /// whether the world came from a live build or a snapshot.
+    /// Empties the select memo and unseals it (counters are left alone).
+    /// Makes subsequent invalidation work counts a pure function of the
+    /// queries run since, independent of prior process history — the
+    /// scenario driver calls this so its per-step work accounting is
+    /// reproducible whether the world came from a live build or a snapshot.
     void clear_select_cache();
 
 private:
@@ -385,11 +371,6 @@ private:
     std::size_t as_count_ = 0;
     std::size_t link_count_ = 0;  // graph link snapshot at construction
 
-    // Reader/writer gate for mutation: every query path holds it shared,
-    // announce/withdraw hold it exclusively. Selection under a shared lock
-    // is unchanged bytes; the lock only serializes against re-convergence.
-    mutable std::shared_mutex topo_mutex_;
-
     // Route matrix, struct-of-arrays, one immutable row per key: entry for
     // (row, as) lives at row * as_count_ + as in each column, and site s
     // reads row site_row_[s]. Rows are never freed, so their count is
@@ -419,38 +400,26 @@ private:
     // the cache is an observably-pure accelerator of const queries. The
     // shard is picked from the ASN alone so that invalidating one AS visits
     // exactly one shard (region-mixed sharding would smear an AS's entries
-    // across every shard and force full-cache scans on every event).
+    // across every shard and force full-cache scans on every event). Shard
+    // mutexes guard concurrent fills only; while `sealed_` nothing fills,
+    // so readers skip them.
     static constexpr std::size_t cache_shard_count = 64;  // power of two
     [[nodiscard]] static constexpr std::size_t shard_of(topo::asn_t asn) noexcept {
         return (std::uint64_t{asn} * 0x9e3779b97f4a7c15ULL) >> 58;
+    }
+    [[nodiscard]] static constexpr std::uint64_t cache_key(topo::asn_t asn,
+                                                           topo::region_id region) noexcept {
+        return (std::uint64_t{asn} << 32) | region;
     }
     struct cache_shard {
         std::mutex mutex;
         std::unordered_map<std::uint64_t, std::optional<path_result>> entries;
     };
     mutable std::array<cache_shard, cache_shard_count> cache_shards_;
+    bool sealed_ = false;  // set by freeze_select_cache, cleared by any mutation
     mutable std::atomic<std::uint64_t> cache_hits_{0};
     mutable std::atomic<std::uint64_t> cache_misses_{0};
     mutable std::atomic<std::uint64_t> cache_invalidations_{0};
-
-    // Frozen select cache: an immutable open-addressing table (linear
-    // probing, load factor <= 0.5, power-of-two capacity) sealed from the
-    // shard contents by freeze_select_cache(). Readers probe it before any
-    // lock; the published pointer is the only synchronization (release
-    // store on publish, acquire load on probe). Unpublishing (mutation,
-    // clear) retires the table into retired_frozen_ instead of freeing it,
-    // so a reader that loaded the pointer can finish its probe without any
-    // reclamation protocol — freezes are rare (once per serving process),
-    // so the retained storage is bounded and tiny.
-    struct frozen_cache {
-        std::vector<std::uint64_t> keys;                  // capacity slots
-        std::vector<std::uint8_t> occupied;               // 1 = slot holds a key
-        std::vector<std::optional<path_result>> values;   // aligned with keys
-        std::uint64_t mask = 0;                           // capacity - 1
-    };
-    void unpublish_frozen();  // callers hold the exclusive topo lock
-    mutable std::atomic<const frozen_cache*> frozen_{nullptr};
-    std::vector<std::unique_ptr<frozen_cache>> retired_frozen_;
     mutable std::atomic<std::uint64_t> frozen_hits_{0};
     mutable std::atomic<std::uint64_t> frozen_misses_{0};
 };

@@ -175,8 +175,27 @@ void error_body(conn_arena& arena, std::string_view message) {
     arena.body += "\"}";
 }
 
-bool write_all(int fd, std::string_view data) {
+using clock_type = std::chrono::steady_clock;
+
+/// Limits the next blocking recv/send on `fd` (`option` is SO_RCVTIMEO or
+/// SO_SNDTIMEO) to the time left before `deadline`; false once it passed.
+bool arm_timeout(int fd, int option, clock_type::time_point deadline) {
+    const auto left =
+        std::chrono::duration_cast<std::chrono::microseconds>(deadline - clock_type::now());
+    if (left.count() <= 0) return false;
+    timeval timeout{};
+    timeout.tv_sec = static_cast<time_t>(left.count() / 1000000);
+    timeout.tv_usec = static_cast<suseconds_t>(left.count() % 1000000);
+    ::setsockopt(fd, SOL_SOCKET, option, &timeout, sizeof(timeout));
+    return true;
+}
+
+/// Sends all of `data` by `deadline`, each send waiting only for the time
+/// left, so a client that stops reading cannot pin the connection's thread.
+/// False on a socket error or once the deadline passes.
+bool write_all(int fd, std::string_view data, clock_type::time_point deadline) {
     while (!data.empty()) {
+        if (!arm_timeout(fd, SO_SNDTIMEO, deadline)) return false;
         const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR) continue;
@@ -304,18 +323,12 @@ void http_server::handle_connection(int fd) {
         // Read until the end of the header block, within one deadline for
         // the whole block: each recv may wait only for the time left, so
         // neither an idle keep-alive client nor a trickling one holds its
-        // thread past it.
-        arena.request.clear();
-        std::size_t header_end = std::string::npos;
-        const auto deadline = std::chrono::steady_clock::now() + options_.header_deadline;
+        // thread past it. Bytes already read past the previous request are
+        // the start of the next one (pipelining).
+        std::size_t header_end = arena.request.find("\r\n\r\n");
+        const auto deadline = clock_type::now() + options_.header_deadline;
         while (header_end == std::string::npos) {
-            const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-                deadline - std::chrono::steady_clock::now());
-            if (left.count() <= 0) return;  // deadline passed
-            timeval timeout{};
-            timeout.tv_sec = static_cast<time_t>(left.count() / 1000000);
-            timeout.tv_usec = static_cast<suseconds_t>(left.count() % 1000000);
-            ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+            if (!arm_timeout(fd, SO_RCVTIMEO, deadline)) return;
             const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
             if (n < 0 && errno == EINTR) continue;
             if (n <= 0) {
@@ -327,13 +340,13 @@ void http_server::handle_connection(int fd) {
                 header_end == std::string::npos) {
                 error_body(arena, "request too large");
                 build_response(arena, 400, "Bad Request", "application/json", false);
-                write_all(fd, arena.response);
+                write_all(fd, arena.response, clock_type::now() + options_.header_deadline);
                 bad_request_counter().add(1);
                 return;
             }
         }
 
-        const auto started = std::chrono::steady_clock::now();
+        const auto started = clock_type::now();
         request_counter().add(1);
         const std::string_view request{arena.request};
         const std::string_view headers = request.substr(0, header_end);
@@ -357,10 +370,13 @@ void http_server::handle_connection(int fd) {
         if (status == 400) bad_request_counter().add(1);
         if (status == 404) not_found_counter().add(1);
         const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - started);
+            clock_type::now() - started);
         request_us_histogram().observe(static_cast<double>(elapsed.count()) / 1000.0);
 
-        if (!write_all(fd, arena.response)) break;
+        // The response gets the same budget as a header block: a client that
+        // stops reading is dropped once it passes.
+        if (!write_all(fd, arena.response, clock_type::now() + options_.header_deadline)) break;
+        arena.request.erase(0, header_end + 4);
     }
 }
 

@@ -43,7 +43,8 @@ struct http_options {
     std::uint16_t port = 0;    // 0 = kernel-assigned ephemeral port
     int max_connections = 64;  // concurrent connection cap (excess queue in listen backlog)
     /// Whole-request budget for reading one header block, idle keep-alive
-    /// wait included: a client that trickles bytes is dropped once it passes.
+    /// wait included, and again for writing one response: a client that
+    /// trickles bytes, or stops reading, is dropped once it passes.
     std::chrono::milliseconds header_deadline{10000};
 };
 

@@ -49,8 +49,7 @@ void query_engine::build_indexes() {
     // the unique <AS, region> locations hosting recursives, exactly the
     // sources dns::compute_letter_rtts evaluates (user locations can sit in
     // ASes the RIBs never saw) — rolling up catchments from the same
-    // selections. After the freeze the serving read path never takes a shard
-    // mutex or the topo gate.
+    // selections. After the freeze the serving read path takes no lock.
     std::vector<route::source_key> sources;
     std::vector<double> source_users;  // users_served summed per location
     {
@@ -192,9 +191,9 @@ bool query_engine::route_json(char letter, topo::asn_t asn, topo::region_id regi
     if (catchments_.find(letter) == catchments_.end()) return false;
     const auto& rib = world_->roots().deployment_of(letter).rib();
 
-    // The wait-free path: sealed keys answer from the frozen table. Cold
-    // keys (sources outside the warmed population) fall back to the locked
-    // select, which also memoizes them for the next freeze.
+    // The lock-free path: warmed keys answer from the sealed memo. Cold keys
+    // (sources outside the warmed population) fall back to select, which
+    // computes them without storing.
     const std::optional<route::path_result>* sealed = rib.select_frozen(asn, region);
     std::optional<route::path_result> fallback;
     const std::optional<route::path_result>* result = sealed;

@@ -7,7 +7,7 @@
 // catchments, pre-warm every letter's select cache over the query population
 // and seal it (route::anycast_rib::freeze_select_cache). After the
 // constructor returns the engine is logically const: every answer is a
-// binary search or a wait-free probe over sealed arrays, and the JSON/CSV
+// binary search or a lock-free lookup in a sealed memo, and the JSON/CSV
 // writers append into caller-owned grow-only buffers so the hot path
 // performs zero allocations once a connection's arena has warmed up.
 //

@@ -2,7 +2,8 @@
 // export rules, local-preference ordering, path-length tie-breaks, local
 // announcement scope, hot-potato site selection, the fast-path layer
 // (best-route index, geo tables, select memoization) — which must be
-// bit-identical to the reference implementation and race-safe — keyed
+// bit-identical to a reference selector built from the public API, and
+// race-safe among concurrent readers — keyed
 // route rows, where sites with equal announcement keys share one row, and
 // the per-AS delta repair of the best-route index on withdraw/announce.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "src/core/world.h"
+#include "src/netbase/geo.h"
 #include "src/netbase/rng.h"
 #include "src/obs/metrics.h"
 #include "src/routing/bgp.h"
@@ -68,6 +70,62 @@ std::vector<std::optional<route::site_route>> routes_of(const route::anycast_rib
     std::vector<std::optional<route::site_route>> out;
     for (const topo::asn_t asn : rib.known_asns()) out.push_back(rib.route_toward(asn, site));
     return out;
+}
+
+// Reference selection, the oracle for every fast-path test: it rescans every
+// site's route row for the AS (no best-route index) and resolves hot potato
+// with on-the-fly haversine over each link's interconnects (no precomputed
+// geo tables), then evaluates the winner through the public `evaluate`.
+std::optional<route::path_result> select_reference(const route::anycast_rib& rib,
+                                                   const topo::as_graph& graph,
+                                                   topo::asn_t asn, topo::region_id region) {
+    const std::size_t i = graph.find_index(asn);
+    if (i == topo::as_graph::npos || i >= rib.known_asns().size()) {
+        throw std::out_of_range("select_reference: unknown ASN");
+    }
+    route::route_class best_cls = route::route_class::none;
+    std::uint8_t best_len = std::numeric_limits<std::uint8_t>::max();
+    std::vector<route::site_id> candidates;
+    for (route::site_id s = 0; s < rib.site_count(); ++s) {
+        const auto view = rib.site_routes(s);
+        const auto cls = static_cast<route::route_class>(view.cls[i]);
+        if (cls == route::route_class::none) continue;
+        if (cls < best_cls || (cls == best_cls && view.path_len[i] < best_len)) {
+            best_cls = cls;
+            best_len = view.path_len[i];
+            candidates.clear();
+        }
+        if (cls == best_cls && view.path_len[i] == best_len) candidates.push_back(s);
+    }
+    if (candidates.empty()) return std::nullopt;
+
+    const auto& regions = graph.regions();
+    const geo::point source_loc = regions.at(region).location;
+    route::site_id best_site = candidates.front();
+    double best_first_km = std::numeric_limits<double>::infinity();
+    for (const route::site_id s : candidates) {
+        const auto view = rib.site_routes(s);
+        const geo::point site_loc = regions.at(rib.announcements()[s].origin_region).location;
+        double first_km = 0.0;
+        if (static_cast<route::route_class>(view.cls[i]) == route::route_class::origin) {
+            first_km = geo::distance_km(source_loc, site_loc);
+        } else {
+            const auto& link = graph.link(view.link_index[i]);
+            first_km = std::numeric_limits<double>::infinity();
+            double egress_to_site = std::numeric_limits<double>::infinity();
+            for (const topo::region_id p : link.interconnect_regions) {
+                first_km = std::min(first_km, geo::distance_km(source_loc, regions.at(p).location));
+                egress_to_site =
+                    std::min(egress_to_site, geo::distance_km(regions.at(p).location, site_loc));
+            }
+            first_km += 0.25 * egress_to_site;
+        }
+        if (first_km < best_first_km) {
+            best_first_km = first_km;
+            best_site = s;
+        }
+    }
+    return rib.evaluate(asn, region, best_site);
 }
 
 // Element-wise equality of two sites' route-row views.
@@ -258,19 +316,17 @@ TEST_F(HotPotato, SelectsNearestEgressAmongEqualRoutes) {
     EXPECT_EQ(chosen->site, 0u);
 }
 
-// Fast-path differential tests: the memoized select, the uncached indexed
-// select, and the pre-index reference (per-call rescan + raw haversine) must
-// agree byte-for-byte on every (asn, region) pair.
+// Fast-path differential tests: the memoized select, cold and warm, and the
+// reference selector (per-call rescan + raw haversine) must agree
+// byte-for-byte on every (asn, region) pair.
 
 TEST_F(RoutingPolicy, CachedSelectionMatchesUncachedAndReferenceEverywhere) {
     auto rib = make_rib({{0, 1, 0, route::announcement_scope::global, {}},
                          {1, 1, 3, route::announcement_scope::global, {}}});
     for (const topo::asn_t asn : rib.known_asns()) {
         for (topo::region_id region = 0; region < regions_.size(); ++region) {
-            const auto cached = rib.select(asn, region);
-            const auto uncached = rib.select_uncached(asn, region);
-            const auto reference = rib.select_reference(asn, region);
-            EXPECT_EQ(cached, uncached) << "asn " << asn << " region " << region;
+            const auto cached = rib.select(asn, region);  // first query: a fill
+            const auto reference = select_reference(rib, graph_, asn, region);
             EXPECT_EQ(cached, reference) << "asn " << asn << " region " << region;
             // Repeat query: now a guaranteed cache hit, still identical.
             EXPECT_EQ(rib.select(asn, region), cached);
@@ -355,7 +411,7 @@ TEST_F(RoutingPolicy, UnknownAsnAndNoRouteOrdering) {
 
 TEST_F(RoutingPolicy, ConcurrentCacheFillMatchesSerialOracle) {
     // TSan target: many threads hammer the same small key space while a pool
-    // runs select_many over it. Every answer must equal the uncached oracle.
+    // runs select_many over it. Every answer must equal the reference oracle.
     engine::thread_pool pool{4};
     route::anycast_rib rib{graph_,
                            {{0, 1, 0, route::announcement_scope::global, {}},
@@ -367,7 +423,7 @@ TEST_F(RoutingPolicy, ConcurrentCacheFillMatchesSerialOracle) {
     for (const topo::asn_t asn : rib.known_asns()) {
         for (topo::region_id region = 0; region < regions_.size(); ++region) {
             keys.push_back({asn, region});
-            oracle.push_back(rib.select_uncached(asn, region));
+            oracle.push_back(select_reference(rib, graph_, asn, region));
         }
     }
 
@@ -427,13 +483,13 @@ TEST_F(RoutingPolicy, WithdrawIsIdempotent) {
 TEST_F(RoutingPolicy, AnnounceRestoresWithdrawnSite) {
     auto rib = make_rib({{0, 1, 0, route::announcement_scope::global, {}},
                          {1, 1, 3, route::announcement_scope::global, {}}});
-    const auto before = rib.select_uncached(8, 2);
+    const auto before = select_reference(rib, graph_, 8, 2);
     (void)rib.withdraw(0);
     (void)rib.announce(rib.announcements()[0]);
     EXPECT_FALSE(rib.is_withdrawn(0));
     EXPECT_EQ(rib.active_site_count(), 2u);
     // Restoration is exact: same announcement, same selection bytes.
-    EXPECT_EQ(rib.select_uncached(8, 2), before);
+    EXPECT_EQ(rib.select(8, 2), before);
 }
 
 TEST_F(RoutingPolicy, AnnounceValidatesOriginAndDensity) {
@@ -691,58 +747,9 @@ TEST_F(RoutingPolicy, RescansOnlyWhereTheOldCellWasDirectOrSoleBest) {
     expect_index_matches_rebuild(rib, graph_, nullptr, "both withdrawn");
 }
 
-TEST_F(RoutingPolicy, ConcurrentSelectsDuringInvalidationAreSafe) {
-    // TSan target: reader threads hammer select() while the main thread
-    // withdraws and re-announces sites. Readers must always observe a fully
-    // converged state — one of the two the mutation moves between.
-    engine::thread_pool pool{4};
-    route::anycast_rib rib{graph_,
-                           {{0, 1, 0, route::announcement_scope::global, {}},
-                            {1, 1, 3, route::announcement_scope::global, {}}},
-                           &pool};
-
-    std::vector<route::source_key> keys;
-    for (const topo::asn_t asn : rib.known_asns()) {
-        for (topo::region_id region = 0; region < regions_.size(); ++region) {
-            keys.push_back({asn, region});
-        }
-    }
-    // The two converged states a reader may legitimately observe.
-    std::vector<std::optional<route::path_result>> with_both;
-    for (const auto& k : keys) with_both.push_back(rib.select_uncached(k.asn, k.region));
-    (void)rib.withdraw(0);
-    std::vector<std::optional<route::path_result>> without_site0;
-    for (const auto& k : keys) without_site0.push_back(rib.select_uncached(k.asn, k.region));
-    (void)rib.announce(rib.announcements()[0]);
-
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> readers;
-    for (int t = 0; t < 4; ++t) {
-        readers.emplace_back([&] {
-            while (!stop.load(std::memory_order_relaxed)) {
-                for (std::size_t k = 0; k < keys.size(); ++k) {
-                    const auto got = rib.select(keys[k].asn, keys[k].region);
-                    ASSERT_TRUE(got == with_both[k] || got == without_site0[k]);
-                }
-            }
-        });
-    }
-    for (int cycle = 0; cycle < 50; ++cycle) {
-        (void)rib.withdraw(0);
-        (void)rib.announce(rib.announcements()[0]);
-    }
-    stop.store(true, std::memory_order_relaxed);
-    for (auto& r : readers) r.join();
-
-    // Settled state: identical to the pre-mutation world.
-    for (std::size_t k = 0; k < keys.size(); ++k) {
-        EXPECT_EQ(rib.select_uncached(keys[k].asn, keys[k].region), with_both[k]);
-    }
-}
-
-// Frozen select cache (DESIGN §13): seal the memoized selections into an
-// immutable table; the serving read path probes it wait-free, and any
-// mutation unpublishes it.
+// Sealed select memo (DESIGN §13): freezing seals the memoized selections;
+// the serving read path reads them without locking, cold keys are computed
+// but not stored, and any mutation unseals.
 
 TEST_F(RoutingPolicy, FreezeSealsMemoizedSelections) {
     auto rib = make_rib({{0, 1, 0, route::announcement_scope::global, {}},
@@ -751,7 +758,7 @@ TEST_F(RoutingPolicy, FreezeSealsMemoizedSelections) {
     EXPECT_EQ(rib.select_frozen(8, 2), nullptr);  // nothing sealed yet
 
     // Warm a few keys, then freeze: every warmed key must answer from the
-    // sealed table with the exact locked-path result.
+    // sealed memo with the exact result it was warmed with.
     std::vector<route::source_key> keys{{8, 2}, {8, 3}, {7, 1}, {6, 0}};
     std::vector<std::optional<route::path_result>> expected;
     for (const auto& k : keys) expected.push_back(rib.select(k.asn, k.region));
@@ -766,12 +773,16 @@ TEST_F(RoutingPolicy, FreezeSealsMemoizedSelections) {
     EXPECT_EQ(rib.select_cache_stats().frozen_hits, keys.size());
 
     // A key never warmed is not sealed: the probe misses without locking,
-    // and select() still answers it through the shards.
-    EXPECT_EQ(rib.select_frozen(5, 2), nullptr);
-    EXPECT_EQ(rib.select(5, 2), rib.select_uncached(5, 2));
+    // and select() still answers it, computing without storing.
+    EXPECT_EQ(rib.select_frozen(7, 2), nullptr);
+    EXPECT_EQ(rib.select(7, 2), select_reference(rib, graph_, 7, 2));
+    EXPECT_EQ(rib.select_frozen(7, 2), nullptr);
+    EXPECT_EQ(rib.freeze_select_cache(), keys.size());
 }
 
 TEST_F(RoutingPolicy, MutationUnpublishesFrozenTable) {
+    // Each sealed pointer below is read before the next non-const call,
+    // which is as long as it stays valid.
     auto rib = make_rib({{0, 1, 0, route::announcement_scope::global, {}},
                          {1, 1, 3, route::announcement_scope::global, {}}});
     (void)rib.select(8, 2);
@@ -783,7 +794,7 @@ TEST_F(RoutingPolicy, MutationUnpublishesFrozenTable) {
     EXPECT_EQ(rib.select_frozen(8, 2), nullptr);
 
     // Re-warm and re-freeze after the withdrawal: the sealed answer must
-    // reflect the mutated RIB, not the retired table.
+    // reflect the mutated RIB, not the pre-withdrawal memo.
     const auto degraded = rib.select(8, 2);
     (void)rib.freeze_select_cache();
     const auto* hit = rib.select_frozen(8, 2);
@@ -800,64 +811,55 @@ TEST_F(RoutingPolicy, MutationUnpublishesFrozenTable) {
     EXPECT_FALSE(rib.select_cache_stats().frozen);
 }
 
-TEST_F(RoutingPolicy, FrozenReadersRaceMutationsSafely) {
-    // TSan target: wait-free readers probe the frozen table while a writer
-    // freezes, mutates (unpublishing), and re-freezes in a loop. Readers
-    // must only ever observe answers equal to one of the two settled states.
+TEST_F(RoutingPolicy, SealedRibServesConcurrentReaders) {
+    // TSan target for the serving read path: once sealed, readers share the
+    // memo without locking. Threads select warmed and never-warmed keys in a
+    // loop; cold keys are computed but never stored, so the sealed contents
+    // and every answer stay fixed.
     engine::thread_pool pool{2};
     route::anycast_rib rib{graph_,
                            {{0, 1, 0, route::announcement_scope::global, {}},
                             {1, 1, 3, route::announcement_scope::global, {}}},
                            &pool};
     std::vector<route::source_key> keys;
+    std::vector<std::optional<route::path_result>> oracle;
     for (const topo::asn_t asn : rib.known_asns()) {
         for (topo::region_id region = 0; region < regions_.size(); ++region) {
             keys.push_back({asn, region});
+            oracle.push_back(select_reference(rib, graph_, asn, region));
         }
     }
-    std::vector<std::optional<route::path_result>> with_both;
-    std::vector<std::optional<route::path_result>> degraded;
-    for (const auto& k : keys) with_both.push_back(rib.select_uncached(k.asn, k.region));
-    (void)rib.withdraw(0);
-    for (const auto& k : keys) degraded.push_back(rib.select_uncached(k.asn, k.region));
-    (void)rib.announce(rib.announcements()[0]);
+    // Warm every other key, so half the lookups below are cold.
+    std::vector<route::source_key> warm;
+    for (std::size_t k = 0; k < keys.size(); k += 2) warm.push_back(keys[k]);
+    (void)rib.select_many(warm, &pool);
+    const std::size_t sealed = rib.freeze_select_cache();
+    ASSERT_GT(sealed, 0u);
+    const auto before = rib.select_cache_stats();
 
-    std::atomic<bool> stop{false};
+    constexpr int threads = 4;
+    constexpr int rounds = 50;
     std::vector<std::thread> readers;
-    for (int t = 0; t < 4; ++t) {
-        readers.emplace_back([&] {
-            while (!stop.load(std::memory_order_relaxed)) {
+    for (int t = 0; t < threads; ++t) {
+        readers.emplace_back([&, t] {
+            for (int round = 0; round < rounds; ++round) {
                 for (std::size_t k = 0; k < keys.size(); ++k) {
-                    const auto* hit = rib.select_frozen(keys[k].asn, keys[k].region);
-                    if (hit == nullptr) continue;  // unpublished or not sealed
-                    ASSERT_TRUE(*hit == with_both[k] || *hit == degraded[k]) << "key " << k;
+                    const std::size_t i = (k + static_cast<std::size_t>(t) * 5) % keys.size();
+                    ASSERT_EQ(rib.select(keys[i].asn, keys[i].region), oracle[i]) << "key " << i;
                 }
             }
         });
     }
-    for (int cycle = 0; cycle < 25; ++cycle) {
-        (void)rib.select_many(keys, &pool);  // warm every key
-        (void)rib.freeze_select_cache();
-        (void)rib.withdraw(0);  // unpublishes
-        (void)rib.select_many(keys, &pool);
-        (void)rib.freeze_select_cache();
-        (void)rib.announce(rib.announcements()[0]);  // unpublishes again
-    }
-    stop.store(true, std::memory_order_relaxed);
     for (auto& r : readers) r.join();
 
-    // Settled: a final freeze seals the restored state. Keys whose AS holds
-    // no route are never memoized (select returns early), so only routed
-    // keys appear in the sealed table.
-    (void)rib.select_many(keys, &pool);
-    EXPECT_GT(rib.freeze_select_cache(), 0u);
-    for (std::size_t k = 0; k < keys.size(); ++k) {
-        const auto* hit = rib.select_frozen(keys[k].asn, keys[k].region);
-        if (with_both[k].has_value()) {
-            ASSERT_NE(hit, nullptr) << "key " << k;
-            EXPECT_EQ(*hit, with_both[k]);
-        }
-    }
+    const auto after = rib.select_cache_stats();
+    EXPECT_TRUE(after.frozen);
+    const std::uint64_t lookups = std::uint64_t{threads} * rounds * keys.size();
+    EXPECT_EQ((after.frozen_hits - before.frozen_hits) +
+                  (after.frozen_misses - before.frozen_misses),
+              lookups);
+    EXPECT_EQ(after.hits, before.hits);  // sealed reads bypass the fill path
+    EXPECT_EQ(rib.freeze_select_cache(), sealed);  // no cold key was stored
 }
 
 TEST_F(HotPotato, EvaluateReportsDirectDistance) {
@@ -931,7 +933,7 @@ protected:
     void expect_select_matches_reference(const route::anycast_rib& rib, const char* label) {
         for (const topo::asn_t asn : rib.known_asns()) {
             for (topo::region_id region = 0; region < regions_.size(); ++region) {
-                ASSERT_EQ(rib.select(asn, region), rib.select_reference(asn, region))
+                ASSERT_EQ(rib.select(asn, region), select_reference(rib, graph_, asn, region))
                     << label << " asn " << asn << " region " << region;
             }
         }

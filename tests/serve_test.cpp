@@ -1,13 +1,14 @@
 // Serving layer tests (DESIGN §13): the query engine's answers must match
 // the offline analysis point queries byte for byte, the HTTP front end must
 // honour its 400/404/405 contract and drop clients that trickle a request
-// past its deadline, and the read hot path must survive eight concurrent
+// or stall a response past its deadline, and the read hot path must survive eight concurrent
 // clients (the verify --tsan lane runs this binary under TSan).
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -47,8 +48,13 @@ const serve::query_engine& engine() {
 /// Minimal blocking loopback client: one connection, sequential requests.
 class test_client {
 public:
-    explicit test_client(std::uint16_t port) {
+    /// A positive `rcvbuf` shrinks the receive buffer before connecting,
+    /// which caps the window the server may fill.
+    explicit test_client(std::uint16_t port, int rcvbuf = 0) {
         fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+        if (fd_ >= 0 && rcvbuf > 0) {
+            ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+        }
         sockaddr_in addr{};
         addr.sin_family = AF_INET;
         addr.sin_port = htons(port);
@@ -87,6 +93,28 @@ public:
 
     std::string get(const std::string& target) {
         return round_trip("GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n");
+    }
+
+    /// Bounds each later recv, so a test fails instead of hanging.
+    void set_recv_timeout(std::chrono::milliseconds wait) {
+        timeval timeout{};
+        timeout.tv_sec = static_cast<time_t>(wait.count() / 1000);
+        timeout.tv_usec = static_cast<suseconds_t>((wait.count() % 1000) * 1000);
+        ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    }
+
+    /// Sends `raw` verbatim; false on socket failure.
+    bool send_raw(const std::string& raw) {
+        return ::send(fd_, raw.data(), raw.size(), MSG_NOSIGNAL) ==
+               static_cast<ssize_t>(raw.size());
+    }
+
+    /// Everything the server sends until it closes the connection.
+    std::string read_to_end() {
+        std::string out;
+        while (fill(out)) {
+        }
+        return out;
     }
 
     /// Sends one byte; false once the server has reset the connection.
@@ -308,6 +336,19 @@ TEST(ServeHttp, KeepAliveServesManyRequestsPerConnection) {
         ASSERT_EQ(test_client::status_of(response), 200) << "request " << i;
         ASSERT_EQ(test_client::body_of(response), expected) << "request " << i;
     }
+
+    // Pipelined requests are each answered, in order; the second asks the
+    // server to close, so the stream ends right after its response.
+    client.set_recv_timeout(std::chrono::milliseconds{5000});
+    ASSERT_TRUE(client.send_raw("GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n" +
+                                "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"));
+    const std::string both = client.read_to_end();
+    const auto second = both.find("HTTP/1.1 ", 1);
+    ASSERT_NE(second, std::string::npos) << both;
+    EXPECT_EQ(test_client::status_of(both), 200);
+    EXPECT_EQ(test_client::body_of(both.substr(0, second)), expected);
+    EXPECT_EQ(test_client::status_of(both.substr(second)), 200);
+    EXPECT_EQ(test_client::body_of(both.substr(second)), "ok\n");
 }
 
 TEST(ServeHttp, TricklingClientIsDroppedWhileOthersAreServed) {
@@ -353,8 +394,62 @@ TEST(ServeHttp, TricklingClientIsDroppedWhileOthersAreServed) {
     EXPECT_LT(dropped_after.count(), 3000);
 }
 
+TEST(ServeHttp, NonReadingClientIsDroppedWhileOthersAreServed) {
+    // One connection slot, so a client pinning its connection thread would
+    // also starve every other client.
+    serve::http_options options;
+    options.header_deadline = std::chrono::milliseconds{300};
+    options.max_connections = 1;
+    serve::http_server server{engine(), options};
+    server.start();
+
+    // The staller shrinks its receive buffer before connecting, then asks
+    // for more /grid responses than both loopback socket buffers can hold
+    // (16 MiB against at most 4 MiB of send buffer) and reads nothing: the
+    // server blocks in send until the write deadline drops the connection.
+    std::string grid;
+    engine().grid_csv(1, grid);
+    ASSERT_FALSE(grid.empty());
+    const std::size_t asked = (std::size_t{16} << 20) / grid.size() + 1;
+    test_client staller{server.port(), /*rcvbuf=*/4096};
+    ASSERT_TRUE(staller.connected());
+
+    // Connected second, the normal client queues behind the staller's slot
+    // and is served only once the staller is dropped.
+    test_client normal{server.port()};
+    ASSERT_TRUE(normal.connected());
+    normal.set_recv_timeout(std::chrono::milliseconds{5000});
+
+    // Requests go out a few ms apart, so each is answered on its own, and
+    // stop once the server has dropped the connection.
+    std::thread stall([&] {
+        for (std::size_t i = 0; i < asked; ++i) {
+            if (!staller.send_raw("GET /grid HTTP/1.1\r\nHost: t\r\n\r\n")) break;
+            std::this_thread::sleep_for(std::chrono::milliseconds{2});
+        }
+    });
+    const auto started = std::chrono::steady_clock::now();
+    const auto response = normal.get("/healthz");
+    const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::now() - started);
+    stall.join();
+    EXPECT_EQ(test_client::status_of(response), 200);
+    EXPECT_EQ(test_client::body_of(response), "ok\n");
+    EXPECT_GE(waited.count(), 300);
+    EXPECT_LT(waited.count(), 3000);
+
+    // Draining the staller now ends short of the responses it asked for:
+    // the server closed it mid-write.
+    staller.set_recv_timeout(std::chrono::milliseconds{5000});
+    const std::string drained = staller.read_to_end();
+    EXPECT_TRUE(staller.closed_within(std::chrono::milliseconds{0}))
+        << "the staller was never closed";
+    EXPECT_LT(drained.size(), asked * grid.size());
+    server.stop();
+}
+
 // ---------------------------------------------------------------------------
-// Concurrency: eight clients hammer the wait-free read path (TSan lane).
+// Concurrency: eight clients hammer the lock-free read path (TSan lane).
 // ---------------------------------------------------------------------------
 
 TEST(ServeStress, EightConcurrentClientsGetConsistentAnswers) {
@@ -362,8 +457,41 @@ TEST(ServeStress, EightConcurrentClientsGetConsistentAnswers) {
     const auto asns = engine().index().asns();
     const auto& recs = engine().world().users().recursives();
     const char letter = engine().catchments().begin()->first;
+    const auto& rib = engine().world().roots().deployment_of(letter).rib();
     ASSERT_GE(asns.size(), 8u);
     ASSERT_FALSE(recs.empty());
+
+    // One cold (AS, region) pair per client: a routed source outside the
+    // warmed population, so the sealed memo computes it on every request
+    // without storing it. Each must answer "frozen":false with rib.select's
+    // selection.
+    const auto region_count = static_cast<topo::region_id>(engine().world().regions().size());
+    std::vector<std::string> cold_targets;
+    std::vector<std::string> expected_cold;
+    for (std::size_t t = 0; t < 8; ++t) {
+        const auto& rec = recs[(t * 7) % recs.size()];
+        for (topo::region_id step = 1; step < region_count; ++step) {
+            const topo::region_id region = (rec.region + step) % region_count;
+            if (rib.select_frozen(rec.asn, region) != nullptr) continue;
+            const auto selected = rib.select(rec.asn, region);
+            if (!selected) continue;
+            std::string body;
+            ASSERT_TRUE(engine().route_json(letter, rec.asn, region, body));
+            EXPECT_NE(body.find("\"frozen\":false"), std::string::npos) << body;
+            EXPECT_NE(body.find("\"site\":" + std::to_string(selected->site) + ","),
+                      std::string::npos)
+                << body;
+            EXPECT_NE(body.find("\"hops\":" + std::to_string(selected->as_path.size()) + "}"),
+                      std::string::npos)
+                << body;
+            cold_targets.push_back("/route?letter=" + std::string(1, letter) +
+                                   "&asn=" + std::to_string(rec.asn) +
+                                   "&region=" + std::to_string(region));
+            expected_cold.push_back(std::move(body));
+            break;
+        }
+    }
+    ASSERT_EQ(cold_targets.size(), 8u);
 
     std::vector<std::thread> clients;
     std::vector<int> failures(8, 0);
@@ -390,6 +518,9 @@ TEST(ServeStress, EightConcurrentClientsGetConsistentAnswers) {
             const std::string route_target = "/route?letter=" + std::string(1, letter) +
                                              "&asn=" + std::to_string(rec.asn) +
                                              "&region=" + std::to_string(rec.region);
+            // Every fourth /route request is the cold pair, as in the
+            // benchmark's serve request list.
+            const auto ti = static_cast<std::size_t>(t);
             for (int round = 0; round < 200; ++round) {
                 auto response = client.get(inflation_target);
                 if (test_client::status_of(response) != 200 ||
@@ -397,10 +528,12 @@ TEST(ServeStress, EightConcurrentClientsGetConsistentAnswers) {
                     failures[t] = 3;
                     return;
                 }
-                response = client.get(route_target);
+                const bool cold = round % 4 == 3;
+                response = client.get(cold ? cold_targets[ti] : route_target);
                 if (test_client::status_of(response) != 200 ||
-                    test_client::body_of(response) != expected_route) {
-                    failures[t] = 4;
+                    test_client::body_of(response) !=
+                        (cold ? expected_cold[ti] : expected_route)) {
+                    failures[t] = cold ? 5 : 4;
                     return;
                 }
             }
