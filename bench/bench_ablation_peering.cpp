@@ -25,7 +25,7 @@ void print_figure(std::ostream& os) {
     os << "  peering  2-AS share  GI zero-frac  LI p50 (ms)  LI p90 (ms)  median RTT (ms)\n";
     for (double peering : {0.0, 0.2, 0.45, 0.72}) {
         const auto w = make_world(peering);
-        const auto inflation = analysis::compute_cdn_inflation(w.server_logs(), w.cdn_net());
+        const auto inflation = analysis::compute_cdn_inflation(w.server_log_table(), w.cdn_net());
         const int top_ring = w.cdn_net().ring_count() - 1;
         const auto& li = inflation.latency_by_ring[static_cast<std::size_t>(top_ring)];
 

@@ -36,7 +36,7 @@ void print_figure(std::ostream& os) {
         config.query_model.preference_uniform_mix = s.uniform_mix;
         const core::world w{std::move(config)};
         const auto inflation = analysis::compute_root_inflation(
-            w.filtered(), w.roots(), w.geodb(), w.cdn_user_counts());
+            w.filtered_tables(), w.roots(), w.geodb(), w.cdn_user_counts());
         const auto& li = inflation.latency_all_roots;
         os << "  " << s.name;
         for (std::size_t pad = s.name.size(); pad < 13; ++pad) os << ' ';

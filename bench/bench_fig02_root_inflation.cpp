@@ -20,7 +20,7 @@ using namespace ac;
 
 const analysis::root_inflation_result& result() {
     static const analysis::root_inflation_result r = analysis::compute_root_inflation(
-        bench::world_2018().filtered(), bench::world_2018().roots(),
+        bench::world_2018().filtered_tables(), bench::world_2018().roots(),
         bench::world_2018().geodb(), bench::world_2018().cdn_user_counts());
     return r;
 }
@@ -63,7 +63,7 @@ void print_figure(std::ostream& os) {
 void BM_ComputeRootInflation(benchmark::State& state) {
     const auto& w = bench::world_2018();
     for (auto _ : state) {
-        auto r = analysis::compute_root_inflation(w.filtered(), w.roots(), w.geodb(),
+        auto r = analysis::compute_root_inflation(w.filtered_tables(), w.roots(), w.geodb(),
                                                   w.cdn_user_counts());
         benchmark::DoNotOptimize(r);
     }

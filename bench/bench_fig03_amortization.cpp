@@ -14,7 +14,7 @@ using namespace ac;
 
 const analysis::amortization_result& result() {
     static const analysis::amortization_result r = analysis::compute_amortization(
-        bench::world_2018().filtered(), bench::world_2018().users(),
+        bench::world_2018().filtered_tables(), bench::world_2018().users(),
         bench::world_2018().cdn_user_counts(), bench::world_2018().apnic_user_counts(),
         bench::world_2018().as_mapper(), bench::world_2018().config().query_model);
     return r;
@@ -47,7 +47,7 @@ void print_figure(std::ostream& os) {
 void BM_ComputeAmortization(benchmark::State& state) {
     const auto& w = bench::world_2018();
     for (auto _ : state) {
-        auto r = analysis::compute_amortization(w.filtered(), w.users(), w.cdn_user_counts(),
+        auto r = analysis::compute_amortization(w.filtered_tables(), w.users(), w.cdn_user_counts(),
                                                 w.apnic_user_counts(), w.as_mapper(),
                                                 w.config().query_model);
         benchmark::DoNotOptimize(r);

@@ -22,8 +22,8 @@ struct figure5 {
 const figure5& result() {
     static const figure5 r = [] {
         const auto& w = bench::world_2018();
-        figure5 f{analysis::compute_cdn_inflation(w.server_logs(), w.cdn_net()),
-                  analysis::compute_root_inflation(w.filtered(), w.roots(), w.geodb(),
+        figure5 f{analysis::compute_cdn_inflation(w.server_log_table(), w.cdn_net()),
+                  analysis::compute_root_inflation(w.filtered_tables(), w.roots(), w.geodb(),
                                                    w.cdn_user_counts())};
         return f;
     }();
@@ -74,7 +74,7 @@ void print_figure(std::ostream& os) {
 void BM_ComputeCdnInflation(benchmark::State& state) {
     const auto& w = bench::world_2018();
     for (auto _ : state) {
-        auto r = analysis::compute_cdn_inflation(w.server_logs(), w.cdn_net());
+        auto r = analysis::compute_cdn_inflation(w.server_log_table(), w.cdn_net());
         benchmark::DoNotOptimize(r);
     }
 }

@@ -22,8 +22,8 @@ void print_figure(std::ostream& os) {
 
     // Efficiency comes from the Fig. 2a / Fig. 5a y-intercepts.
     const auto root_inflation = analysis::compute_root_inflation(
-        w.filtered(), w.roots(), w.geodb(), w.cdn_user_counts());
-    const auto cdn_inflation = analysis::compute_cdn_inflation(w.server_logs(), w.cdn_net());
+        w.filtered_tables(), w.roots(), w.geodb(), w.cdn_user_counts());
+    const auto cdn_inflation = analysis::compute_cdn_inflation(w.server_log_table(), w.cdn_net());
 
     os << "=== Figure 7a: median latency and efficiency vs deployment size ===\n";
     os << "  deployment  sites  median-latency(ms)  efficiency(%users at closest)\n";

@@ -18,7 +18,7 @@ analysis::amortization_result amortize(bool filtered) {
         fo.drop_invalid_tld = false;
         fo.drop_ptr = false;
     }
-    const auto letters = capture::filter_all(w.ditl(), fo);
+    const auto letters = capture::to_tables(capture::filter_all(w.ditl(), fo));
     return analysis::compute_amortization(letters, w.users(), w.cdn_user_counts(),
                                           w.apnic_user_counts(), w.as_mapper(),
                                           w.config().query_model);

@@ -15,7 +15,7 @@ analysis::amortization_result amortize(bool by_slash24) {
     const auto& w = bench::world_2018();
     analysis::amortization_options opts;
     opts.join_by_slash24 = by_slash24;
-    return analysis::compute_amortization(w.filtered(), w.users(), w.cdn_user_counts(),
+    return analysis::compute_amortization(w.filtered_tables(), w.users(), w.cdn_user_counts(),
                                           w.apnic_user_counts(), w.as_mapper(),
                                           w.config().query_model, opts);
 }

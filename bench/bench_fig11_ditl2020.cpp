@@ -18,7 +18,7 @@ void print_figure(std::ostream& os) {
 
     os << "=== Figure 11a: daily queries per user, 2020 DITL ===\n";
     const auto amortized = analysis::compute_amortization(
-        w.filtered(), w.users(), w.cdn_user_counts(), w.apnic_user_counts(), w.as_mapper(),
+        w.filtered_tables(), w.users(), w.cdn_user_counts(), w.apnic_user_counts(), w.as_mapper(),
         w.config().query_model);
     os << "  CDN   median=" << strfmt::fixed(amortized.cdn.median(), 3)
        << "  p90=" << strfmt::fixed(amortized.cdn.quantile(0.9), 2) << "\n";
@@ -26,8 +26,8 @@ void print_figure(std::ostream& os) {
     os << "  Ideal median=" << strfmt::fixed(amortized.ideal.median(), 4) << "\n";
 
     os << "=== Figure 11b: geographic inflation per root query, 2020 DITL ===\n";
-    const auto inflation = analysis::compute_root_inflation(w.filtered(), w.roots(), w.geodb(),
-                                                            w.cdn_user_counts());
+    const auto inflation = analysis::compute_root_inflation(w.filtered_tables(), w.roots(),
+                                                            w.geodb(), w.cdn_user_counts());
     for (const auto& [letter, cdf] : inflation.geographic) {
         os << "  " << letter << " - " << w.roots().deployment_of(letter).global_site_count()
            << ": zero-frac=" << strfmt::fixed(cdf.fraction_leq(0.5), 3)
@@ -42,7 +42,7 @@ void print_figure(std::ostream& os) {
 void BM_Build2020Inflation(benchmark::State& state) {
     const auto& w = bench::world_2020();
     for (auto _ : state) {
-        auto r = analysis::compute_root_inflation(w.filtered(), w.roots(), w.geodb(),
+        auto r = analysis::compute_root_inflation(w.filtered_tables(), w.roots(), w.geodb(),
                                                   w.cdn_user_counts());
         benchmark::DoNotOptimize(r);
     }

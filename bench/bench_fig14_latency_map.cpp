@@ -18,23 +18,25 @@ void print_figure(std::ostream& os) {
     const int r110 = cdn.ring_count() - 1;
 
     // Per-<region,AS> medians to R110 from server-side logs.
+    const auto& logs = w.server_log_table();
     double max_latency = 1.0;
-    for (const auto& row : w.server_logs()) {
-        if (row.ring == r110) max_latency = std::max(max_latency, row.median_rtt_ms);
+    for (std::size_t i = 0; i < logs.rows(); ++i) {
+        if (logs.ring[i] == r110) max_latency = std::max(max_latency, logs.median_rtt_ms[i]);
     }
 
     os << "=== Figure 14: relative latency to R110 by continent ===\n";
     analysis::weighted_cdf by_continent[7];
     analysis::weighted_cdf near_users;  // <500 km from a front-end
     analysis::weighted_cdf far_users;   // >2000 km
-    for (const auto& row : w.server_logs()) {
-        if (row.ring != r110) continue;
-        const auto& region = w.regions().at(row.region);
-        const double relative = row.median_rtt_ms / max_latency;
-        by_continent[static_cast<int>(region.cont)].add(relative, row.users);
+    for (std::size_t i = 0; i < logs.rows(); ++i) {
+        if (logs.ring[i] != r110) continue;
+        const auto& region = w.regions().at(logs.region[i]);
+        const double median = logs.median_rtt_ms[i];
+        const double users = logs.users[i];
+        by_continent[static_cast<int>(region.cont)].add(median / max_latency, users);
         const double d = cdn.nearest_front_end_km(region.location, r110);
-        if (d < 500.0) near_users.add(row.median_rtt_ms, row.users);
-        if (d > 2000.0) far_users.add(row.median_rtt_ms, row.users);
+        if (d < 500.0) near_users.add(median, users);
+        if (d > 2000.0) far_users.add(median, users);
     }
     for (int c = 0; c < 7; ++c) {
         if (by_continent[c].empty()) continue;
@@ -53,9 +55,10 @@ void print_figure(std::ostream& os) {
 void BM_Fig14Aggregation(benchmark::State& state) {
     const auto& w = bench::world_2018();
     for (auto _ : state) {
+        const auto& logs = w.server_log_table();
         double total = 0.0;
-        for (const auto& row : w.server_logs()) {
-            if (row.ring == w.cdn_net().ring_count() - 1) total += row.median_rtt_ms;
+        for (std::size_t i = 0; i < logs.rows(); ++i) {
+            if (logs.ring[i] == w.cdn_net().ring_count() - 1) total += logs.median_rtt_ms[i];
         }
         benchmark::DoNotOptimize(total);
     }

@@ -12,7 +12,7 @@ using namespace ac;
 
 void print_figure(std::ostream& os) {
     const auto& w = bench::world_2018();
-    const auto overlap = analysis::compute_overlap(w.filtered(), w.cdn_user_counts());
+    const auto overlap = analysis::compute_overlap(w.filtered_tables(), w.cdn_user_counts());
 
     os << "=== Table 4: DITL ∩ CDN overlap (exact-IP join, /24 join) ===\n";
     auto pct = [](double v) { return strfmt::fixed(100.0 * v, 2) + "%"; };
@@ -29,7 +29,7 @@ void print_figure(std::ostream& os) {
 void BM_ComputeOverlap(benchmark::State& state) {
     const auto& w = bench::world_2018();
     for (auto _ : state) {
-        auto r = analysis::compute_overlap(w.filtered(), w.cdn_user_counts());
+        auto r = analysis::compute_overlap(w.filtered_tables(), w.cdn_user_counts());
         benchmark::DoNotOptimize(r);
     }
 }

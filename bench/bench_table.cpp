@@ -1,16 +1,13 @@
-// Encoded-column kernel baseline: what do compressed snapshot columns cost
-// to scan, and what do the encoding-aware fast paths buy back? Times
+// Columnar kernel baseline over small-world data. Times
 //
-//   * sequential scans (for_each sums) of plain vs encoded columns straight
-//     out of a small-world snapshot image,
-//   * group-by over a dictionary-encoded key column via the code-grouping
-//     fast path vs the span radix-sort path, and
-//   * the big DITL /24 join sort, single-threaded LSD vs radix-partitioned
-//     over the pool (identical permutation by construction),
+//   * a sequential sum over the per-letter DITL qpd columns, decoded once
+//     from a small-world snapshot image (the load-time decode is untimed),
+//   * group-by over the server-log ASN column (the span radix-sort path), and
+//   * the big DITL /24 join sort (serial LSD radix permutation),
 //
 // and exports an ac-bench-v1 BENCH_table.json gated by ci/check_bench.py.
 //
-//   bench_table [--threads N] [--repeat R] [--out FILE]
+//   bench_table [--repeat R] [--out FILE]
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -43,6 +40,10 @@ void time_into(bench::metric& samples, int repeat, const auto& fn) {
 /// pass so one sample is comfortably above timer resolution.
 constexpr int scan_loops = 50;
 
+/// The join key column is the small world's /24 keys tiled to at least this
+/// many rows, so one sort is long enough to time.
+constexpr std::size_t join_min_rows = std::size_t{1} << 16;
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -53,40 +54,33 @@ int main(int argc, char** argv) {
     config.threads = 1;
     const core::world w{std::move(config)};
 
-    std::cerr << "archiving + reopening (columns come back encoded)...\n";
+    std::cerr << "archiving + reopening (encoded columns decode on load)...\n";
     const auto bundle = snapshot::bundle::from_bytes(snapshot::encode_world(w));
 
-    // One encoded double column per DITL letter (delta-encoded qpd), plus
-    // its materialized plain twin.
-    std::vector<table::column<double>> encoded_qpd;
-    std::vector<std::vector<double>> plain_qpd;
+    // One qpd column per DITL letter (delta-encoded on disk).
+    std::vector<table::column<double>> qpd;
     const auto letter_count = bundle->scalar<std::uint32_t>("ditl/letter_count");
     for (std::uint32_t i = 0; i < letter_count; ++i) {
-        auto col = bundle->typed_column<double>("ditl/" + std::to_string(i) + "/rec/qpd");
-        plain_qpd.push_back(col.materialize());
-        encoded_qpd.push_back(std::move(col));
+        qpd.push_back(bundle->typed_column<double>("ditl/" + std::to_string(i) + "/rec/qpd"));
     }
 
-    // Dictionary-encoded key column (server ASNs) and its plain twin.
-    const auto asn_col = bundle->typed_column<std::uint32_t>("server/asn");
-    const auto asn_plain = asn_col.materialize();
+    // The server ASN key column (dictionary-encoded on disk).
+    const auto asn = bundle->typed_column<std::uint32_t>("server/asn");
 
-    // The DITL /24 join key column, concatenated across letters, then tiled
-    // past detail::parallel_sort_min_rows so the partitioned path engages
-    // (the small world alone sits just under the threshold).
+    // The DITL /24 join key column, concatenated across letters, then tiled.
     std::vector<std::uint32_t> base_keys;
     for (const auto& t : w.filtered_tables()) {
-        t.source_ip.for_each([&](std::uint32_t ip) { base_keys.push_back(ip >> 8); });
+        for (const std::uint32_t ip : t.source_ip.view()) base_keys.push_back(ip >> 8);
     }
     std::vector<std::uint32_t> s24;
-    while (s24.size() < 2 * table::detail::parallel_sort_min_rows) {
+    while (s24.size() < join_min_rows) {
         s24.insert(s24.end(), base_keys.begin(), base_keys.end());
     }
 
     bench::report report{"table", "small", args.repeat};
-    report.set_note("scan = for_each sum x" + std::to_string(scan_loops) +
-                    "; encoded columns decode straight out of the snapshot image; "
-                    "partitioned sort returns the exact serial permutation");
+    report.set_note("scan = sum x" + std::to_string(scan_loops) +
+                    " over columns decoded once from the snapshot image; "
+                    "join sort = serial LSD radix permutation");
     using bench::direction;
 
     std::cerr << "timing scans...\n";
@@ -94,19 +88,8 @@ int main(int argc, char** argv) {
     time_into(plain_scan, args.repeat, [&] {
         double total = 0.0;
         for (int loop = 0; loop < scan_loops; ++loop) {
-            for (const auto& values : plain_qpd) {
-                for (const double v : values) total += v;
-            }
-        }
-        g_sink = total;
-    });
-    auto& encoded_scan =
-        report.add_metric("scan.encoded_ms", "ms", direction::lower_is_better, 2.0);
-    time_into(encoded_scan, args.repeat, [&] {
-        double total = 0.0;
-        for (int loop = 0; loop < scan_loops; ++loop) {
-            for (const auto& col : encoded_qpd) {
-                col.for_each([&](double v) { total += v; });
+            for (const auto& col : qpd) {
+                for (const double v : col.view()) total += v;
             }
         }
         g_sink = total;
@@ -117,21 +100,12 @@ int main(int argc, char** argv) {
         report.add_metric("groupby.span_sort_ms", "ms", direction::lower_is_better, 2.0);
     time_into(span_groupby, args.repeat, [&] {
         for (int loop = 0; loop < scan_loops; ++loop) {
-            const auto g = table::make_grouping(std::span<const std::uint32_t>{asn_plain});
-            g_sink = static_cast<double>(g.groups());
-        }
-    });
-    auto& dict_groupby =
-        report.add_metric("groupby.dict_codes_ms", "ms", direction::lower_is_better, 2.0);
-    time_into(dict_groupby, args.repeat, [&] {
-        for (int loop = 0; loop < scan_loops; ++loop) {
-            const auto g = table::make_grouping(asn_col);
+            const auto g = table::make_grouping(asn.view());
             g_sink = static_cast<double>(g.groups());
         }
     });
 
-    std::cerr << "timing join sort over " << s24.size() << " keys (serial vs "
-              << args.threads << " threads)...\n";
+    std::cerr << "timing join sort over " << s24.size() << " keys...\n";
     auto& serial_sort =
         report.add_metric("join.serial_sort_ms", "ms", direction::lower_is_better, 2.0);
     time_into(serial_sort, args.repeat, [&] {
@@ -140,23 +114,9 @@ int main(int argc, char** argv) {
             g_sink = static_cast<double>(perm.size());
         }
     });
-    engine::thread_pool pool{args.threads};
-    auto& partitioned_sort = report.add_metric("join.partitioned_sort_ms", "ms",
-                                               direction::lower_is_better, 2.0);
-    time_into(partitioned_sort, args.repeat, [&] {
-        for (int loop = 0; loop < scan_loops; ++loop) {
-            const auto perm = table::sort_permutation(std::span<const std::uint32_t>{s24}, &pool);
-            g_sink = static_cast<double>(perm.size());
-        }
-    });
-
-    report.add_scalar("groupby.dict_speedup", "x", direction::higher_is_better, 0.6,
-                      span_groupby.median() / dict_groupby.median());
-    report.add_scalar("join.partitioned_speedup", "x", direction::higher_is_better, 0.6,
-                      serial_sort.median() / partitioned_sort.median());
 
     std::ostringstream info;
-    info << "{\"join_rows\": " << s24.size() << ", \"threads\": " << args.threads << "}";
+    info << "{\"join_rows\": " << s24.size() << "}";
     report.add_details("workload", info.str());
     return report.write_file_and_stdout(args.out_path);
 }

@@ -146,6 +146,17 @@ if [[ ${run_tier1} -eq 1 ]]; then
     cmp "${rt}/medium_t1.acx" "${rt}/medium_t4.acx"
     echo "verify: snapshot bytes identical at 1 vs 4 threads (small, medium)"
 
+    # Live-vs-snapshot figures at medium, where dict, rle, delta and xref
+    # sections all appear: every encoded column decodes on load and must
+    # reproduce the live figure bytes.
+    ./build/tools/acctx report --scale medium --threads 4 --out "${rt}/medium_live"
+    ./build/tools/acctx report --from-snapshot "${rt}/medium_t1.acx" --out "${rt}/medium_snap"
+    for f in "${rt}/medium_live"/*.csv; do
+        cmp "${f}" "${rt}/medium_snap/$(basename "${f}")"
+    done
+    echo "verify: medium snapshot round trip OK" \
+         "($(ls "${rt}/medium_live" | wc -l) figure files identical)"
+
     # Scenario replay over every letter: withdraw, drain, prepend, announce,
     # restore and outage reattach, append and re-key shared route rows; the
     # step CSV (including ases_touched and cache_invalidated) must not

@@ -52,7 +52,7 @@ int main() {
     }
 
     // Aggregate: the ring-size experiment of Fig. 4/5 in two lines.
-    const auto inflation = analysis::compute_cdn_inflation(w.server_logs(), cdn);
+    const auto inflation = analysis::compute_cdn_inflation(w.server_log_table(), cdn);
     std::cout << "Across all users:\n";
     for (int ring = 0; ring < cdn.ring_count(); ++ring) {
         std::cout << "  " << cdn.ring_name(ring) << ": "

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
               << "B root queries/day\n\n";
 
     // --- §3: routes to the root DNS are inflated. ---
-    const auto inflation = analysis::compute_root_inflation(w.filtered(), w.roots(),
+    const auto inflation = analysis::compute_root_inflation(w.filtered_tables(), w.roots(),
                                                             w.geodb(), w.cdn_user_counts());
     std::cout << "Geographic inflation per root query (per letter):\n";
     for (const auto& [letter, cdf] : inflation.geographic) {
@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
 
     // --- §4: ...but nobody is waiting. ---
     const auto amortized = analysis::compute_amortization(
-        w.filtered(), w.users(), w.cdn_user_counts(), w.apnic_user_counts(), w.as_mapper(),
+        w.filtered_tables(), w.users(), w.cdn_user_counts(), w.apnic_user_counts(), w.as_mapper(),
         w.config().query_model);
     std::cout << "Queries per user per day (amortized over user populations):\n";
     std::cout << "  CDN user counts:   median "

@@ -62,18 +62,17 @@ std::vector<slash24_inflation> letter_inflation_slices(const capture::letter_tab
         bool has_gi = false;
     };
 
-    // Median TCP RTT per packed (source /24 key << 32) | site. The
-    // column constructor scans encoded snapshot columns directly.
+    // Median TCP RTT per packed (source /24 key << 32) | site.
     table::sorted_lookup<std::uint64_t, double> tcp_median;
     if (include_latency) {
-        tcp_median = table::sorted_lookup<std::uint64_t, double>(letter.tcp_key,
-                                                                 letter.tcp_median_rtt_ms);
+        tcp_median = table::sorted_lookup<std::uint64_t, double>(
+            letter.tcp_key.view(), letter.tcp_median_rtt_ms.view());
     }
 
     table::column<std::uint32_t> s24;
     s24.reserve(letter.rows());
-    letter.source_ip.for_each([&](std::uint32_t ip) { s24.push_back(ip >> 8); });
-    const auto grouping = table::make_grouping(s24.view(), pool);
+    for (const std::uint32_t ip : letter.source_ip.view()) s24.push_back(ip >> 8);
+    const auto grouping = table::make_grouping(s24.view());
 
     const auto slices = table::group_reduce<slash24_slice>(
         pool, grouping,
@@ -194,16 +193,6 @@ root_inflation_result compute_root_inflation(std::span<const capture::letter_tab
     return result;
 }
 
-root_inflation_result compute_root_inflation(std::span<const capture::filtered_letter> letters,
-                                             const dns::root_system& roots,
-                                             const topo::geo_database& geodb,
-                                             const pop::cdn_user_counts& users,
-                                             const root_inflation_options& options,
-                                             engine::thread_pool* pool) {
-    return compute_root_inflation(capture::to_tables(letters), roots, geodb, users, options,
-                                  pool);
-}
-
 double cdn_inflation_result::efficiency(int ring) const {
     const auto& cdf = geographic_by_ring.at(static_cast<std::size_t>(ring));
     return cdf.empty() ? 0.0 : cdf.fraction_leq(zero_inflation_epsilon_ms);
@@ -228,11 +217,6 @@ cdn_inflation_result compute_cdn_inflation(const cdn::server_log_table& logs,
         result.latency_by_ring[ring].add(li_ms, logs.users[i]);
     }
     return result;
-}
-
-cdn_inflation_result compute_cdn_inflation(std::span<const cdn::server_log_row> logs,
-                                           const cdn::cdn_network& cdn) {
-    return compute_cdn_inflation(cdn::to_table(logs), cdn);
 }
 
 } // namespace ac::analysis

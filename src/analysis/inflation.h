@@ -14,8 +14,8 @@
 // Both metrics run on the shared columnar kernels (src/table/): records are
 // grouped by source /24 through a stable sort, so /24s are visited in
 // ascending key order and every floating-point accumulation order is a pure
-// function of the input rows. The columnar forms are the primary
-// implementations; the row-oriented overloads convert and delegate.
+// function of the input rows. Both metrics take only the columnar forms
+// the world keeps (`capture::letter_table`, `cdn::server_log_table`).
 #pragma once
 
 #include <cstdint>
@@ -90,12 +90,6 @@ struct slash24_inflation {
     const topo::geo_database& geodb, const pop::cdn_user_counts& users,
     const root_inflation_options& options = {}, engine::thread_pool* pool = nullptr);
 
-/// Row-oriented shim: converts to columns and delegates.
-[[nodiscard]] root_inflation_result compute_root_inflation(
-    std::span<const capture::filtered_letter> letters, const dns::root_system& roots,
-    const topo::geo_database& geodb, const pop::cdn_user_counts& users,
-    const root_inflation_options& options = {}, engine::thread_pool* pool = nullptr);
-
 struct cdn_inflation_result {
     std::vector<weighted_cdf> geographic_by_ring;  // indexed by ring
     std::vector<weighted_cdf> latency_by_ring;
@@ -107,10 +101,6 @@ struct cdn_inflation_result {
 /// <region, AS> location sit at the location's mean position (§6).
 [[nodiscard]] cdn_inflation_result compute_cdn_inflation(const cdn::server_log_table& logs,
                                                          const cdn::cdn_network& cdn);
-
-/// Row-oriented shim: converts to columns and delegates.
-[[nodiscard]] cdn_inflation_result compute_cdn_inflation(
-    std::span<const cdn::server_log_row> logs, const cdn::cdn_network& cdn);
 
 /// Zero-inflation tolerance: distances within this round-trip budget of the
 /// optimum count as uninflated (sub-ms wobble is measurement noise).

@@ -18,7 +18,7 @@ struct keyed_volumes {
 };
 
 keyed_volumes volumes_by_key(std::span<const capture::letter_table> letters,
-                             bool by_slash24, engine::thread_pool* pool) {
+                             bool by_slash24) {
     std::size_t rows = 0;
     for (const auto& letter : letters) rows += letter.rows();
 
@@ -27,15 +27,13 @@ keyed_volumes volumes_by_key(std::span<const capture::letter_table> letters,
     keys.reserve(rows);
     qpd.reserve(rows);
     for (const auto& letter : letters) {
-        // Sequential decode of the (possibly encoded) per-letter columns;
-        // the concatenated key column then sorts radix-partitioned on the
-        // pool.
-        letter.source_ip.for_each(
-            [&](std::uint32_t ip) { keys.push_back(by_slash24 ? ip >> 8 : ip); });
-        letter.queries_per_day.for_each([&](double q) { qpd.push_back(q); });
+        for (const std::uint32_t ip : letter.source_ip.view()) {
+            keys.push_back(by_slash24 ? ip >> 8 : ip);
+        }
+        for (const double q : letter.queries_per_day.view()) qpd.push_back(q);
     }
 
-    auto grouping = table::make_grouping(keys.view(), pool);
+    auto grouping = table::make_grouping(keys.view());
     keyed_volumes out;
     out.volumes = table::sum_by(grouping, qpd.view());
     out.keys = std::move(grouping.keys);
@@ -67,9 +65,8 @@ keyed_volumes cdn_universe(const pop::cdn_user_counts& cdn_users, bool by_slash2
 
 } // namespace
 
-slash24_volumes ditl_volumes_by_slash24(std::span<const capture::letter_table> letters,
-                                        engine::thread_pool* pool) {
-    auto keyed = volumes_by_key(letters, /*by_slash24=*/true, pool);
+slash24_volumes ditl_volumes_by_slash24(std::span<const capture::letter_table> letters) {
+    auto keyed = volumes_by_key(letters, /*by_slash24=*/true);
     slash24_volumes out;
     out.keys = std::move(keyed.keys);
     out.volumes = std::move(keyed.volumes);
@@ -83,9 +80,9 @@ amortization_result compute_amortization(std::span<const capture::letter_table> 
                                          const topo::ip_to_asn& as_mapper,
                                          const dns::query_model_options& model_options,
                                          const amortization_options& options,
-                                         engine::thread_pool* pool) {
+                                         engine::thread_pool* /*pool*/) {
     amortization_result result;
-    const auto volumes = volumes_by_key(letters, options.join_by_slash24, pool);
+    const auto volumes = volumes_by_key(letters, options.join_by_slash24);
 
     double total_volume = 0.0;
     double attributed_volume = 0.0;
@@ -119,7 +116,7 @@ amortization_result compute_amortization(std::span<const capture::letter_table> 
         }
     }
 
-    const auto as_grouping = table::make_grouping(as_keys.view(), pool);
+    const auto as_grouping = table::make_grouping(as_keys.view());
     const auto volume_by_as = table::sum_by(as_grouping, as_volume_rows.view());
     for (std::size_t g = 0; g < as_grouping.groups(); ++g) {
         const auto users = apnic_users.count(as_grouping.keys[g]);
@@ -143,25 +140,12 @@ amortization_result compute_amortization(std::span<const capture::letter_table> 
     return result;
 }
 
-amortization_result compute_amortization(std::span<const capture::filtered_letter> letters,
-                                         const pop::user_base& base,
-                                         const pop::cdn_user_counts& cdn_users,
-                                         const pop::apnic_user_counts& apnic_users,
-                                         const topo::ip_to_asn& as_mapper,
-                                         const dns::query_model_options& model_options,
-                                         const amortization_options& options,
-                                         engine::thread_pool* pool) {
-    return compute_amortization(capture::to_tables(letters), base, cdn_users, apnic_users,
-                                as_mapper, model_options, options, pool);
-}
-
 overlap_comparison compute_overlap(std::span<const capture::letter_table> letters,
-                                   const pop::cdn_user_counts& cdn_users,
-                                   engine::thread_pool* pool) {
+                                   const pop::cdn_user_counts& cdn_users) {
     overlap_comparison comparison;
 
     for (const bool by_slash24 : {false, true}) {
-        const auto ditl = volumes_by_key(letters, by_slash24, pool);
+        const auto ditl = volumes_by_key(letters, by_slash24);
         const auto cdn = cdn_universe(cdn_users, by_slash24);
 
         // One merge pass over the two sorted key columns.
@@ -208,12 +192,6 @@ overlap_comparison compute_overlap(std::span<const capture::letter_table> letter
         (by_slash24 ? comparison.by_slash24 : comparison.by_ip) = stats;
     }
     return comparison;
-}
-
-overlap_comparison compute_overlap(std::span<const capture::filtered_letter> letters,
-                                   const pop::cdn_user_counts& cdn_users,
-                                   engine::thread_pool* pool) {
-    return compute_overlap(capture::to_tables(letters), cdn_users, pool);
 }
 
 favorite_site_result compute_favorite_site(std::span<const capture::letter_table> captures,

@@ -10,8 +10,9 @@
 // All aggregation runs on the shared columnar kernels (src/table/): volumes
 // are grouped by sorted key, so every result is deterministic by
 // construction — iteration order is ascending key order, never hash order.
-// Each function has a columnar form (the primary implementation, fed
-// `capture::letter_table` views) and a row-oriented shim that converts.
+// Every function takes the columnar `capture::letter_table` form the world
+// keeps; only compute_favorite_site also accepts raw captures, whose callers
+// have no table form.
 #pragma once
 
 #include <cstdint>
@@ -47,19 +48,10 @@ struct amortization_result {
 };
 
 /// Builds Fig. 3 (or Fig. 8 when fed unfiltered captures, or Fig. 9 with
-/// join_by_slash24=false). Columnar form. The big DITL∩CDN key sort runs
-/// radix-partitioned over `pool` when one is given (null = serial); the
-/// partitioned sort yields the exact serial permutation, so results are
-/// identical at any thread count.
+/// join_by_slash24=false). The DITL∩CDN key sort is serial; `pool` is
+/// accepted so existing callers keep compiling and is not used.
 [[nodiscard]] amortization_result compute_amortization(
     std::span<const capture::letter_table> letters, const pop::user_base& base,
-    const pop::cdn_user_counts& cdn_users, const pop::apnic_user_counts& apnic_users,
-    const topo::ip_to_asn& as_mapper, const dns::query_model_options& model_options,
-    const amortization_options& options = {}, engine::thread_pool* pool = nullptr);
-
-/// Row-oriented shim: converts to columns and delegates.
-[[nodiscard]] amortization_result compute_amortization(
-    std::span<const capture::filtered_letter> letters, const pop::user_base& base,
     const pop::cdn_user_counts& cdn_users, const pop::apnic_user_counts& apnic_users,
     const topo::ip_to_asn& as_mapper, const dns::query_model_options& model_options,
     const amortization_options& options = {}, engine::thread_pool* pool = nullptr);
@@ -75,11 +67,9 @@ struct slash24_volumes {
     [[nodiscard]] std::size_t size() const noexcept { return keys.size(); }
 };
 
-/// The /24-keyed DITL volume aggregation. The concatenated key sort runs
-/// radix-partitioned over `pool` when given (null = serial); results are
-/// identical at any thread count.
+/// The /24-keyed DITL volume aggregation.
 [[nodiscard]] slash24_volumes ditl_volumes_by_slash24(
-    std::span<const capture::letter_table> letters, engine::thread_pool* pool = nullptr);
+    std::span<const capture::letter_table> letters);
 
 /// Table 4: how much of each dataset the other covers, with and without the
 /// /24 aggregation.
@@ -95,16 +85,9 @@ struct overlap_comparison {
     overlap_stats by_slash24;  // /24 join
 };
 
-/// Columnar form: both universes are sorted key columns merged in one pass.
-/// The DITL key sort runs radix-partitioned over `pool` when given.
+/// Both universes are sorted key columns merged in one pass.
 [[nodiscard]] overlap_comparison compute_overlap(
-    std::span<const capture::letter_table> letters, const pop::cdn_user_counts& cdn_users,
-    engine::thread_pool* pool = nullptr);
-
-/// Row-oriented shim: converts to columns and delegates.
-[[nodiscard]] overlap_comparison compute_overlap(
-    std::span<const capture::filtered_letter> letters, const pop::cdn_user_counts& cdn_users,
-    engine::thread_pool* pool = nullptr);
+    std::span<const capture::letter_table> letters, const pop::cdn_user_counts& cdn_users);
 
 /// Fig. 10 / Eq. 3: for each /24 with more than one active source IP, the
 /// fraction of its queries that do not reach its most popular ("favorite")
@@ -118,7 +101,8 @@ struct favorite_site_result {
 [[nodiscard]] favorite_site_result compute_favorite_site(
     std::span<const capture::letter_table> captures, engine::thread_pool* pool = nullptr);
 
-/// Row-oriented shim: converts to columns and delegates.
+/// Raw-capture form (Fig. 10 reads unfiltered captures): converts each
+/// capture to a table and delegates.
 [[nodiscard]] favorite_site_result compute_favorite_site(
     std::span<const capture::letter_capture> captures, engine::thread_pool* pool = nullptr);
 

@@ -32,7 +32,7 @@ point_query_index point_query_index::build(std::span<const capture::letter_table
 
     // Amortized points: the Fig. 3 CDN-line join, keyed instead of
     // accumulated into a CDF. Same volume aggregation, same quotient.
-    const auto volumes = ditl_volumes_by_slash24(letters, pool);
+    const auto volumes = ditl_volumes_by_slash24(letters);
     index.slash24_keys_.reserve(volumes.size());
     index.amortized_.reserve(volumes.size());
     for (std::size_t i = 0; i < volumes.size(); ++i) {
@@ -70,7 +70,7 @@ point_query_index point_query_index::build(std::span<const capture::letter_table
         }
     }
 
-    const auto grouping = table::make_grouping(rows.key.view(), pool);
+    const auto grouping = table::make_grouping(rows.key.view());
     const auto gi_sums = table::sum_by(grouping, rows.gi_weighted.view());
     const auto vol_sums = table::sum_by(grouping, rows.volume.view());
     const auto li_sums = table::sum_by(grouping, rows.li_weighted.view());
@@ -101,7 +101,7 @@ point_query_index point_query_index::build(std::span<const capture::letter_table
         }
     }
 
-    const auto as_grouping = table::make_grouping(as_keys.view(), pool);
+    const auto as_grouping = table::make_grouping(as_keys.view());
     const auto gi_by_as = table::sum_by(as_grouping, as_gi.view());
     const auto w_by_as = table::sum_by(as_grouping, as_w.view());
     const auto li_by_as = table::sum_by(as_grouping, as_li.view());

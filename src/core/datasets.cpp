@@ -19,9 +19,7 @@ std::size_t distinct_ases_in_ditl(const world& w) {
 }
 
 std::size_t distinct_ases_in_logs(const world& w) {
-    // The column overload scans encoded snapshot columns directly (dict
-    // columns skip the sort entirely).
-    return table::distinct_count(w.server_log_table().asn);
+    return table::distinct_count(w.server_log_table().asn.view());
 }
 
 } // namespace
@@ -34,8 +32,9 @@ std::vector<dataset_entry> dataset_registry(const world& w) {
         e.name = "Sampled CDN Server-Side Logs";
         e.sections = "§6";
         double samples = 0.0;
-        w.server_log_table().sample_count.for_each(
-            [&](std::int64_t count) { samples += static_cast<double>(count); });
+        for (const std::int64_t count : w.server_log_table().sample_count.view()) {
+            samples += static_cast<double>(count);
+        }
         e.measurements = samples;
         e.duration = "1 week";
         e.year = 2019;

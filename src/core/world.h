@@ -84,7 +84,6 @@ struct world_config {
 struct world_datasets {
     capture::ditl_dataset ditl;
     std::vector<capture::letter_table> filtered_tables;
-    std::vector<cdn::server_log_row> server_logs;
     cdn::server_log_table server_log_table;
     std::vector<cdn::client_measurement_row> client_rows;
     std::vector<pop::cdn_user_counts::entry> cdn_count_blocks;
@@ -139,19 +138,14 @@ public:
         return profiles_;
     }
     [[nodiscard]] const capture::ditl_dataset& ditl() const noexcept { return ditl_; }
-    [[nodiscard]] const std::vector<capture::filtered_letter>& filtered() const noexcept {
-        return filtered_;
-    }
-    /// Columnar view of the filtered captures, built once at construction;
-    /// the analysis kernels consume these instead of re-converting rows.
+    /// The filtered captures (§2.1 filters applied to `ditl()`), one table
+    /// per letter. Tables are the world's only form of this dataset; a
+    /// caller that needs filter rows runs `capture::filter_all(ditl())`.
     [[nodiscard]] std::span<const capture::letter_table> filtered_tables() const noexcept {
         return filtered_tables_;
     }
     [[nodiscard]] const cdn::cdn_network& cdn_net() const noexcept { return *cdn_; }
-    [[nodiscard]] const std::vector<cdn::server_log_row>& server_logs() const noexcept {
-        return server_logs_;
-    }
-    /// Columnar view of the server-side logs, built once at construction.
+    /// The CDN's server-side logs, as the world's only (columnar) form.
     [[nodiscard]] const cdn::server_log_table& server_log_table() const noexcept {
         return server_log_table_;
     }
@@ -189,9 +183,7 @@ private:
     std::unique_ptr<dns::root_zone> zone_;
     std::vector<dns::recursive_query_profile> profiles_;
     capture::ditl_dataset ditl_;
-    std::vector<capture::filtered_letter> filtered_;
     std::vector<capture::letter_table> filtered_tables_;
-    std::vector<cdn::server_log_row> server_logs_;
     cdn::server_log_table server_log_table_;
     std::vector<cdn::client_measurement_row> client_rows_;
     std::unique_ptr<atlas::probe_fleet> fleet_;

@@ -23,10 +23,9 @@ void set_front_end_conn_gauges(std::span<const double> conn_by_front_end) {
     }
 }
 
-void publish_front_end_conn_gauges(const cdn::server_log_table& logs,
-                                   engine::thread_pool* pool) {
+void publish_front_end_conn_gauges(const cdn::server_log_table& logs) {
     if (logs.rows() == 0) return;
-    const auto grouping = table::make_grouping(logs.front_end, pool);
+    const auto grouping = table::make_grouping(logs.front_end.view());
     std::vector<double> conn(logs.rows());
     for (std::size_t i = 0; i < logs.rows(); ++i) {
         conn[i] = static_cast<double>(logs.sample_count[i]);

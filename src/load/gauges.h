@@ -14,7 +14,6 @@
 #include <string_view>
 
 #include "src/cdn/telemetry.h"
-#include "src/engine/thread_pool.h"
 
 namespace ac::load {
 
@@ -28,7 +27,6 @@ void set_front_end_conn_gauges(std::span<const double> conn_by_front_end);
 /// (group-by front_end, sum of sample_count) and publishes them as the
 /// front-end gauges. This is the serve-path entry: a snapshot that carries
 /// telemetry surfaces the same gauges a live `acctx load` run would.
-void publish_front_end_conn_gauges(const cdn::server_log_table& logs,
-                                   engine::thread_pool* pool = nullptr);
+void publish_front_end_conn_gauges(const cdn::server_log_table& logs);
 
 } // namespace ac::load

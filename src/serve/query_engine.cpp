@@ -90,7 +90,7 @@ void query_engine::build_indexes() {
     // Surface the snapshot's load profile in /metricsz: when the archive
     // carries server-side telemetry, per-front-end connection totals appear
     // under the same gauge names a live `acctx load` run publishes.
-    load::publish_front_end_conn_gauges(world_->server_log_table(), pool);
+    load::publish_front_end_conn_gauges(world_->server_log_table());
 }
 
 void query_engine::inflation_json(std::span<const topo::asn_t> asns, std::string& out) const {

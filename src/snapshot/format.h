@@ -6,13 +6,12 @@
 // reader hands out `table::column<T>` spans pointing straight into an mmap
 // of the file; a v2 payload may instead be *encoded* (dictionary, RLE,
 // frame-of-reference delta, or a cross-reference into another section — see
-// src/table/encoding.h), in which case the reader hands out an encoded
-// `table::column<T>` whose view still points straight into the mmap and
-// decodes on scan, never on load. Every section carries an XXH64 checksum
-// over its payload, and the header carries one over the whole file
-// (checksum field excluded), so a flipped byte anywhere — header, table,
-// names, payload or padding — fails verification with a typed error instead
-// of undefined behaviour.
+// src/table/encoding.h), in which case the reader validates it on open and
+// decodes it once, on load, into an owning `table::column<T>`. Every
+// section carries an XXH64 checksum over its payload, and the header
+// carries one over the whole file (checksum field excluded), so a flipped
+// byte anywhere — header, table, names, payload or padding — fails
+// verification with a typed error instead of undefined behaviour.
 //
 //   [0,  8)  magic "ACXSNAP1"
 //   [8, 12)  u32 format version (readers reject newer versions; v1 files

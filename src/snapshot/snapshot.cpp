@@ -455,8 +455,8 @@ void bundle::parse_and_verify() {
         }
 
         // Parse + fully validate the encoding (bounds, widths, code/index
-        // ranges) so scans can decode without further checks. Nothing is
-        // decoded here — the view's pointers alias the payload bytes.
+        // ranges) so typed_column can decode without further checks. Nothing
+        // is decoded here — the view's pointers alias the payload bytes.
         const std::span<const std::byte> payload{data_ + payload_offset, payload_bytes};
         table::enc::any_view view;
         std::string encoding_error;
@@ -473,11 +473,8 @@ void bundle::parse_and_verify() {
             }
             encoding_error =
                 table::enc::parse_xref(payload, elem_size, views_[xref_source].self, view);
-            view.encoded_bytes = payload_bytes + sections_[xref_source].payload_bytes;
         } else {
             encoding_error = table::enc::parse_view(encoding, payload, elem_size, view.self);
-            view.origin = payload.data();
-            view.encoded_bytes = payload_bytes;
         }
         if (!encoding_error.empty()) {
             throw snapshot_error(errc::bad_encoding, "section '" + std::string{info.name} +

@@ -13,15 +13,16 @@
 // The reader (`bundle`) has two modes:
 //   - owned:  reads the whole file into an aligned heap buffer — portable,
 //             and the buffer's lifetime is the bundle's.
-//   - mapped: mmaps the file read-only; column accessors return spans (or
-//             encoded views) into the mapping, so nothing is deserialized
-//             (falls back to owned on platforms without mmap).
+//   - mapped: mmaps the file read-only; plain column accessors return
+//             spans into the mapping, so nothing is deserialized (falls back
+//             to owned on platforms without mmap).
 // Both modes verify the file checksum, every section checksum, and every
 // encoding header (bounds, widths, code/index ranges) on open; all
 // structural failures throw snapshot_error (format.h) — never UB. Encoded
-// sections are *validated* on open but never decoded: `typed_column`
-// returns a `table::column<T>` whose encoded view points straight into the
-// bundle's bytes and decodes on scan.
+// sections are validated on open and decoded once, when `typed_column` is
+// asked for them, into an owning `table::column<T>`; plain sections come
+// back borrowed, zero-copy. Either way a column is contiguous, so the
+// analysis kernels have one code path.
 //
 // Bundles are immutable once opened and are created behind shared_ptr so
 // borrowed columns (and worlds hydrated from them) can keep the backing
@@ -39,8 +40,10 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/snapshot/format.h"
 #include "src/table/column.h"
+#include "src/table/encoding.h"
 
 namespace ac::snapshot {
 
@@ -188,7 +191,8 @@ public:
 
     /// Typed zero-copy span of one *plain* section. Throws
     /// errc::section_missing, errc::type_mismatch (also for encoded
-    /// sections, which have no contiguous values — use `typed_column`).
+    /// sections, which have no contiguous values — `typed_column` decodes
+    /// them).
     template <typename T>
     [[nodiscard]] std::span<const T> column(std::string_view name) const {
         const auto& s = section(name);
@@ -201,15 +205,15 @@ public:
         if (s.encoding != table::enc::encoding::plain) {
             throw snapshot_error(errc::type_mismatch,
                                  "section '" + std::string{name} +
-                                     "' is encoded; use typed_column() to scan it");
+                                     "' is encoded; use typed_column() to decode it");
         }
         return {reinterpret_cast<const T*>(data_ + s.payload_offset),
                 s.payload_bytes / sizeof(T)};
     }
 
-    /// Typed zero-copy column over one section in any encoding: plain
-    /// sections come back borrowed, encoded sections come back as
-    /// decode-on-scan views — both point straight into the bundle's bytes.
+    /// Typed column over one section in any encoding: a plain section comes
+    /// back borrowed (a span into the bundle's bytes), an encoded section is
+    /// decoded here, once, into an owning column.
     template <typename T>
     [[nodiscard]] table::column<T> typed_column(std::string_view name) const {
         const std::size_t i = section_index(name);
@@ -225,7 +229,9 @@ public:
                 {reinterpret_cast<const T*>(data_ + s.payload_offset),
                  s.payload_bytes / sizeof(T)});
         }
-        return table::column<T>::encoded(views_[i]);
+        obs::span decode_span{"snapshot/decode"};
+        decode_span.set_items(s.rows);
+        return table::column<T>(views_[i].template decode<T>());
     }
 
     /// Raw bytes of one section (for packed record sections).
@@ -254,7 +260,7 @@ private:
     bool mapped_region_ = false;  // data_ came from mmap (munmap on destroy)
     std::uint32_t version_ = format_version;
     std::vector<section_info> sections_;
-    std::vector<table::enc::any_view> views_;  // parsed per-section views
+    std::vector<table::enc::any_view> views_;  // validated per-section views
 };
 
 } // namespace ac::snapshot

@@ -286,20 +286,6 @@ void decode_letter_spec_flags(byte_source& s, dns::letter_spec& spec) {
     spec.complete = s.u8() != 0;
 }
 
-/// Adds a column section in whatever way fits the column's storage state:
-/// plain/borrowed columns hand their span straight to the writer, encoded
-/// columns (a re-encode of a hydrated world) decode into a scratch vector
-/// first. Encoding choice is downstream and deterministic either way.
-template <typename T>
-void add_encoded_column_from(writer& w, std::string name, const table::column<T>& c) {
-    if (c.is_encoded()) {
-        const auto values = c.materialize();
-        w.add_column_encoded<T>(std::move(name), values);
-    } else {
-        w.add_column_encoded<T>(std::move(name), c.view());
-    }
-}
-
 [[nodiscard]] std::uint64_t f64_bits(double v) {
     std::uint64_t b;
     std::memcpy(&b, &v, sizeof b);
@@ -474,18 +460,16 @@ void add_letter_table_sections(writer& w, std::size_t i, const capture::letter_t
         w.add_column_xref<double>(sec("tables", i, "qpd"), sec("ditl", i, "rec/qpd"),
                                   indices);
     } else {
-        add_encoded_column_from(w, sec("tables", i, "source_ip"), t.source_ip);
-        add_encoded_column_from(w, sec("tables", i, "site"), t.site);
+        w.add_column_encoded(sec("tables", i, "source_ip"), t.source_ip.view());
+        w.add_column_encoded(sec("tables", i, "site"), t.site.view());
         std::vector<std::uint8_t> category;
         category.reserve(t.category.size());
-        t.category.for_each([&](capture::query_category c) {
-            category.push_back(static_cast<std::uint8_t>(c));
-        });
+        for (const auto c : t.category.view()) category.push_back(static_cast<std::uint8_t>(c));
         w.add_column_encoded<std::uint8_t>(sec("tables", i, "category"), category);
-        add_encoded_column_from(w, sec("tables", i, "qpd"), t.queries_per_day);
+        w.add_column_encoded(sec("tables", i, "qpd"), t.queries_per_day.view());
     }
-    add_encoded_column_from(w, sec("tables", i, "tcp_key"), t.tcp_key);
-    add_encoded_column_from(w, sec("tables", i, "tcp_median"), t.tcp_median_rtt_ms);
+    w.add_column_encoded(sec("tables", i, "tcp_key"), t.tcp_key.view());
+    w.add_column_encoded(sec("tables", i, "tcp_median"), t.tcp_median_rtt_ms.view());
 }
 
 capture::letter_table read_letter_table(const bundle& b, std::size_t i) {
@@ -521,14 +505,14 @@ capture::letter_table read_letter_table(const bundle& b, std::size_t i) {
 // ------------------------------------------------------- telemetry sections
 
 void add_server_log_sections(writer& w, const cdn::server_log_table& t) {
-    add_encoded_column_from(w, "server/asn", t.asn);
-    add_encoded_column_from(w, "server/region", t.region);
-    add_encoded_column_from(w, "server/ring", t.ring);
-    add_encoded_column_from(w, "server/front_end", t.front_end);
-    add_encoded_column_from(w, "server/median_rtt_ms", t.median_rtt_ms);
-    add_encoded_column_from(w, "server/samples", t.sample_count);
-    add_encoded_column_from(w, "server/users", t.users);
-    add_encoded_column_from(w, "server/front_end_km", t.front_end_km);
+    w.add_column_encoded("server/asn", t.asn.view());
+    w.add_column_encoded("server/region", t.region.view());
+    w.add_column_encoded("server/ring", t.ring.view());
+    w.add_column_encoded("server/front_end", t.front_end.view());
+    w.add_column_encoded("server/median_rtt_ms", t.median_rtt_ms.view());
+    w.add_column_encoded("server/samples", t.sample_count.view());
+    w.add_column_encoded("server/users", t.users.view());
+    w.add_column_encoded("server/front_end_km", t.front_end_km.view());
 }
 
 void add_client_sections(writer& w, std::span<const cdn::client_measurement_row> rows) {
@@ -737,22 +721,6 @@ cdn::server_log_table read_server_log_table(const bundle& b) {
     return t;
 }
 
-std::vector<cdn::server_log_row> read_server_log_rows(const bundle& b) {
-    const auto t = read_server_log_table(b);
-    std::vector<cdn::server_log_row> rows(t.rows());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        rows[i] = cdn::server_log_row{t.asn[i],
-                                      t.region[i],
-                                      t.ring[i],
-                                      t.front_end[i],
-                                      t.median_rtt_ms[i],
-                                      t.sample_count[i],
-                                      t.users[i],
-                                      t.front_end_km[i]};
-    }
-    return rows;
-}
-
 std::vector<cdn::client_measurement_row> read_client_rows(const bundle& b) {
     const auto asn = b.typed_column<std::uint32_t>("client/asn");
     const auto region = b.typed_column<std::uint32_t>("client/region");
@@ -793,7 +761,6 @@ world_parts read_world_parts(const std::shared_ptr<const bundle>& b, int threads
     data.ditl = read_ditl(*b);
     data.filtered_tables = read_letter_tables(*b);
     data.server_log_table = read_server_log_table(*b);
-    data.server_logs = read_server_log_rows(*b);
     data.client_rows = read_client_rows(*b);
     data.cdn_count_blocks = read_entry_pairs(*b, "pop/cdn/block_key", "pop/cdn/block_users");
     data.cdn_count_ips = read_entry_pairs(*b, "pop/cdn/ip_key", "pop/cdn/ip_users");

@@ -55,21 +55,21 @@ void save_ditl(const capture::ditl_dataset& dataset, const std::string& path);
 /// Materializes the raw DITL dataset (row structs rebuilt from columns).
 [[nodiscard]] capture::ditl_dataset read_ditl(const bundle& b);
 
-/// Columnar views with *borrowed* columns pointing into the bundle's bytes:
-/// zero deserialization, but the bundle must outlive the result (hydrate
-/// keeps it alive via world_datasets::retain; direct callers keep their
-/// shared_ptr).
+/// Columnar tables: plain sections come back as *borrowed* columns pointing
+/// into the bundle's bytes, encoded sections are decoded into owned columns.
+/// The bundle must outlive the result (hydrate keeps it alive via
+/// world_datasets::retain; direct callers keep their shared_ptr).
 [[nodiscard]] std::vector<capture::letter_table> read_letter_tables(const bundle& b);
 [[nodiscard]] cdn::server_log_table read_server_log_table(const bundle& b);
 
-/// Materialized row forms (owned).
-[[nodiscard]] std::vector<cdn::server_log_row> read_server_log_rows(const bundle& b);
+/// Client measurements, materialized as owned rows.
 [[nodiscard]] std::vector<cdn::client_measurement_row> read_client_rows(const bundle& b);
 
 /// Builds a world from a loaded snapshot: substrate from the stored config,
-/// datasets from the stored sections (tables borrowed zero-copy from the
-/// bundle). `threads_override >= 0` replaces the stored thread count (thread
-/// count never changes output bytes). Throws snapshot_error on a DITL-only
+/// datasets from the stored sections (plain table columns borrowed zero-copy
+/// from the bundle, encoded ones decoded on load). `threads_override >= 0`
+/// replaces the stored thread count (thread count never changes output
+/// bytes). Throws snapshot_error on a DITL-only
 /// or otherwise incomplete snapshot.
 [[nodiscard]] core::world hydrate_world(std::shared_ptr<const bundle> b,
                                         int threads_override = -1);

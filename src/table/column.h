@@ -5,53 +5,26 @@
 // columns, so a pass that touches one attribute streams through memory
 // instead of striding over wide row structs.
 //
-// A column is in one of three storage states:
+// A column is in one of two storage states:
 //   * owned    — a vector, the default; mutable via reserve/push_back.
 //   * borrowed — a read-only span over storage someone else keeps alive
 //                (the snapshot reader hands out borrowed columns whose spans
 //                point straight into a memory-mapped file).
-//   * encoded  — a read-only `enc::any_view` over a compressed payload
-//                (dict/rle/delta/xref, see encoding.h), likewise pointing
-//                straight into externally kept bytes. Decode happens on
-//                scan (`operator[]`, `for_each`, `materialize`), never on
-//                load, so opening a snapshot stays zero-copy.
-// Borrowed and encoded columns are read-only; the borrower is responsible
-// for the backing storage outliving the column (snapshot::bundle retains
-// its mapping, and worlds hydrated from a bundle retain the bundle).
-//
-// `view()` is only valid for owned/borrowed columns (encoded values are not
-// contiguous); scan-style callers use `for_each` or `operator[]`, which work
-// in every state.
+// Both states are contiguous, so `view()` is always valid and every kernel
+// takes spans. Encoded snapshot sections never reach this type encoded: the
+// reader decodes them once, on load, into owned columns (snapshot.h).
+// Borrowed columns are read-only; the borrower is responsible for the
+// backing storage outliving the column (snapshot::bundle retains its
+// mapping, and worlds hydrated from a bundle retain the bundle).
 #pragma once
 
 #include <cassert>
-#include <chrono>
 #include <cstddef>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "src/obs/metrics.h"
-#include "src/table/encoding.h"
-
 namespace ac::table {
-
-namespace detail {
-
-inline obs::counter& encoded_bytes_scanned_counter() {
-    static auto& c = obs::registry::global().get_counter("table.encoded_bytes_scanned");
-    return c;
-}
-inline obs::counter& plain_bytes_scanned_counter() {
-    static auto& c = obs::registry::global().get_counter("table.plain_bytes_scanned");
-    return c;
-}
-inline obs::counter& decode_ns_counter() {
-    static auto& c = obs::registry::global().get_counter("table.decode_ns");
-    return c;
-}
-
-} // namespace detail
 
 /// One typed column. T is any trivially copyable scalar: u32/u64/f64, an
 /// enum, or a small id type.
@@ -71,21 +44,8 @@ public:
         return c;
     }
 
-    /// A non-owning column over an encoded payload (also externally kept,
-    /// e.g. an mmap'd v2 snapshot section). Rows decode on access.
-    [[nodiscard]] static column encoded(enc::any_view view) {
-        static_assert(sizeof(T) == 1 || sizeof(T) == 4 || sizeof(T) == 8);
-        column c;
-        c.encoded_ = true;
-        c.enc_ = view;
-        return c;
-    }
-
-    /// False when the column views external storage (borrowed or encoded).
-    [[nodiscard]] bool owns() const noexcept {
-        return !encoded_ && borrow_.data() == nullptr;
-    }
-    [[nodiscard]] bool is_encoded() const noexcept { return encoded_; }
+    /// False when the column views external storage.
+    [[nodiscard]] bool owns() const noexcept { return borrow_.data() == nullptr; }
 
     void reserve(std::size_t n) {
         assert(owns());
@@ -95,100 +55,41 @@ public:
         assert(owns());
         values_.push_back(v);
     }
-    void clear() {
-        values_.clear();
-        borrow_ = {};
-        enc_ = {};
-        encoded_ = false;
-    }
 
-    [[nodiscard]] std::size_t size() const noexcept {
-        return encoded_ ? enc_.rows() : (owns() ? values_.size() : borrow_.size());
-    }
+    [[nodiscard]] std::size_t size() const noexcept { return view().size(); }
     [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-    [[nodiscard]] T operator[](std::size_t i) const noexcept {
-        if (encoded_) return enc_.template at<T>(i);
-        return owns() ? values_[i] : borrow_[i];
-    }
+    [[nodiscard]] T operator[](std::size_t i) const noexcept { return view()[i]; }
 
-    /// Zero-copy view over contiguous values; not available for encoded
-    /// columns (decode with `for_each`/`materialize` instead).
+    /// Zero-copy view over the contiguous values.
     [[nodiscard]] std::span<const T> view() const noexcept {
-        assert(!encoded_);
         return owns() ? std::span<const T>{values_} : borrow_;
-    }
-    /// The owned backing vector; only valid for owning columns.
-    [[nodiscard]] const std::vector<T>& values() const noexcept {
-        assert(owns());
-        return values_;
-    }
-
-    /// The underlying encoded view; only valid for encoded columns.
-    [[nodiscard]] const enc::any_view& encoded_view() const noexcept {
-        assert(encoded_);
-        return enc_;
     }
 
     /// First byte of the external storage backing this column (the mmap'd
-    /// payload for borrowed/encoded columns) — lets tests pin the zero-copy
-    /// contract by pointer identity. Null for owned columns.
+    /// payload for borrowed columns) — lets tests pin the zero-copy contract
+    /// by pointer identity. Null for owned columns.
     [[nodiscard]] const void* storage_origin() const noexcept {
-        if (encoded_) return enc_.origin;
         return owns() ? nullptr : static_cast<const void*>(borrow_.data());
-    }
-
-    /// Streams every row in order through `fn(T)`. This is the scan
-    /// primitive that works in all three storage states: plain states walk
-    /// the contiguous array; encoded columns decode run-at-a-time (RLE) or
-    /// block-at-a-time (delta) with per-scan obs accounting.
-    template <typename Fn>
-    void for_each(Fn&& fn) const {
-        if (!encoded_) {
-            const std::span<const T> v = view();
-            detail::plain_bytes_scanned_counter().add(v.size_bytes());
-            for (const T& x : v) fn(x);
-            return;
-        }
-        const auto start = std::chrono::steady_clock::now();
-        enc_.template for_each<T>(fn);
-        const auto stop = std::chrono::steady_clock::now();
-        detail::encoded_bytes_scanned_counter().add(enc_.encoded_bytes);
-        detail::decode_ns_counter().add(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start).count()));
-    }
-
-    /// Decodes the column into an owned vector (the one deliberate
-    /// decode-everything escape hatch; scans should prefer `for_each`).
-    [[nodiscard]] std::vector<T> materialize() const {
-        std::vector<T> out;
-        out.reserve(size());
-        for_each([&](T v) { out.push_back(v); });
-        return out;
     }
 
 private:
     std::vector<T> values_;
     std::span<const T> borrow_{};
-    enc::any_view enc_{};
-    bool encoded_ = false;
 };
 
 /// Re-types a column whose element has the same size and an equivalent bit
-/// pattern (e.g. `column<std::uint8_t>` -> `column<enum_type>`): the storage
-/// state — owned bytes, borrowed span, or encoded view — carries over
-/// without a copy for the borrowed/encoded states.
+/// pattern (e.g. `column<std::uint8_t>` -> `column<enum_type>`): a borrowed
+/// column stays borrowed without a copy, an owned one is converted.
 template <typename To, typename From>
 [[nodiscard]] column<To> column_cast(const column<From>& from) {
     static_assert(sizeof(To) == sizeof(From));
-    if (from.is_encoded()) return column<To>::encoded(from.encoded_view());
+    const std::span<const From> v = from.view();
     if (!from.owns()) {
-        const std::span<const From> v = from.view();
-        return column<To>::borrowed(
-            {reinterpret_cast<const To*>(v.data()), v.size()});
+        return column<To>::borrowed({reinterpret_cast<const To*>(v.data()), v.size()});
     }
     std::vector<To> out;
-    out.reserve(from.size());
-    for (const From& v : from.view()) out.push_back(static_cast<To>(v));
+    out.reserve(v.size());
+    for (const From& x : v) out.push_back(static_cast<To>(x));
     return column<To>(std::move(out));
 }
 

@@ -4,10 +4,11 @@
 // Encodings operate on the little-endian *bit patterns* of the element type
 // (1, 4 or 8 bytes, zero-extended to u64), never on interpreted values, so
 // every encoding is lossless and value-exact for integers and doubles alike.
-// Decode happens on scan, not on load: a view over an encoded payload is a
-// handful of pointers into externally owned bytes (typically an mmap'd
-// snapshot section) plus O(1)/O(log) per-row decode — nothing is
-// materialized until a caller asks for it.
+// The writer encodes (`choose_and_encode`, `encode_xref`); the reader
+// validates a payload into a view (`parse_view`, `parse_xref`) — a handful
+// of pointers into externally owned bytes, typically an mmap'd snapshot
+// section — and decodes it once, on load, with `any_view::decode` into plain
+// values. Analysis kernels never see an encoded column.
 //
 // Payload layout (after the snapshot section entry says which encoding):
 //
@@ -19,9 +20,7 @@
 //     [24,25) u8 dictionary value bit width, zero pad to 32
 //     [32,..) bit-packed dictionary deltas (D values, sorted ascending by
 //             pattern, stored as pattern - minimum), then bit-packed codes
-//             (row count values). Codes index the sorted dictionary, so for
-//             unsigned key columns code order == value order and group-by
-//             can run over codes directly.
+//             (row count values). Codes index the sorted dictionary.
 //   rle    aux = run count R; width = 0
 //     [16,..) R raw element values (8-aligned), then R cumulative u32 run
 //             ends (strictly increasing, last == row count)
@@ -147,7 +146,7 @@ inline void write_packed(std::byte* base, std::uint64_t i, unsigned w,
 
 // ------------------------------------------------------------ view layer --
 
-/// Decoded-on-demand view over one non-xref encoded payload. All pointers
+/// A validated view over one non-xref encoded payload. All pointers
 /// reference externally owned bytes; the view itself is trivially copyable.
 struct view_core {
     encoding kind = encoding::plain;
@@ -167,7 +166,8 @@ struct view_core {
         return dict_min + read_packed(aux1, code, value_width);
     }
 
-    /// Bit pattern of row i. O(1) for plain/dict/delta, O(log runs) for rle.
+    /// Bit pattern of row i — the random access an xref's indices need into
+    /// their source. O(1) for plain/dict/delta, O(log runs) for rle.
     [[nodiscard]] std::uint64_t bits_at(std::uint64_t i) const noexcept {
         switch (kind) {
             case encoding::plain: return load_bits(values + i * elem, elem);
@@ -199,8 +199,6 @@ struct view_core {
 struct any_view {
     view_core self;
     view_core src;  // valid only when self.kind == xref
-    std::uint64_t encoded_bytes = 0;      // payload bytes behind this view (+ source)
-    const std::byte* origin = nullptr;    // payload start, for pointer-identity checks
 
     [[nodiscard]] std::uint64_t rows() const noexcept { return self.rows; }
     [[nodiscard]] encoding kind() const noexcept { return self.kind; }
@@ -212,44 +210,32 @@ struct any_view {
         return self.bits_at(i);
     }
 
+    /// Decodes every row, in order, into plain values. RLE replays each
+    /// run's value (no per-row search), delta reads each block's anchor and
+    /// width once, xref resolves each index against its source. The view
+    /// must come from a successful parse_view/parse_xref.
     template <typename T>
-    [[nodiscard]] T at(std::uint64_t i) const noexcept {
+    [[nodiscard]] std::vector<T> decode() const {
         static_assert(sizeof(T) <= 8);
-        const std::uint64_t bits = bits_at(i);
-        T v;
-        std::memcpy(&v, &bits, sizeof(T));
-        return v;
-    }
-
-    /// Sequential decode of every row in order. RLE decodes each run's value
-    /// once and replays it count times (run-at-a-time, no per-row search);
-    /// delta decodes each block's anchor/width once.
-    template <typename T, typename Fn>
-    void for_each(Fn&& fn) const {
-        static_assert(sizeof(T) <= 8);
+        std::vector<T> out;
+        out.reserve(self.rows);
         auto emit = [&](std::uint64_t bits) {
             T v;
             std::memcpy(&v, &bits, sizeof(T));
-            fn(v);
+            out.push_back(v);
         };
-        const view_core& v = self.kind == encoding::xref ? src : self;
-        if (self.kind == encoding::xref) {
-            for (std::uint64_t i = 0; i < self.rows; ++i) {
-                emit(v.bits_at(read_packed(self.packed, i, self.width)));
-            }
-            return;
-        }
+        const view_core& v = self;
         switch (v.kind) {
             case encoding::plain:
                 for (std::uint64_t i = 0; i < v.rows; ++i) {
                     emit(load_bits(v.values + i * v.elem, v.elem));
                 }
-                return;
+                break;
             case encoding::dict:
                 for (std::uint64_t i = 0; i < v.rows; ++i) {
                     emit(v.dict_value_bits(read_packed(v.packed, i, v.width)));
                 }
-                return;
+                break;
             case encoding::rle: {
                 const auto* ends = reinterpret_cast<const std::uint32_t*>(v.aux1);
                 std::uint32_t begin = 0;
@@ -258,7 +244,7 @@ struct any_view {
                     for (std::uint32_t i = begin; i < ends[r]; ++i) emit(bits);
                     begin = ends[r];
                 }
-                return;
+                break;
             }
             case encoding::delta:
                 for (std::uint64_t b = 0; b * delta_block_rows < v.rows; ++b) {
@@ -274,9 +260,12 @@ struct any_view {
                         emit(anchor + read_packed(v.packed + offset, i, w));
                     }
                 }
-                return;
-            case encoding::xref: return;  // unreachable: no chains
+                break;
+            case encoding::xref:
+                for (std::uint64_t i = 0; i < v.rows; ++i) emit(bits_at(i));
+                break;
         }
+        return out;
     }
 };
 
@@ -555,7 +544,6 @@ template <typename T>
     out = any_view{};
     out.self.kind = encoding::xref;
     out.self.elem = elem;
-    out.origin = payload.data();
     if (payload.size() < header_bytes) return "payload shorter than encoding header";
     std::uint32_t rows;
     std::memcpy(&rows, payload.data(), 4);

@@ -17,18 +17,13 @@
 //     identical at any thread count.
 //
 // Unsigned-integer keys (the common case: /24 keys, packed composite keys,
-// ASNs) sort through a stable LSD radix path that skips constant bytes;
-// everything else falls back to std::stable_sort. Large unsigned-key sorts
-// given a thread pool take a partitioned path — a stable MSB-byte partition
-// followed by independent per-partition LSD sorts on the pool — that
-// produces the exact serial permutation, so parallel joins stay
-// byte-identical.
+// ASNs) sort through one serial stable LSD radix path that skips constant
+// bytes; everything else falls back to std::stable_sort. The sort stays
+// serial because a radix-partitioned sort over the pool measured slower on
+// 4 cores (DESIGN.md §12).
 //
-// Kernels also accept `column<T>` arguments in any storage state (owned,
-// borrowed, encoded — see column.h/encoding.h): encoded columns are scanned
-// directly where a fast path exists (dictionary group-by groups by packed
-// code and remaps through the sorted dictionary; RLE scans reduce
-// run-at-a-time via `for_each`) and are decoded once otherwise.
+// Kernels take spans; a `column<T>` passes its `view()` (columns are always
+// contiguous, see column.h).
 #pragma once
 
 #include <algorithm>
@@ -56,10 +51,6 @@ inline obs::counter& kernel_rows_counter() {
     static obs::counter& c = obs::registry::global().get_counter("table.kernel_rows");
     return c;
 }
-
-} // namespace detail
-
-namespace detail {
 
 /// Stable LSD radix sort of row indices by an unsigned-integer key column.
 /// Bytes whose value is identical across all keys are skipped. Keys travel
@@ -108,92 +99,16 @@ template <std::unsigned_integral K>
     return perm;
 }
 
-/// Below this row count the MSB partition's extra passes cost more than the
-/// pool saves; the serial LSD sort wins.
-inline constexpr std::size_t parallel_sort_min_rows = std::size_t{1} << 15;
-
-/// Stable MSB-byte partition + independent per-partition LSD sorts on the
-/// pool. Produces the EXACT permutation of the serial LSD sort: the
-/// partition is precisely the serial sort's (stable, counting) pass over
-/// the highest non-constant byte reordered to run last, and each
-/// partition's own LSD sort skips that byte as constant — skipped constant
-/// bytes never change the permutation.
-template <std::unsigned_integral K>
-[[nodiscard]] std::vector<row_index> radix_partitioned_permutation(
-    engine::thread_pool* pool, std::span<const K> keys) {
-    std::array<std::array<std::size_t, 256>, sizeof(K)> counts{};
-    for (const K key : keys) {
-        for (std::size_t byte = 0; byte < sizeof(K); ++byte) {
-            ++counts[byte][static_cast<std::size_t>((key >> (8 * byte)) & 0xffu)];
-        }
-    }
-    int top = -1;
-    for (int byte = static_cast<int>(sizeof(K)) - 1; byte >= 0; --byte) {
-        const auto& count = counts[static_cast<std::size_t>(byte)];
-        if (std::none_of(count.begin(), count.end(),
-                         [&](std::size_t c) { return c == keys.size(); })) {
-            top = byte;
-            break;
-        }
-    }
-    std::vector<row_index> out(keys.size());
-    if (top < 0) {  // all keys equal
-        std::iota(out.begin(), out.end(), row_index{0});
-        return out;
-    }
-
-    const auto shift = static_cast<unsigned>(8 * top);
-    std::array<std::size_t, 257> starts{};
-    for (std::size_t b = 0; b < 256; ++b) {
-        starts[b + 1] = starts[b] + counts[static_cast<std::size_t>(top)][b];
-    }
-    std::vector<row_index> part(keys.size());
-    std::vector<K> part_keys(keys.size());
-    {
-        std::array<std::size_t, 256> cursor{};
-        std::copy(starts.begin(), starts.end() - 1, cursor.begin());
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-            const K key = keys[i];
-            const std::size_t slot = cursor[static_cast<std::size_t>((key >> shift) & 0xffu)]++;
-            part[slot] = static_cast<row_index>(i);
-            part_keys[slot] = key;
-        }
-    }
-    engine::parallel_over(
-        pool, 256,
-        [&](std::size_t begin, std::size_t end) {
-            for (std::size_t b = begin; b < end; ++b) {
-                const std::size_t lo = starts[b];
-                const std::size_t len = starts[b + 1] - lo;
-                if (len == 0) continue;
-                const auto local = radix_sort_permutation(
-                    std::span<const K>{part_keys}.subspan(lo, len));
-                for (std::size_t i = 0; i < len; ++i) {
-                    out[lo + i] = part[lo + local[i]];
-                }
-            }
-        },
-        1);
-    return out;
-}
-
 } // namespace detail
 
 /// Stable permutation of row indices sorting `keys` ascending: rows with
-/// equal keys keep their original relative order. Given a non-serial pool
-/// and enough unsigned-key rows, the sort runs radix-partitioned across the
-/// pool — same permutation, byte for byte.
+/// equal keys keep their original relative order.
 template <typename K>
-[[nodiscard]] std::vector<row_index> sort_permutation(std::span<const K> keys,
-                                                      engine::thread_pool* pool = nullptr) {
+[[nodiscard]] std::vector<row_index> sort_permutation(std::span<const K> keys) {
     obs::span sort_span{"table/sort_permutation"};
     sort_span.set_items(keys.size());
     detail::kernel_rows_counter().add(keys.size());
     if constexpr (std::unsigned_integral<K>) {
-        if (pool != nullptr && !pool->serial() &&
-            keys.size() >= detail::parallel_sort_min_rows) {
-            return detail::radix_partitioned_permutation(pool, keys);
-        }
         return detail::radix_sort_permutation(keys);
     } else {
         std::vector<row_index> perm(keys.size());
@@ -231,12 +146,11 @@ struct grouping {
 };
 
 template <typename K>
-[[nodiscard]] grouping<K> make_grouping(std::span<const K> keys,
-                                        engine::thread_pool* pool = nullptr) {
+[[nodiscard]] grouping<K> make_grouping(std::span<const K> keys) {
     obs::span grouping_span{"table/make_grouping"};
     grouping_span.set_items(keys.size());
     grouping<K> g;
-    g.order = sort_permutation(keys, pool);
+    g.order = sort_permutation(keys);
     if (g.order.empty()) {
         g.offsets.push_back(0);
         return g;
@@ -250,57 +164,6 @@ template <typename K>
     }
     g.offsets.push_back(static_cast<row_index>(g.order.size()));
     return g;
-}
-
-/// Grouping over a column in any storage state. Dictionary-encoded unsigned
-/// key columns take a code-grouping fast path: one counting pass over the
-/// bit-packed codes replaces the radix sort entirely (the dictionary is
-/// sorted and unsigned keys order like their bit patterns, so code order ==
-/// key order), then group keys are remapped through the dictionary. Other
-/// encodings decode once and take the span path.
-template <typename K>
-[[nodiscard]] grouping<K> make_grouping(const column<K>& keys,
-                                        engine::thread_pool* pool = nullptr) {
-    if (!keys.is_encoded()) return make_grouping(keys.view(), pool);
-    const enc::any_view& v = keys.encoded_view();
-    if constexpr (std::unsigned_integral<K>) {
-        if (v.kind() == enc::encoding::dict) {
-            obs::span grouping_span{"table/make_grouping"};
-            grouping_span.set_items(v.rows());
-            detail::kernel_rows_counter().add(v.rows());
-            detail::encoded_bytes_scanned_counter().add(v.encoded_bytes);
-            const enc::view_core& d = v.self;
-            const auto n = static_cast<std::size_t>(d.rows);
-            const auto dict_size = static_cast<std::size_t>(d.aux);
-            std::vector<row_index> counts(dict_size, 0);
-            for (std::size_t i = 0; i < n; ++i) {
-                ++counts[static_cast<std::size_t>(enc::read_packed(d.packed, i, d.width))];
-            }
-            grouping<K> g;
-            g.keys.reserve(dict_size);
-            g.offsets.reserve(dict_size + 1);
-            std::vector<row_index> starts(dict_size, 0);
-            row_index offset = 0;
-            for (std::size_t code = 0; code < dict_size; ++code) {
-                starts[code] = offset;
-                if (counts[code] != 0) {
-                    g.keys.push_back(static_cast<K>(d.dict_value_bits(code)));
-                    g.offsets.push_back(offset);
-                }
-                offset += counts[code];
-            }
-            g.offsets.push_back(offset);
-            g.order.resize(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                const auto code =
-                    static_cast<std::size_t>(enc::read_packed(d.packed, i, d.width));
-                g.order[starts[code]++] = static_cast<row_index>(i);
-            }
-            return g;
-        }
-    }
-    const auto values = keys.materialize();
-    return make_grouping(std::span<const K>{values}, pool);
 }
 
 /// Sequential group-by: calls reduce(key, rows) once per group, in ascending
@@ -345,26 +208,6 @@ template <typename K>
     return out;
 }
 
-/// Per-group sums over a value column in any storage state: random access
-/// into encoded columns is O(1) for dict/delta/xref (rle pays a run binary
-/// search), and accumulation order is the same stable row order.
-template <typename K>
-[[nodiscard]] std::vector<double> sum_by(const grouping<K>& g,
-                                         const column<double>& values) {
-    if (!values.is_encoded()) return sum_by(g, values.view());
-    obs::span sum_span{"table/sum_by"};
-    sum_span.set_items(g.order.size());
-    detail::encoded_bytes_scanned_counter().add(values.encoded_view().encoded_bytes);
-    std::vector<double> out;
-    out.reserve(g.groups());
-    for (std::size_t i = 0; i < g.groups(); ++i) {
-        double total = 0.0;
-        for (const row_index row : g.rows(i)) total += values[row];
-        out.push_back(total);
-    }
-    return out;
-}
-
 /// Number of distinct keys in a column.
 template <typename K>
 [[nodiscard]] std::size_t distinct_count(std::span<const K> keys) {
@@ -377,28 +220,6 @@ template <typename K>
     return distinct;
 }
 
-/// Distinct count over a column in any storage state. Dictionary columns
-/// skip the sort: one pass over the packed codes marks which dictionary
-/// entries are referenced (exact for any valid payload, even one whose
-/// dictionary carries unused entries).
-template <typename K>
-[[nodiscard]] std::size_t distinct_count(const column<K>& keys) {
-    if (!keys.is_encoded()) return distinct_count(keys.view());
-    const enc::any_view& v = keys.encoded_view();
-    if (v.kind() == enc::encoding::dict) {
-        detail::kernel_rows_counter().add(v.rows());
-        detail::encoded_bytes_scanned_counter().add(v.encoded_bytes);
-        const enc::view_core& d = v.self;
-        std::vector<bool> used(static_cast<std::size_t>(d.aux), false);
-        for (std::uint64_t i = 0; i < d.rows; ++i) {
-            used[static_cast<std::size_t>(enc::read_packed(d.packed, i, d.width))] = true;
-        }
-        return static_cast<std::size_t>(std::count(used.begin(), used.end(), true));
-    }
-    const auto values = keys.materialize();
-    return distinct_count(std::span<const K>{values});
-}
-
 /// Binary-searched key -> value map over a pair of columns, replacing
 /// lookup-only hash maps. Duplicate keys keep the *last* occurrence
 /// (assignment semantics of `map[k] = v` row scans).
@@ -407,19 +228,6 @@ class sorted_lookup {
 public:
     sorted_lookup() = default;
     sorted_lookup(std::span<const K> keys, std::span<const V> values) {
-        const auto g = make_grouping(keys);
-        keys_.reserve(g.groups());
-        values_.reserve(g.groups());
-        for (std::size_t i = 0; i < g.groups(); ++i) {
-            keys_.push_back(g.keys[i]);
-            values_.push_back(values[g.rows(i).back()]);
-        }
-    }
-
-    /// Builds the map straight from columns in any storage state (groups via
-    /// the column fast paths; values read by random access, so encoded value
-    /// columns never fully decode).
-    sorted_lookup(const column<K>& keys, const column<V>& values) {
         const auto g = make_grouping(keys);
         keys_.reserve(g.groups());
         values_.reserve(g.groups());

@@ -92,7 +92,7 @@ protected:
     }
     static const analysis::root_inflation_result& roots() {
         static const analysis::root_inflation_result r = analysis::compute_root_inflation(
-            w().filtered(), w().roots(), w().geodb(), w().cdn_user_counts());
+            w().filtered_tables(), w().roots(), w().geodb(), w().cdn_user_counts());
         return r;
     }
 };
@@ -141,7 +141,7 @@ TEST_F(InflationFixture, UserWeightingChangesTheCdf) {
     analysis::root_inflation_options unweighted;
     unweighted.weight_by_users = false;
     const auto per_recursive = analysis::compute_root_inflation(
-        w().filtered(), w().roots(), w().geodb(), w().cdn_user_counts(), unweighted);
+        w().filtered_tables(), w().roots(), w().geodb(), w().cdn_user_counts(), unweighted);
     // Unweighted covers more /24s (no DITL∩CDN join requirement).
     const char letter = w().roots().geographic_analysis_letters().front();
     EXPECT_GT(per_recursive.geographic.at(letter).size(),
@@ -149,7 +149,7 @@ TEST_F(InflationFixture, UserWeightingChangesTheCdf) {
 }
 
 TEST_F(InflationFixture, CdnInflationMatchesPaperOrdering) {
-    const auto cdn = analysis::compute_cdn_inflation(w().server_logs(), w().cdn_net());
+    const auto cdn = analysis::compute_cdn_inflation(w().server_log_table(), w().cdn_net());
     ASSERT_EQ(cdn.geographic_by_ring.size(), 5u);
     // CDN efficiency beats the root system's at every ring (Fig. 5a).
     const double root_eff = roots().geographic_all_roots.fraction_leq(
@@ -180,7 +180,7 @@ protected:
 
 TEST_F(JoinFixture, AmortizationLinesAreOrdered) {
     const auto result = analysis::compute_amortization(
-        w().filtered(), w().users(), w().cdn_user_counts(), w().apnic_user_counts(),
+        w().filtered_tables(), w().users(), w().cdn_user_counts(), w().apnic_user_counts(),
         w().as_mapper(), w().config().query_model);
     ASSERT_FALSE(result.cdn.empty());
     ASSERT_FALSE(result.apnic.empty());
@@ -195,17 +195,17 @@ TEST_F(JoinFixture, ExactIpJoinAttributesLessVolume) {
     analysis::amortization_options by_ip;
     by_ip.join_by_slash24 = false;
     const auto joined = analysis::compute_amortization(
-        w().filtered(), w().users(), w().cdn_user_counts(), w().apnic_user_counts(),
+        w().filtered_tables(), w().users(), w().cdn_user_counts(), w().apnic_user_counts(),
         w().as_mapper(), w().config().query_model);
     const auto exact = analysis::compute_amortization(
-        w().filtered(), w().users(), w().cdn_user_counts(), w().apnic_user_counts(),
+        w().filtered_tables(), w().users(), w().cdn_user_counts(), w().apnic_user_counts(),
         w().as_mapper(), w().config().query_model, by_ip);
     EXPECT_LT(exact.attributed_volume_fraction, joined.attributed_volume_fraction);
     EXPECT_LT(exact.cdn.median(), joined.cdn.median());
 }
 
 TEST_F(JoinFixture, OverlapImprovesWithSlash24) {
-    const auto overlap = analysis::compute_overlap(w().filtered(), w().cdn_user_counts());
+    const auto overlap = analysis::compute_overlap(w().filtered_tables(), w().cdn_user_counts());
     EXPECT_GT(overlap.by_slash24.ditl_volume, overlap.by_ip.ditl_volume);
     EXPECT_GE(overlap.by_slash24.cdn_recursives, overlap.by_ip.cdn_recursives);
     for (const auto* stats : {&overlap.by_ip, &overlap.by_slash24}) {
@@ -278,10 +278,10 @@ analysis::overlap_stats reference_overlap(std::span<const capture::filtered_lett
 }
 
 TEST_F(JoinFixture, OverlapMatchesBruteForceRowScan) {
-    const auto columnar = analysis::compute_overlap(w().filtered(), w().cdn_user_counts());
+    const auto columnar = analysis::compute_overlap(w().filtered_tables(), w().cdn_user_counts());
+    const auto filtered = capture::filter_all(w().ditl());
     for (const bool by_slash24 : {false, true}) {
-        const auto reference = reference_overlap(w().filtered(), w().cdn_user_counts(),
-                                                 by_slash24);
+        const auto reference = reference_overlap(filtered, w().cdn_user_counts(), by_slash24);
         const auto& stats = by_slash24 ? columnar.by_slash24 : columnar.by_ip;
         EXPECT_DOUBLE_EQ(stats.ditl_recursives, reference.ditl_recursives) << by_slash24;
         EXPECT_DOUBLE_EQ(stats.ditl_volume, reference.ditl_volume) << by_slash24;
@@ -296,11 +296,11 @@ TEST_F(JoinFixture, ExactIpJoinMatchesBruteForceRowScan) {
     analysis::amortization_options by_ip_options;
     by_ip_options.join_by_slash24 = false;
     const auto columnar = analysis::compute_amortization(
-        w().filtered(), w().users(), w().cdn_user_counts(), w().apnic_user_counts(),
+        w().filtered_tables(), w().users(), w().cdn_user_counts(), w().apnic_user_counts(),
         w().as_mapper(), w().config().query_model, by_ip_options);
 
     std::map<std::uint32_t, double> volumes;  // by exact source IP
-    for (const auto& letter : w().filtered()) {
+    for (const auto& letter : capture::filter_all(w().ditl())) {
         for (const auto& r : letter.records) volumes[r.source_ip.value()] += r.queries_per_day;
     }
     analysis::weighted_cdf cdn_reference;

@@ -81,7 +81,7 @@ TEST_F(CaptureFixture, VolumeSharesRoughlyMatchPaper) {
     double ptr = 0.0;
     double ipv6 = 0.0;
     double private_src = 0.0;
-    for (const auto& lc : w().filtered()) {
+    for (const auto& lc : capture::filter_all(w().ditl())) {
         raw += lc.stats.raw_queries_per_day;
         invalid += lc.stats.invalid_dropped;
         ptr += lc.stats.ptr_dropped;
@@ -95,7 +95,7 @@ TEST_F(CaptureFixture, VolumeSharesRoughlyMatchPaper) {
 }
 
 TEST_F(CaptureFixture, FilterConservesVolume) {
-    for (const auto& lc : w().filtered()) {
+    for (const auto& lc : capture::filter_all(w().ditl())) {
         const double accounted = lc.stats.kept + lc.stats.invalid_dropped +
                                  lc.stats.ptr_dropped + lc.stats.private_dropped +
                                  lc.stats.ipv6_dropped;
@@ -117,7 +117,8 @@ TEST_F(CaptureFixture, FilterOptionsAreHonored) {
 }
 
 TEST_F(CaptureFixture, AggregationPreservesTotals) {
-    const auto& letter = w().filtered().front();
+    const auto filtered = capture::filter_all(w().ditl());
+    const auto& letter = filtered.front();
     double record_total = 0.0;
     for (const auto& r : letter.records) record_total += r.queries_per_day;
 

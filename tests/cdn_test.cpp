@@ -96,13 +96,14 @@ TEST_F(CdnFixture, MostUsersReachCdnDirectly) {
 }
 
 TEST_F(CdnFixture, ServerLogsAreConsistentWithEvaluate) {
-    for (const auto& row : w().server_logs()) {
-        const auto path = net().evaluate(row.asn, row.region, row.ring);
+    const auto& logs = w().server_log_table();
+    for (std::size_t i = 0; i < logs.rows(); ++i) {
+        const auto path = net().evaluate(logs.asn[i], logs.region[i], logs.ring[i]);
         ASSERT_TRUE(path.has_value());
-        EXPECT_EQ(row.front_end, path->front_end);
-        EXPECT_NEAR(row.front_end_km, path->front_end_km, 1e-9);
+        EXPECT_EQ(logs.front_end[i], path->front_end);
+        EXPECT_NEAR(logs.front_end_km[i], path->front_end_km, 1e-9);
         // Log medians wobble a little around the steady-state RTT.
-        EXPECT_NEAR(row.median_rtt_ms, path->rtt_ms, path->rtt_ms * 0.15);
+        EXPECT_NEAR(logs.median_rtt_ms[i], path->rtt_ms, path->rtt_ms * 0.15);
     }
 }
 

@@ -190,14 +190,15 @@ std::uint64_t ditl_checksum(const capture::ditl_dataset& ditl) {
 /// Checksum over both CDN telemetry datasets.
 std::uint64_t telemetry_checksum(const core::world& w) {
     std::uint64_t h = 0xbf58476d1ce4e5b9ULL;
-    for (const auto& r : w.server_logs()) {
-        h = mix(h, r.asn);
-        h = mix(h, r.region);
-        h = mix(h, static_cast<std::uint64_t>(r.ring));
-        h = mix(h, static_cast<std::uint64_t>(r.front_end));
-        h = mix_double(h, r.median_rtt_ms);
-        h = mix(h, static_cast<std::uint64_t>(r.sample_count));
-        h = mix_double(h, r.front_end_km);
+    const auto& logs = w.server_log_table();
+    for (std::size_t i = 0; i < logs.rows(); ++i) {
+        h = mix(h, logs.asn[i]);
+        h = mix(h, logs.region[i]);
+        h = mix(h, static_cast<std::uint64_t>(logs.ring[i]));
+        h = mix(h, static_cast<std::uint64_t>(logs.front_end[i]));
+        h = mix_double(h, logs.median_rtt_ms[i]);
+        h = mix(h, static_cast<std::uint64_t>(logs.sample_count[i]));
+        h = mix_double(h, logs.front_end_km[i]);
     }
     for (const auto& r : w.client_measurements()) {
         h = mix(h, r.asn);
@@ -261,7 +262,7 @@ TEST(Determinism, SerialAndParallelWorldsAreBitIdentical) {
                   parallel.ditl().letters[i].records.size())
             << "letter " << serial.ditl().letters[i].letter;
     }
-    ASSERT_EQ(serial.server_logs().size(), parallel.server_logs().size());
+    ASSERT_EQ(serial.server_log_table().rows(), parallel.server_log_table().rows());
     ASSERT_EQ(serial.client_measurements().size(), parallel.client_measurements().size());
 
     EXPECT_EQ(ditl_checksum(serial.ditl()), ditl_checksum(parallel.ditl()));

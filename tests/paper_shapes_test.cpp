@@ -20,11 +20,12 @@ protected:
     }
     static const analysis::root_inflation_result& root_inflation() {
         static const auto r = analysis::compute_root_inflation(
-            w().filtered(), w().roots(), w().geodb(), w().cdn_user_counts());
+            w().filtered_tables(), w().roots(), w().geodb(), w().cdn_user_counts());
         return r;
     }
     static const analysis::cdn_inflation_result& cdn_inflation() {
-        static const auto r = analysis::compute_cdn_inflation(w().server_logs(), w().cdn_net());
+        static const auto r =
+            analysis::compute_cdn_inflation(w().server_log_table(), w().cdn_net());
         return r;
     }
 };
@@ -115,7 +116,7 @@ TEST_F(PaperShapes, QueriesPerUserPerDayMedianNearOne) {
     // §4.3 / Fig. 3: most users wait for no more than ~1 root query per day;
     // the Ideal line sits orders of magnitude lower (paper median 0.007).
     const auto amortized = analysis::compute_amortization(
-        w().filtered(), w().users(), w().cdn_user_counts(), w().apnic_user_counts(),
+        w().filtered_tables(), w().users(), w().cdn_user_counts(), w().apnic_user_counts(),
         w().as_mapper(), w().config().query_model);
     EXPECT_GT(amortized.cdn.median(), 0.1);
     EXPECT_LT(amortized.cdn.median(), 5.0);
@@ -133,12 +134,12 @@ TEST_F(PaperShapes, CountingInvalidTldQueriesShiftsMedianByOrderOfMagnitude) {
     capture::filter_options keep_junk;
     keep_junk.drop_invalid_tld = false;
     keep_junk.drop_ptr = false;
-    const auto unfiltered_letters = capture::filter_all(w().ditl(), keep_junk);
+    const auto unfiltered_letters = capture::to_tables(capture::filter_all(w().ditl(), keep_junk));
     const auto with_junk = analysis::compute_amortization(
         unfiltered_letters, w().users(), w().cdn_user_counts(), w().apnic_user_counts(),
         w().as_mapper(), w().config().query_model);
     const auto without_junk = analysis::compute_amortization(
-        w().filtered(), w().users(), w().cdn_user_counts(), w().apnic_user_counts(),
+        w().filtered_tables(), w().users(), w().cdn_user_counts(), w().apnic_user_counts(),
         w().as_mapper(), w().config().query_model);
     const double factor = with_junk.cdn.median() / without_junk.cdn.median();
     EXPECT_GT(factor, 8.0);
@@ -148,7 +149,7 @@ TEST_F(PaperShapes, CountingInvalidTldQueriesShiftsMedianByOrderOfMagnitude) {
 TEST_F(PaperShapes, ExactIpJoinCollapsesAttribution) {
     // App. B.2 / Fig. 9 / Table 4: joining by exact IP captures a small
     // fraction of the volume the /24 join captures.
-    const auto overlap = analysis::compute_overlap(w().filtered(), w().cdn_user_counts());
+    const auto overlap = analysis::compute_overlap(w().filtered_tables(), w().cdn_user_counts());
     EXPECT_LT(overlap.by_ip.ditl_volume, overlap.by_slash24.ditl_volume * 0.5);
     EXPECT_LT(overlap.by_ip.ditl_recursives, overlap.by_slash24.ditl_recursives);
     EXPECT_GT(overlap.by_slash24.cdn_volume, 0.7);

@@ -231,6 +231,33 @@ TEST_F(SnapshotFixture, HydratedWorldReproducesGoldenFiguresMapped) {
     std::filesystem::remove(path);
 }
 
+/// One hydrated table column against its section and the live world's
+/// column: a plain section stays a borrowed span aliasing the bundle's bytes,
+/// an encoded section keeps its non-plain tag in the file and hydrates into
+/// an owning column. Either way the values equal the live column's bit for
+/// bit (doubles included). Returns whether the section was encoded.
+template <typename T>
+bool expect_hydrated_column(const snapshot::bundle& b, const std::string& name,
+                            const table::column<T>& hydrated, const table::column<T>& live) {
+    const auto& info = b.section(name);
+    const bool encoded = info.encoding != table::enc::encoding::plain;
+    if (encoded) {
+        EXPECT_TRUE(hydrated.owns()) << name;
+    } else {
+        EXPECT_FALSE(hydrated.owns()) << name;
+        EXPECT_EQ(hydrated.storage_origin(), static_cast<const void*>(b.raw(name).data()))
+            << name;
+    }
+    EXPECT_EQ(hydrated.size(), live.size()) << name;
+    if (hydrated.size() == live.size() && !live.empty()) {
+        EXPECT_EQ(std::memcmp(hydrated.view().data(), live.view().data(),
+                              live.size() * sizeof(T)),
+                  0)
+            << name;
+    }
+    return encoded;
+}
+
 TEST_F(SnapshotFixture, MappedColumnsAreZeroCopy) {
 #if defined(__unix__) || defined(__APPLE__)
     const auto path = temp_file();
@@ -238,26 +265,47 @@ TEST_F(SnapshotFixture, MappedColumnsAreZeroCopy) {
     const auto b = snapshot::bundle::open(path.string(), snapshot::load_mode::mapped);
     ASSERT_EQ(b->mode(), snapshot::load_mode::mapped);
     const auto hydrated = snapshot::hydrate_world(b);
-    // Table columns alias the bundle's bytes: encoded columns scan straight
-    // out of the mapped payload (never decoded on load), plain columns stay
-    // borrowed spans with pointer identity.
-    ASSERT_FALSE(hydrated.filtered_tables().empty());
-    const auto& t = hydrated.filtered_tables().front();
-    EXPECT_FALSE(t.source_ip.owns());
-    ASSERT_TRUE(t.source_ip.is_encoded());
-    EXPECT_NE(b->section("tables/0/source_ip").encoding, table::enc::encoding::plain);
-    EXPECT_EQ(t.source_ip.storage_origin(),
-              static_cast<const void*>(b->raw("tables/0/source_ip").data()));
-    const auto& median = hydrated.server_log_table().median_rtt_ms;
-    EXPECT_FALSE(median.owns());
-    ASSERT_TRUE(median.is_encoded());
-    EXPECT_EQ(median.storage_origin(),
-              static_cast<const void*>(b->raw("server/median_rtt_ms").data()));
-    // Plain sections keep the original borrowed-span identity.
+
+    // Plain sections alias the mapping.
     const auto total = b->typed_column<double>("pop/cdn/total");
-    ASSERT_FALSE(total.is_encoded());
-    EXPECT_EQ(static_cast<const void*>(total.view().data()),
-              static_cast<const void*>(b->raw("pop/cdn/total").data()));
+    EXPECT_FALSE(total.owns());
+    EXPECT_EQ(total.storage_origin(), static_cast<const void*>(b->raw("pop/cdn/total").data()));
+
+    // Every table column, section by section: encoded sections decode on
+    // load into owning columns equal to the live world's.
+    std::size_t encoded = 0;
+    std::size_t columns = 0;
+    const auto check = [&](const std::string& name, const auto& got, const auto& want) {
+        encoded += expect_hydrated_column(*b, name, got, want) ? 1 : 0;
+        ++columns;
+    };
+    ASSERT_EQ(hydrated.filtered_tables().size(), w().filtered_tables().size());
+    for (std::size_t i = 0; i < w().filtered_tables().size(); ++i) {
+        const auto& got = hydrated.filtered_tables()[i];
+        const auto& want = w().filtered_tables()[i];
+        const std::string prefix = "tables/" + std::to_string(i) + "/";
+        check(prefix + "source_ip", got.source_ip, want.source_ip);
+        check(prefix + "site", got.site, want.site);
+        check(prefix + "category", got.category, want.category);
+        check(prefix + "qpd", got.queries_per_day, want.queries_per_day);
+        check(prefix + "tcp_key", got.tcp_key, want.tcp_key);
+        check(prefix + "tcp_median", got.tcp_median_rtt_ms, want.tcp_median_rtt_ms);
+    }
+    const auto& got = hydrated.server_log_table();
+    const auto& want = w().server_log_table();
+    check("server/asn", got.asn, want.asn);
+    check("server/region", got.region, want.region);
+    check("server/ring", got.ring, want.ring);
+    check("server/front_end", got.front_end, want.front_end);
+    check("server/median_rtt_ms", got.median_rtt_ms, want.median_rtt_ms);
+    check("server/samples", got.sample_count, want.sample_count);
+    check("server/users", got.users, want.users);
+    check("server/front_end_km", got.front_end_km, want.front_end_km);
+
+    EXPECT_NE(b->section("tables/0/source_ip").encoding, table::enc::encoding::plain);
+    EXPECT_NE(b->section("server/median_rtt_ms").encoding, table::enc::encoding::plain);
+    EXPECT_GT(encoded, 0u);
+    EXPECT_EQ(columns, 6 * w().filtered_tables().size() + 8);
     std::filesystem::remove(path);
 #else
     GTEST_SKIP() << "no mmap on this platform";
@@ -290,7 +338,7 @@ TEST_F(SnapshotFixture, HydratedDatasetsMatchLive) {
         EXPECT_EQ(hydrated.ditl().letters[i].tcp_rtts.size(),
                   w().ditl().letters[i].tcp_rtts.size());
     }
-    EXPECT_EQ(hydrated.server_logs().size(), w().server_logs().size());
+    EXPECT_EQ(hydrated.server_log_table().rows(), w().server_log_table().rows());
     EXPECT_EQ(hydrated.client_measurements().size(), w().client_measurements().size());
     EXPECT_EQ(hydrated.space().allocated_slash24s(), w().space().allocated_slash24s());
     EXPECT_EQ(hydrated.cdn_user_counts().total_observed_users(),

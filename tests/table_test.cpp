@@ -8,6 +8,7 @@
 
 #include "src/engine/thread_pool.h"
 #include "src/netbase/rng.h"
+#include "src/table/encoding.h"
 #include "src/table/table.h"
 
 namespace {
@@ -180,8 +181,8 @@ TEST(Column, PushAndView) {
 // ------------------------------------------------------- encoded columns --
 
 /// Encodes `values`, parses the payload back (through the same validating
-/// parser the snapshot reader uses), and checks both random access and the
-/// sequential scan reproduce every value bit-for-bit.
+/// parser the snapshot reader uses), and checks the load-time decoder and
+/// per-row random access both reproduce every value bit-for-bit.
 template <typename T>
 void expect_encoding_roundtrip(const std::vector<T>& values, const char* context) {
     const auto encoded =
@@ -195,31 +196,19 @@ void expect_encoding_roundtrip(const std::vector<T>& values, const char* context
     ASSERT_TRUE(err.empty()) << context << ": " << err;
     table::enc::any_view view;
     view.self = core;
-    view.encoded_bytes = encoded.bytes.size();
-    view.origin = encoded.bytes.data();
     ASSERT_EQ(view.rows(), values.size()) << context;
 
-    const auto col = table::column<T>::encoded(view);
+    const std::vector<T> decoded = view.decode<T>();
+    ASSERT_EQ(decoded.size(), values.size()) << context;
     for (std::size_t i = 0; i < values.size(); ++i) {
-        const T got = col[i];
-        EXPECT_EQ(std::memcmp(&got, &values[i], sizeof(T)), 0)
+        EXPECT_EQ(std::memcmp(&decoded[i], &values[i], sizeof(T)), 0)
+            << context << " (" << table::enc::encoding_name(encoded.kind)
+            << ") decode at row " << i;
+        const std::uint64_t bits = view.bits_at(i);
+        EXPECT_EQ(std::memcmp(&bits, &values[i], sizeof(T)), 0)
             << context << " (" << table::enc::encoding_name(encoded.kind)
             << ") random access at row " << i;
     }
-    std::size_t at = 0;
-    col.for_each([&](T v) {
-        ASSERT_LT(at, values.size()) << context;
-        EXPECT_EQ(std::memcmp(&v, &values[at], sizeof(T)), 0)
-            << context << " (" << table::enc::encoding_name(encoded.kind)
-            << ") scan at row " << at;
-        ++at;
-    });
-    EXPECT_EQ(at, values.size()) << context;
-
-    const auto materialized = col.materialize();
-    EXPECT_EQ(std::memcmp(materialized.data(), values.data(), values.size() * sizeof(T)),
-              0)
-        << context;
 }
 
 /// Value shapes covering every encoding's sweet spot plus the cases meant to
@@ -313,13 +302,12 @@ TEST(Encoding, XrefRoundTripsThroughSource) {
     const auto err = table::enc::parse_xref(xref_bytes, 4, src_core, view);
     ASSERT_TRUE(err.empty()) << err;
 
-    const auto col = table::column<std::uint32_t>::encoded(view);
-    ASSERT_EQ(col.size(), indices.size());
+    const auto decoded = view.decode<std::uint32_t>();
+    ASSERT_EQ(decoded.size(), indices.size());
     for (std::size_t i = 0; i < indices.size(); ++i) {
-        EXPECT_EQ(col[i], source[indices[i]]) << i;
+        EXPECT_EQ(decoded[i], source[indices[i]]) << i;
+        EXPECT_EQ(view.bits_at(i), source[indices[i]]) << i;
     }
-    std::size_t at = 0;
-    col.for_each([&](std::uint32_t v) { EXPECT_EQ(v, source[indices[at++]]); });
 }
 
 TEST(Encoding, RejectsCorruptHeaders) {
@@ -357,64 +345,6 @@ TEST(Encoding, RejectsCorruptHeaders) {
         EXPECT_FALSE(table::enc::parse_view(encoded.kind, cut, 4, out).empty())
             << "kept " << keep;
     }
-}
-
-TEST(Grouping, DictColumnFastPathMatchesSpanPath) {
-    rand::rng gen{113};
-    std::vector<std::uint32_t> keys;
-    for (std::size_t i = 0; i < 3000; ++i) {
-        keys.push_back(static_cast<std::uint32_t>(gen.next() % 40) * 256);
-    }
-    const auto encoded =
-        table::enc::choose_and_encode<std::uint32_t>(std::span<const std::uint32_t>{keys});
-    ASSERT_EQ(encoded.kind, table::enc::encoding::dict);
-    table::enc::view_core core;
-    ASSERT_EQ(table::enc::parse_view(encoded.kind, encoded.bytes, 4, core), "");
-    table::enc::any_view view;
-    view.self = core;
-    const auto col = table::column<std::uint32_t>::encoded(view);
-
-    const auto fast = table::make_grouping(col);
-    const auto reference = table::make_grouping(std::span<const std::uint32_t>{keys});
-    EXPECT_EQ(fast.keys, reference.keys);
-    EXPECT_EQ(fast.offsets, reference.offsets);
-    EXPECT_EQ(fast.order, reference.order);
-}
-
-TEST(SortPermutation, PartitionedMatchesSerialPermutation) {
-    engine::thread_pool pool{4};
-    rand::rng gen{115};
-    for (const std::size_t n : {std::size_t{40000}, std::size_t{100000}}) {
-        std::vector<std::uint32_t> keys;
-        keys.reserve(n);
-        // Mixed-entropy keys: duplicates, clusters, and full-range values.
-        for (std::size_t i = 0; i < n; ++i) {
-            const auto r = gen.next();
-            keys.push_back(r % 3 == 0 ? static_cast<std::uint32_t>(r % 1000)
-                                      : static_cast<std::uint32_t>(r));
-        }
-        const auto serial = table::sort_permutation(std::span<const std::uint32_t>{keys});
-        const auto parallel =
-            table::sort_permutation(std::span<const std::uint32_t>{keys}, &pool);
-        EXPECT_EQ(parallel, serial) << n;
-    }
-    // Constant keys short-circuit to the identity permutation.
-    const std::vector<std::uint64_t> same(50000, 9);
-    const auto perm = table::sort_permutation(std::span<const std::uint64_t>{same}, &pool);
-    EXPECT_EQ(perm, table::sort_permutation(std::span<const std::uint64_t>{same}));
-}
-
-TEST(SortedLookup, ColumnConstructorMatchesSpanConstructor) {
-    const std::vector<std::uint64_t> keys{9, 3, 7, 3, 1};
-    const std::vector<double> values{90.0, 30.0, 70.0, 33.0, 10.0};
-    table::column<std::uint64_t> kc;
-    table::column<double> vc;
-    for (const auto k : keys) kc.push_back(k);
-    for (const auto v : values) vc.push_back(v);
-    const table::sorted_lookup<std::uint64_t, double> from_columns{kc, vc};
-    EXPECT_EQ(from_columns.size(), 4u);
-    ASSERT_NE(from_columns.find(3), nullptr);
-    EXPECT_DOUBLE_EQ(*from_columns.find(3), 33.0);
 }
 
 } // namespace

@@ -47,7 +47,7 @@ TEST_P(WorldInvariants, EveryRecordPointsAtARealSite) {
 }
 
 TEST_P(WorldInvariants, FilterNeverCreatesVolume) {
-    for (const auto& f : world_->filtered()) {
+    for (const auto& f : capture::filter_all(world_->ditl())) {
         ASSERT_LE(f.stats.kept, f.stats.raw_queries_per_day);
         ASSERT_GE(f.stats.kept, 0.0);
     }
@@ -55,7 +55,7 @@ TEST_P(WorldInvariants, FilterNeverCreatesVolume) {
 
 TEST_P(WorldInvariants, InflationPipelineIsWellFormed) {
     const auto result = analysis::compute_root_inflation(
-        world_->filtered(), world_->roots(), world_->geodb(), world_->cdn_user_counts());
+        world_->filtered_tables(), world_->roots(), world_->geodb(), world_->cdn_user_counts());
     ASSERT_FALSE(result.geographic.empty());
     for (const auto& [letter, cdf] : result.geographic) {
         ASSERT_FALSE(cdf.empty()) << letter;
@@ -67,7 +67,7 @@ TEST_P(WorldInvariants, InflationPipelineIsWellFormed) {
 
 TEST_P(WorldInvariants, AmortizationIsWellFormed) {
     const auto result = analysis::compute_amortization(
-        world_->filtered(), world_->users(), world_->cdn_user_counts(),
+        world_->filtered_tables(), world_->users(), world_->cdn_user_counts(),
         world_->apnic_user_counts(), world_->as_mapper(), world_->config().query_model);
     ASSERT_FALSE(result.cdn.empty());
     ASSERT_GT(result.cdn.min(), 0.0);
@@ -78,13 +78,11 @@ TEST_P(WorldInvariants, AmortizationIsWellFormed) {
 }
 
 TEST_P(WorldInvariants, CdnEvaluationMatchesLogsEverywhere) {
-    int checked = 0;
-    for (const auto& row : world_->server_logs()) {
-        const auto path =
-            world_->cdn_net().evaluate(row.asn, row.region, row.ring);
+    const auto& logs = world_->server_log_table();
+    for (std::size_t i = 0; i < std::min<std::size_t>(500, logs.rows()); ++i) {
+        const auto path = world_->cdn_net().evaluate(logs.asn[i], logs.region[i], logs.ring[i]);
         ASSERT_TRUE(path.has_value());
-        ASSERT_EQ(row.front_end, path->front_end);
-        if (++checked >= 500) break;
+        ASSERT_EQ(logs.front_end[i], path->front_end);
     }
 }
 

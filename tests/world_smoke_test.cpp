@@ -56,7 +56,7 @@ TEST_F(WorldSmoke, DitlHasTwelveLetters) {
 }
 
 TEST_F(WorldSmoke, FilteringDropsJunk) {
-    for (const auto& f : w().filtered()) {
+    for (const auto& f : capture::filter_all(w().ditl())) {
         EXPECT_GT(f.stats.invalid_dropped, 0.0) << f.letter;
         EXPECT_GT(f.stats.kept, 0.0) << f.letter;
         EXPECT_LT(f.stats.kept, f.stats.raw_queries_per_day) << f.letter;
@@ -77,12 +77,13 @@ TEST_F(WorldSmoke, CdnRingsAreNested) {
 
 TEST_F(WorldSmoke, ServerLogsCoverRings) {
     bool seen[5] = {};
-    for (const auto& row : w().server_logs()) {
-        ASSERT_GE(row.ring, 0);
-        ASSERT_LT(row.ring, 5);
-        seen[row.ring] = true;
-        EXPECT_GE(row.sample_count, 10);
-        EXPECT_GT(row.median_rtt_ms, 0.0);
+    const auto& logs = w().server_log_table();
+    for (std::size_t i = 0; i < logs.rows(); ++i) {
+        ASSERT_GE(logs.ring[i], 0);
+        ASSERT_LT(logs.ring[i], 5);
+        seen[logs.ring[i]] = true;
+        EXPECT_GE(logs.sample_count[i], 10);
+        EXPECT_GT(logs.median_rtt_ms[i], 0.0);
     }
     for (bool s : seen) EXPECT_TRUE(s);
 }
@@ -112,9 +113,10 @@ TEST_F(WorldSmoke, DeterministicAcrossBuilds) {
     core::world b{core::world_config::small()};
     ASSERT_EQ(a.ditl().letters.size(), b.ditl().letters.size());
     EXPECT_DOUBLE_EQ(a.ditl().total_queries_per_day(), b.ditl().total_queries_per_day());
-    ASSERT_EQ(a.server_logs().size(), b.server_logs().size());
-    for (std::size_t i = 0; i < std::min<std::size_t>(100, a.server_logs().size()); ++i) {
-        EXPECT_DOUBLE_EQ(a.server_logs()[i].median_rtt_ms, b.server_logs()[i].median_rtt_ms);
+    ASSERT_EQ(a.server_log_table().rows(), b.server_log_table().rows());
+    for (std::size_t i = 0; i < std::min<std::size_t>(100, a.server_log_table().rows()); ++i) {
+        EXPECT_DOUBLE_EQ(a.server_log_table().median_rtt_ms[i],
+                         b.server_log_table().median_rtt_ms[i]);
     }
 }
 
