@@ -1,5 +1,5 @@
-// Sweep harness baseline: grid throughput plus the bounded-memory contract
-// of the streamed large tier.
+// Sweep harness baseline: grid throughput plus the memory ceiling of the
+// large tier.
 //
 //   * grid.build_ms           — fresh 2x2 small grid (peering x rings)
 //     through run_grid, cells fanned across the pool
@@ -10,13 +10,10 @@
 //   * resume.skip_ms          — second run over the finished grid: every
 //     cell skips via the manifest, so this is the pure resume overhead
 //   * large.build_ms          — one large-tier cell (~1.27B users, 330
-//     front-ends, streamed DITL), full pool width
-//   * stream.peak_buffered_bytes — bounded-writer high-water of the large
-//     cell, unit "bytes": deterministic (ring bound x record size), gated
-//     at zero tolerance
+//     front-ends, ~1.9M capture records), full pool width
 //   * large.peak_rss_mb       — getrusage high-water after the large cell;
 //     the bench itself FAILS (exit 1) if it crosses the hard ceiling, so
-//     a broken ring/spill path cannot pass by reporting a big number
+//     a world whose memory runs away cannot pass by reporting a big number
 //
 //   bench_sweep [--threads N] [--repeat R] [--out FILE]
 #include <sys/resource.h>
@@ -39,9 +36,9 @@ using namespace ac;
 using clock_type = std::chrono::steady_clock;
 
 // Hard ceiling on resident memory after building the large cell. The large
-// world holds ~1.9M capture records plus the routing/user state, which sits
-// well under 1 GiB; an unbounded capture path (ring bound ignored, spill
-// never taken) at a future larger tier is the failure mode this guards.
+// world holds all ~1.9M capture records (~45 MB) in memory plus the
+// routing/user state, which sits well under 1 GiB; a materialized dataset
+// that outgrows that at a future larger tier is the failure mode this guards.
 constexpr long large_rss_ceiling_mb = 2048;
 
 long peak_rss_mb() {
@@ -73,7 +70,7 @@ int main(int argc, char** argv) {
     bench::report report{"sweep", "small+large", args.repeat};
     report.set_note("grid legs run a fresh 2x2 small grid (peering x rings) per repeat; "
                     "resume re-runs the finished grid (all cells skip); the large leg "
-                    "builds one streamed large-tier cell once and asserts the rusage "
+                    "builds one large-tier cell once and asserts the rusage "
                     "high-water stays under the hard ceiling");
     using bench::direction;
     auto& grid_ms = report.add_metric("grid.build_ms", "ms", direction::lower_is_better, 3.0);
@@ -132,20 +129,14 @@ int main(int argc, char** argv) {
         std::cerr << "bench_sweep: large cell did not build\n";
         return 1;
     }
-    if (large_result.stream_peak_bytes == 0) {
-        std::cerr << "bench_sweep: large tier did not stream (peak_buffered_bytes == 0)\n";
-        return 1;
-    }
     const long rss_mb = peak_rss_mb();
     if (rss_mb < 0 || rss_mb > large_rss_ceiling_mb) {
         std::cerr << "bench_sweep: peak RSS " << rss_mb << " MiB exceeds the "
-                  << large_rss_ceiling_mb << " MiB ceiling — capture streaming is not "
-                  << "bounding memory\n";
+                  << large_rss_ceiling_mb << " MiB ceiling for the materialized large "
+                  << "world\n";
         return 1;
     }
     report.add_scalar("large.build_ms", "ms", direction::lower_is_better, 3.0, large_wall);
-    report.add_scalar("stream.peak_buffered_bytes", "bytes", direction::lower_is_better, 0.0,
-                      static_cast<double>(large_result.stream_peak_bytes));
     report.add_scalar("large.peak_rss_mb", "mb", direction::lower_is_better, 1.0,
                       static_cast<double>(rss_mb));
 

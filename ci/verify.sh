@@ -144,7 +144,12 @@ if [[ ${run_tier1} -eq 1 ]]; then
     ./build/tools/acctx snapshot --scale medium --threads 1 --out "${rt}/medium_t1.acx"
     ./build/tools/acctx snapshot --scale medium --threads 4 --out "${rt}/medium_t4.acx"
     cmp "${rt}/medium_t1.acx" "${rt}/medium_t4.acx"
-    echo "verify: snapshot bytes identical at 1 vs 4 threads (small, medium)"
+    # Large too: its ~1.9M capture records come from the same single DITL
+    # path as the smaller tiers, mapped over profiles on the pool.
+    ./build/tools/acctx snapshot --scale large --threads 1 --out "${rt}/large_t1.acx"
+    ./build/tools/acctx snapshot --scale large --threads 4 --out "${rt}/large_t4.acx"
+    cmp "${rt}/large_t1.acx" "${rt}/large_t4.acx"
+    echo "verify: snapshot bytes identical at 1 vs 4 threads (small, medium, large)"
 
     # Live-vs-snapshot figures at medium, where dict, rle, delta and xref
     # sections all appear: every encoded column decodes on load and must

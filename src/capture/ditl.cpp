@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <span>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "src/anycast/deployment.h"
-#include "src/capture/bounded_writer.h"
 #include "src/engine/stream_rng.h"
+#include "src/obs/trace.h"
 
 namespace ac::capture {
 
@@ -64,11 +62,6 @@ net::ipv4_addr anonymize(net::ipv4_addr ip, dns::anonymization anon) {
 /// one independent stream.
 constexpr std::uint64_t stage_junk = 0xd171'0001ULL;
 constexpr std::uint64_t stage_profiles = 0xd171'0002ULL;
-
-/// Streamed-mode chunk length (profiles per map/reduce round). A constant —
-/// never derived from the thread count or the ring bound — so the chunking
-/// cannot change a single output byte.
-constexpr std::size_t stream_profile_chunk = 2048;
 
 } // namespace
 
@@ -125,6 +118,7 @@ ditl_dataset generate_ditl(const dns::root_system& roots, const pop::user_base& 
     for (char letter : roots.all_letters()) {
         const auto& spec = roots.spec(letter);
         if (!spec.in_ditl) continue;  // G contributes nothing
+        obs::span letter_span{"ditl/letter"};
 
         const auto& dep = roots.deployment_of(letter);
         anycast::catchment_table catchment{dep, sources,
@@ -140,35 +134,22 @@ ditl_dataset generate_ditl(const dns::root_system& roots, const pop::user_base& 
         // Per-/24 aggregation buffer for TCP rows.
         std::unordered_map<std::uint64_t, tcp_latency_row> tcp_acc;  // (s24, site)
 
-        // Record sink: the two generation modes differ only in where rows
-        // land — a plain vector, or the bounded ring/spill writer (streamed
-        // mode, options.max_buffered_records != 0). The running totals
-        // accumulate in append order, which is the exact addition sequence
-        // the whole-vector passes below used to perform, so every derived
-        // volume is bit-identical across modes.
-        const bool streamed = options.max_buffered_records != 0;
-        std::unique_ptr<bounded_record_writer> writer;
-        if (streamed) {
-            writer = std::make_unique<bounded_record_writer>(options.max_buffered_records);
-        }
+        // Record sink: rows append to the letter's record vector. The
+        // running totals accumulate in append order, so the spoof and
+        // private volumes below read the same addition sequence a
+        // whole-vector pass over the rows appended so far would.
         double valid_total = 0.0;  // valid_tld volume appended so far (§3.1 spoof base)
         double qpd_total = 0.0;    // all-category volume appended so far
         auto sink = [&](const capture_record& r) {
             if (r.category == query_category::valid_tld) valid_total += r.queries_per_day;
             qpd_total += r.queries_per_day;
-            if (writer) {
-                writer->append(r);
-            } else {
-                lc.records.push_back(r);
-            }
+            lc.records.push_back(r);
         };
 
         // --- Recursive-sourced traffic: the hot loop. Map phase computes
         // each profile's records and TCP contributions into its own slot
         // from a (seed, stage^letter, profile) keyed stream; the ordered
-        // reduce below makes the output independent of thread count.
-        // Streamed mode walks the profiles in fixed-size chunks so at most
-        // one chunk's partial output is ever resident. ---
+        // reduce below makes the output independent of thread count. ---
         struct tcp_part {
             std::uint64_t key = 0;
             net::slash24 source;
@@ -183,104 +164,94 @@ ditl_dataset generate_ditl(const dns::root_system& roots, const pop::user_base& 
         };
         const std::uint64_t profile_stage =
             stage_profiles ^ (static_cast<std::uint64_t>(letter) << 32);
-        const std::size_t chunk_len =
-            streamed ? std::min(profiles.size(), stream_profile_chunk) : profiles.size();
-        std::vector<profile_part> parts;
-        auto process_chunk = [&](std::size_t chunk_begin, std::size_t len) {
-            parts.assign(len, profile_part{});
-            engine::parallel_over(pool, len, [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                    const std::size_t pi = chunk_begin + i;
-                    const auto& profile = profiles[pi];
-                    auto& part = parts[i];
-                    const auto& rec = base.recursives()[profile.recursive_index];
-                    const double weight = profile.letter_weight[static_cast<std::size_t>(li)];
-                    if (weight <= 0.0) continue;
-                    const auto* row = catchment.find(rec.asn, rec.region);
-                    if (row == nullptr) continue;
+        std::vector<profile_part> parts(profiles.size());
+        engine::parallel_over(pool, profiles.size(), [&](std::size_t begin, std::size_t end) {
+            for (std::size_t pi = begin; pi < end; ++pi) {
+                const auto& profile = profiles[pi];
+                auto& part = parts[pi];
+                const auto& rec = base.recursives()[profile.recursive_index];
+                const double weight = profile.letter_weight[static_cast<std::size_t>(li)];
+                if (weight <= 0.0) continue;
+                const auto* row = catchment.find(rec.asn, rec.region);
+                if (row == nullptr) continue;
 
-                    auto emit = [&](net::ipv4_addr ip, route::site_id site, query_category cat,
-                                    double qpd) {
-                        if (qpd <= 0.0) return;
-                        part.records.push_back(
-                            capture_record{anonymize(ip, spec.anon), site, cat, qpd});
-                    };
+                auto emit = [&](net::ipv4_addr ip, route::site_id site, query_category cat,
+                                double qpd) {
+                    if (qpd <= 0.0) return;
+                    part.records.push_back(
+                        capture_record{anonymize(ip, spec.anon), site, cat, qpd});
+                };
 
-                    const double valid = profile.valid_per_day * weight;
-                    const double invalid = profile.invalid_per_day() * weight;
-                    const double ptr = profile.ptr_per_day * weight;
+                const double valid = profile.valid_per_day * weight;
+                const double invalid = profile.invalid_per_day() * weight;
+                const double ptr = profile.ptr_per_day * weight;
 
-                    // Decide the /24's split mode once.
-                    auto rgen = engine::item_rng(seed, profile_stage, pi);
-                    const bool per_ip_split =
-                        row->secondary.has_value() && rgen.chance(options.per_ip_split_share);
+                // Decide the /24's split mode once.
+                auto rgen = engine::item_rng(seed, profile_stage, pi);
+                const bool per_ip_split =
+                    row->secondary.has_value() && rgen.chance(options.per_ip_split_share);
 
-                    double secondary_budget = row->secondary_fraction;  // IP share, per-ip mode
-                    for (std::size_t ip_i = 0; ip_i < rec.resolver_ips.size(); ++ip_i) {
-                        const double ip_share = rec.ip_activity_share[ip_i];
-                        const auto ip = rec.resolver_ips[ip_i];
-                        route::site_id primary_site = row->primary.site;
-                        double secondary_share = 0.0;
-                        if (row->secondary) {
-                            if (per_ip_split) {
-                                // Whole IPs move to the secondary site until the
-                                // split fraction is consumed.
-                                if (secondary_budget >= ip_share * 0.5) {
-                                    primary_site = row->secondary->site;
-                                    secondary_budget -= ip_share;
-                                }
-                            } else {
-                                secondary_share = row->secondary_fraction;
+                double secondary_budget = row->secondary_fraction;  // IP share, per-ip mode
+                for (std::size_t ip_i = 0; ip_i < rec.resolver_ips.size(); ++ip_i) {
+                    const double ip_share = rec.ip_activity_share[ip_i];
+                    const auto ip = rec.resolver_ips[ip_i];
+                    route::site_id primary_site = row->primary.site;
+                    double secondary_share = 0.0;
+                    if (row->secondary) {
+                        if (per_ip_split) {
+                            // Whole IPs move to the secondary site until the
+                            // split fraction is consumed.
+                            if (secondary_budget >= ip_share * 0.5) {
+                                primary_site = row->secondary->site;
+                                secondary_budget -= ip_share;
                             }
-                        }
-                        const route::site_id other_site =
-                            row->secondary ? row->secondary->site : primary_site;
-                        for (auto [cat, qpd] : {std::pair{query_category::valid_tld, valid},
-                                                std::pair{query_category::invalid_tld, invalid},
-                                                std::pair{query_category::ptr, ptr}}) {
-                            const double at_ip = qpd * ip_share;
-                            emit(ip, primary_site, cat, at_ip * (1.0 - secondary_share));
-                            if (secondary_share > 0.0) {
-                                emit(ip, other_site, cat, at_ip * secondary_share);
-                            }
+                        } else {
+                            secondary_share = row->secondary_fraction;
                         }
                     }
-
-                    // TCP RTT evidence (usable letters only; D/L PCAPs are broken).
-                    if (spec.tcp_usable && profile.tcp_share > 0.0) {
-                        const double tcp_qpd = valid * profile.tcp_share;
-                        auto add_tcp = [&](const route::path_result& path, double share) {
-                            const double qpd = tcp_qpd * share;
-                            const auto samples =
-                                static_cast<int>(std::floor(qpd * options.capture_days));
-                            if (samples <= 0) return;
-                            // Median handshake RTT tracks the path's steady-state RTT.
-                            part.tcp.push_back(tcp_part{
-                                (std::uint64_t{rec.block.key()} << 16) | path.site, rec.block,
-                                path.site, samples, qpd, path.rtt_ms * rgen.lognormal(0.0, 0.03)});
-                        };
-                        add_tcp(row->primary, 1.0 - row->secondary_fraction);
-                        if (row->secondary) add_tcp(*row->secondary, row->secondary_fraction);
+                    const route::site_id other_site =
+                        row->secondary ? row->secondary->site : primary_site;
+                    for (auto [cat, qpd] : {std::pair{query_category::valid_tld, valid},
+                                            std::pair{query_category::invalid_tld, invalid},
+                                            std::pair{query_category::ptr, ptr}}) {
+                        const double at_ip = qpd * ip_share;
+                        emit(ip, primary_site, cat, at_ip * (1.0 - secondary_share));
+                        if (secondary_share > 0.0) {
+                            emit(ip, other_site, cat, at_ip * secondary_share);
+                        }
                     }
                 }
-            });
 
-            // Ordered reduce: identical to what the old sequential loop built.
-            for (auto& part : parts) {
-                for (const auto& r : part.records) sink(r);
-                for (const auto& t : part.tcp) {
-                    auto& acc = tcp_acc[t.key];
-                    acc.source = t.source;
-                    acc.site = t.site;
-                    acc.sample_count += t.samples;
-                    acc.queries_per_day += t.queries_per_day;
-                    acc.median_rtt_ms = t.median_rtt_ms;
+                // TCP RTT evidence (usable letters only; D/L PCAPs are broken).
+                if (spec.tcp_usable && profile.tcp_share > 0.0) {
+                    const double tcp_qpd = valid * profile.tcp_share;
+                    auto add_tcp = [&](const route::path_result& path, double share) {
+                        const double qpd = tcp_qpd * share;
+                        const auto samples =
+                            static_cast<int>(std::floor(qpd * options.capture_days));
+                        if (samples <= 0) return;
+                        // Median handshake RTT tracks the path's steady-state RTT.
+                        part.tcp.push_back(tcp_part{
+                            (std::uint64_t{rec.block.key()} << 16) | path.site, rec.block,
+                            path.site, samples, qpd, path.rtt_ms * rgen.lognormal(0.0, 0.03)});
+                    };
+                    add_tcp(row->primary, 1.0 - row->secondary_fraction);
+                    if (row->secondary) add_tcp(*row->secondary, row->secondary_fraction);
                 }
             }
-        };
-        for (std::size_t chunk_begin = 0; chunk_begin < profiles.size();
-             chunk_begin += chunk_len) {
-            process_chunk(chunk_begin, std::min(chunk_len, profiles.size() - chunk_begin));
+        });
+
+        // Ordered reduce: identical to what the old sequential loop built.
+        for (auto& part : parts) {
+            for (const auto& r : part.records) sink(r);
+            for (const auto& t : part.tcp) {
+                auto& acc = tcp_acc[t.key];
+                acc.source = t.source;
+                acc.site = t.site;
+                acc.sample_count += t.samples;
+                acc.queries_per_day += t.queries_per_day;
+                acc.median_rtt_ms = t.median_rtt_ms;
+            }
         }
         parts.clear();
         parts.shrink_to_fit();
@@ -348,19 +319,6 @@ ditl_dataset generate_ditl(const dns::root_system& roots, const pop::user_base& 
                 v4_total * options.ipv6_fraction / (1.0 - options.ipv6_fraction);
         }
 
-        // Streamed mode: everything lives in the writer until now; stream it
-        // back (bounded chunks) into the final dataset and keep the ring
-        // high-water + spill totals as the cell's memory evidence.
-        if (writer) {
-            dataset.stream_peak_buffered_bytes =
-                std::max(dataset.stream_peak_buffered_bytes, writer->peak_buffered_bytes());
-            dataset.stream_spilled_records += writer->spilled_records();
-            lc.records.reserve(writer->size());
-            writer->drain([&](std::span<const capture_record> rows) {
-                lc.records.insert(lc.records.end(), rows.begin(), rows.end());
-            });
-        }
-
         lc.tcp_rtts.reserve(tcp_acc.size());
         for (auto& [_, row] : tcp_acc) {
             if (row.sample_count >= options.min_tcp_samples) lc.tcp_rtts.push_back(row);
@@ -369,6 +327,7 @@ ditl_dataset generate_ditl(const dns::root_system& roots, const pop::user_base& 
             return std::pair{a.source.key(), a.site} < std::pair{b.source.key(), b.site};
         });
 
+        letter_span.set_items(lc.records.size());
         dataset.letters.push_back(std::move(lc));
     }
     return dataset;

@@ -70,24 +70,14 @@ struct ditl_options {
     /// Share of /24s with a secondary site that split whole IPs to it (the
     /// rest split each IP's flow) — App. B.2's two instability flavors.
     double per_ip_split_share = 0.6;
-    /// Bounded streamed generation (large tier / sweep cells): when nonzero,
-    /// per-letter records flow through a `bounded_record_writer` with this
-    /// ring bound and profiles are processed in fixed-size chunks, so
-    /// generation scratch stays flat instead of holding every profile's
-    /// partial output at once. 0 keeps the fully materialized path. Output
-    /// bytes are identical either way (pinned by ditl_test).
+    /// Ignored: generation has one path, which holds every record in
+    /// memory. Kept only because perfbench/driver.cpp assigns it; it changes
+    /// no output byte and is not part of the sweep config hash.
     std::size_t max_buffered_records = 0;
 };
 
 struct ditl_dataset {
     std::vector<letter_capture> letters;  // only letters with in_ditl=true
-
-    /// Streamed-generation accounting (zero when max_buffered_records == 0;
-    /// not serialized into snapshots — live builds only). The peak is the
-    /// max bounded-writer high-water across letters: a deterministic,
-    /// machine-independent function of the config, gated by bench_sweep.
-    std::size_t stream_peak_buffered_bytes = 0;
-    std::size_t stream_spilled_records = 0;
 
     [[nodiscard]] const letter_capture& of(char letter) const;
     [[nodiscard]] double total_queries_per_day() const;

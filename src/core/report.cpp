@@ -8,6 +8,7 @@
 #include "src/analysis/inflation.h"
 #include "src/analysis/join.h"
 #include "src/netbase/strfmt.h"
+#include "src/obs/trace.h"
 
 namespace ac::core {
 
@@ -39,12 +40,20 @@ std::vector<std::string> write_figure_csvs(const world& w, const std::string& di
     std::vector<std::string> written;
     auto record = [&](const std::filesystem::path& p) { written.push_back(p.string()); };
 
-    const auto root_inflation =
-        analysis::compute_root_inflation(w.filtered_tables(), w.roots(), w.geodb(),
-                                         w.cdn_user_counts(), {}, w.pool());
-    const auto cdn_inflation = analysis::compute_cdn_inflation(w.server_log_table(), w.cdn_net());
+    // Root and CDN inflation feed several figures, so each gets its own
+    // span ahead of the per-figure ones.
+    const auto root_inflation = [&] {
+        obs::span span{"report/root_inflation"};
+        return analysis::compute_root_inflation(w.filtered_tables(), w.roots(), w.geodb(),
+                                                w.cdn_user_counts(), {}, w.pool());
+    }();
+    const auto cdn_inflation = [&] {
+        obs::span span{"report/cdn_inflation"};
+        return analysis::compute_cdn_inflation(w.server_log_table(), w.cdn_net());
+    }();
 
     {
+        obs::span span{"report/fig02a"};
         const auto path = dir / "fig02a_root_geographic_inflation.csv";
         auto out = open_csv(path, "series,inflation_ms,cdf");
         for (const auto& [letter, cdf] : root_inflation.geographic) {
@@ -54,6 +63,7 @@ std::vector<std::string> write_figure_csvs(const world& w, const std::string& di
         record(path);
     }
     {
+        obs::span span{"report/fig02b"};
         const auto path = dir / "fig02b_root_latency_inflation.csv";
         auto out = open_csv(path, "series,inflation_ms,cdf");
         for (const auto& [letter, cdf] : root_inflation.latency) {
@@ -63,6 +73,7 @@ std::vector<std::string> write_figure_csvs(const world& w, const std::string& di
         record(path);
     }
     {
+        obs::span span{"report/fig03"};
         const auto amortized = analysis::compute_amortization(
             w.filtered_tables(), w.users(), w.cdn_user_counts(), w.apnic_user_counts(),
             w.as_mapper(), w.config().query_model, {}, w.pool());
@@ -74,6 +85,7 @@ std::vector<std::string> write_figure_csvs(const world& w, const std::string& di
         record(path);
     }
     {
+        obs::span span{"report/fig05a"};
         const auto path = dir / "fig05a_cdn_geographic_inflation.csv";
         auto out = open_csv(path, "series,inflation_ms,cdf");
         for (int ring = 0; ring < w.cdn_net().ring_count(); ++ring) {
@@ -85,6 +97,7 @@ std::vector<std::string> write_figure_csvs(const world& w, const std::string& di
         record(path);
     }
     {
+        obs::span span{"report/fig05b"};
         const auto path = dir / "fig05b_cdn_latency_inflation.csv";
         auto out = open_csv(path, "series,inflation_ms,cdf");
         for (int ring = 0; ring < w.cdn_net().ring_count(); ++ring) {
@@ -96,6 +109,7 @@ std::vector<std::string> write_figure_csvs(const world& w, const std::string& di
         record(path);
     }
     {
+        obs::span span{"report/fig06a"};
         const auto aspath =
             analysis::run_aspath_study(w.fleet(), w.roots(), w.cdn_net(), w.graph());
         const auto path = dir / "fig06a_as_path_lengths.csv";
@@ -109,6 +123,7 @@ std::vector<std::string> write_figure_csvs(const world& w, const std::string& di
         record(path);
     }
     {
+        obs::span span{"report/fig07a"};
         const auto path = dir / "fig07a_size_latency_efficiency.csv";
         auto out = open_csv(path, "deployment,sites,median_ms,efficiency");
         for (char letter : w.roots().geographic_analysis_letters()) {
@@ -125,6 +140,7 @@ std::vector<std::string> write_figure_csvs(const world& w, const std::string& di
         record(path);
     }
     {
+        obs::span span{"report/fig07b"};
         const std::vector<double> radii{100, 250,  500,  750,  1000,
                                         1250, 1500, 1750, 2000, 3000};
         const auto path = dir / "fig07b_coverage.csv";

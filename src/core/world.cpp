@@ -29,9 +29,6 @@ world_config world_config::large() {
     config.graph.public_dns_count = 8;
     config.users.users_per_weight = 1.8e8;
     config.ditl.junk_source_count = 32000;
-    // Bounded streamed generation: capture rows overflow to a spill file once
-    // this many are buffered, so generation scratch stays flat (DESIGN §15).
-    config.ditl.max_buffered_records = std::size_t{1} << 16;
     config.cdn.ring_sizes = {84, 141, 222, 285, 330};
     config.atlas.probe_count = 14400;
     return config;

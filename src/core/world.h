@@ -34,9 +34,7 @@ enum class ditl_year : std::uint8_t { y2018, y2020 };
 /// Named world sizes. `small` is the unit-test world, `medium` is the paper's
 /// scale (the historical default config, still spelled `full` on the CLI),
 /// `large` is the production-scale tier: hundreds of CDN front-ends, a few
-/// thousand ASes, hundreds of millions of users, and DITL synthesis running
-/// through the bounded ring/spill writer so generation never holds more than
-/// a fixed number of capture rows in RAM beyond the finished dataset.
+/// thousand ASes, hundreds of millions of users, and ~1.9M capture rows.
 enum class scale_tier : std::uint8_t { small, medium, large };
 
 [[nodiscard]] std::string_view to_string(scale_tier tier) noexcept;
@@ -68,8 +66,7 @@ struct world_config {
     [[nodiscard]] static world_config small();
     /// The paper-scale world — identical to a default-constructed config.
     [[nodiscard]] static world_config medium();
-    /// The production-scale tier (see scale_tier docs). Streamed DITL
-    /// generation is on by default here (ditl.max_buffered_records != 0).
+    /// The production-scale tier (see scale_tier docs).
     [[nodiscard]] static world_config large();
     [[nodiscard]] static world_config for_tier(scale_tier tier);
 };

@@ -94,8 +94,7 @@ void write_manifest(const fs::path& dir, const std::vector<cell>& cells,
 
 /// Builds one cell into `cell_dir`: snapshot, figure CSVs, metrics JSON.
 /// Returns the relative file list (manifest order).
-std::vector<std::string> build_cell(const cell& c, const fs::path& cell_dir, int world_threads,
-                                    std::size_t* stream_peak) {
+std::vector<std::string> build_cell(const cell& c, const fs::path& cell_dir, int world_threads) {
     core::world_config config = c.config;
     config.threads = world_threads;
     const core::world w(config);
@@ -126,16 +125,10 @@ std::vector<std::string> build_cell(const cell& c, const fs::path& cell_dir, int
     reg.get_gauge("sweep.cell.rings").set(static_cast<double>(w.cdn_net().ring_count()));
     reg.get_gauge("sweep.cell.snapshot_bytes")
         .set(static_cast<double>(fs::file_size(cell_dir / "world.acx")));
-    reg.get_gauge("sweep.cell.stream_peak_buffered_bytes")
-        .set(static_cast<double>(w.ditl().stream_peak_buffered_bytes));
-    reg.get_gauge("sweep.cell.stream_spilled_records")
-        .set(static_cast<double>(w.ditl().stream_spilled_records));
     std::ofstream metrics(cell_dir / "metrics.json", std::ios::trunc);
     if (!metrics) throw std::runtime_error("sweep: cannot write metrics.json for " + c.name);
     reg.write_json(metrics);
     files.push_back("metrics.json");
-
-    *stream_peak = w.ditl().stream_peak_buffered_bytes;
     return files;
 }
 
@@ -181,14 +174,12 @@ sweep_result run_grid(const grid_spec& spec, const std::string& out_dir,
     std::mutex mu;  // guards manifest rewrite, result counters, progress
     for (const std::size_t i : to_build) {
         pool.submit([&, i] {
-            std::size_t stream_peak = 0;
-            auto files = build_cell(cells[i], dir / cells[i].name, world_threads, &stream_peak);
+            auto files = build_cell(cells[i], dir / cells[i].name, world_threads);
             const std::lock_guard<std::mutex> lock(mu);
             entries[i] = manifest_entry{cells[i].config_hash, std::move(files)};
             is_done[i] = true;
             result.cells[i].built = true;
             ++result.built;
-            result.stream_peak_bytes = std::max(result.stream_peak_bytes, stream_peak);
             // Rewrite after every cell: a killed run resumes from here.
             write_manifest(dir, cells, entries, is_done);
             if (options.progress != nullptr) {

@@ -45,9 +45,6 @@ struct sweep_result {
     std::size_t built = 0;
     std::size_t skipped = 0;
     std::size_t pending = 0;  // cut short by max_cells; resume later
-    /// Max bounded-writer high-water across built cells (0 when every cell
-    /// ran materialized or was skipped). Deterministic; gated by bench_sweep.
-    std::size_t stream_peak_bytes = 0;
 };
 
 /// Runs the grid. Throws spec_error / std::runtime_error on unusable specs

@@ -222,7 +222,6 @@ std::string describe_config(const core::world_config& c) {
     f("ditl.min_tcp_samples", c.ditl.min_tcp_samples);
     f("ditl.capture_days", c.ditl.capture_days);
     f("ditl.per_ip_split_share", c.ditl.per_ip_split_share);
-    f("ditl.max_buffered_records", c.ditl.max_buffered_records);
     out << "cdn.ring_sizes=";
     for (std::size_t i = 0; i < c.cdn.ring_sizes.size(); ++i) {
         if (i != 0) out << ',';

@@ -64,6 +64,7 @@ struct cell {
 /// Canonical rendering of every config knob that can change output bytes —
 /// doubles in hexfloat so the digest is exact. `threads` is deliberately
 /// excluded: thread count never changes a byte, so it must not force re-runs.
+/// So is the DITL option that generation ignores (capture/ditl.h).
 [[nodiscard]] std::string describe_config(const core::world_config& config);
 
 /// FNV-1a 64 over `describe_config`.

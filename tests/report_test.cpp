@@ -190,7 +190,8 @@ TEST_F(ReportFixture, ObservabilityNeverChangesFigureBytes) {
     // tracing enabled and every instrumented subsystem recording must still
     // produce the goldens above, byte for byte. (The CLI equivalent —
     // `acctx report --trace --metrics-json` vs a flag-less run — is checked
-    // by ci/verify.sh's round trip.)
+    // by ci/verify.sh's round trip.) The trace must also name the DITL
+    // letters and every figure block, so neither phase runs dark.
     obs::enable_tracing();
     auto config = core::world_config::small();
     config.threads = 4;
@@ -201,6 +202,17 @@ TEST_F(ReportFixture, ObservabilityNeverChangesFigureBytes) {
 
     expect_golden_files(files, "tracing enabled");
     EXPECT_GT(obs::trace_event_count(), 0u);
+    EXPECT_EQ(obs::trace_dropped_count(), 0u);
+    std::ostringstream trace;
+    obs::write_chrome_trace(trace);
+    const std::string json = trace.str();
+    for (const char* name :
+         {"ditl/letter", "report/root_inflation", "report/cdn_inflation", "report/fig02a",
+          "report/fig02b", "report/fig03", "report/fig05a", "report/fig05b", "report/fig06a",
+          "report/fig07a", "report/fig07b"}) {
+        EXPECT_NE(json.find(std::string{"\""} + name + "\""), std::string::npos)
+            << "no span named " << name;
+    }
     std::filesystem::remove_all(dir);
 }
 

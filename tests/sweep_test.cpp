@@ -1,8 +1,7 @@
-// Sweep harness tests: the bounded capture writer's ring/spill round trip,
-// streamed-vs-materialized DITL byte-identity, grid spec parsing and cell
-// expansion, and the driver's core contracts — thread-count byte-identity
-// of a whole grid on disk, manifest resume without recompute, and
-// config-hash mismatches forcing re-runs (DESIGN §15).
+// Sweep harness tests: grid spec parsing and cell expansion, the config
+// hash, and the driver's core contracts — thread-count byte-identity of a
+// whole grid on disk, manifest resume without recompute, and config-hash
+// mismatches forcing re-runs (DESIGN §15).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "src/capture/bounded_writer.h"
 #include "src/core/world.h"
 #include "src/sweep/driver.h"
 #include "src/sweep/spec.h"
@@ -21,110 +19,6 @@ namespace {
 
 using namespace ac;
 namespace fs = std::filesystem;
-
-// capture_record carries internal padding, so raw memcmp would compare
-// indeterminate bytes; equality is field-wise everywhere in this file.
-bool same_record(const capture::capture_record& a, const capture::capture_record& b) {
-    return a.source_ip == b.source_ip && a.site == b.site && a.category == b.category &&
-           a.queries_per_day == b.queries_per_day;
-}
-
-capture::capture_record make_record(std::uint32_t i) {
-    capture::capture_record r;
-    r.source_ip = net::ipv4_addr{0x0a000000u + i};
-    r.site = static_cast<route::site_id>(i % 7);
-    r.category = capture::query_category::valid_tld;
-    r.queries_per_day = 1.0 + i;
-    return r;
-}
-
-// ---------------------------------------------------------------------------
-// bounded_record_writer
-// ---------------------------------------------------------------------------
-
-TEST(BoundedWriter, SpillRoundTripPreservesOrder) {
-    constexpr std::size_t bound = 1000;
-    constexpr std::uint32_t count = 10500;  // 10 full spills + a tail
-    capture::bounded_record_writer writer{bound};
-    for (std::uint32_t i = 0; i < count; ++i) writer.append(make_record(i));
-
-    EXPECT_EQ(writer.size(), count);
-    EXPECT_GT(writer.spilled_records(), 0u);
-    EXPECT_EQ(writer.peak_buffered_bytes(), bound * sizeof(capture::capture_record));
-
-    const auto records = std::move(writer).take();
-    ASSERT_EQ(records.size(), count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        const auto want = make_record(i);
-        EXPECT_EQ(records[i].source_ip, want.source_ip) << "record " << i;
-        EXPECT_EQ(records[i].site, want.site) << "record " << i;
-        EXPECT_EQ(records[i].queries_per_day, want.queries_per_day) << "record " << i;
-    }
-}
-
-TEST(BoundedWriter, NoSpillBelowBoundOrUnbounded) {
-    capture::bounded_record_writer small_load{100};
-    for (std::uint32_t i = 0; i < 99; ++i) small_load.append(make_record(i));
-    EXPECT_EQ(small_load.spilled_records(), 0u);
-    EXPECT_EQ(std::move(small_load).take().size(), 99u);
-
-    capture::bounded_record_writer unbounded{0};
-    for (std::uint32_t i = 0; i < 5000; ++i) unbounded.append(make_record(i));
-    EXPECT_EQ(unbounded.spilled_records(), 0u);
-    EXPECT_EQ(unbounded.peak_buffered_bytes(), 5000 * sizeof(capture::capture_record));
-    EXPECT_EQ(std::move(unbounded).take().size(), 5000u);
-}
-
-TEST(BoundedWriter, SpanAppendMatchesSingleAppends) {
-    std::vector<capture::capture_record> batch;
-    for (std::uint32_t i = 0; i < 2500; ++i) batch.push_back(make_record(i));
-
-    capture::bounded_record_writer by_span{700};
-    by_span.append(batch);
-    capture::bounded_record_writer by_one{700};
-    for (const auto& r : batch) by_one.append(r);
-
-    const auto a = std::move(by_span).take();
-    const auto b = std::move(by_one).take();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_TRUE(same_record(a[i], b[i])) << "record " << i;
-    }
-}
-
-// Streaming the DITL generator through the bounded writer must not change a
-// single output byte relative to the materialized path: the spill bound is
-// a memory knob, never a semantic one.
-TEST(BoundedWriter, StreamedDitlMatchesMaterialized) {
-    auto materialized_config = core::world_config::small();
-    materialized_config.threads = 1;
-    ASSERT_EQ(materialized_config.ditl.max_buffered_records, 0u);
-    const core::world materialized{materialized_config};
-
-    auto streamed_config = core::world_config::small();
-    streamed_config.threads = 1;
-    streamed_config.ditl.max_buffered_records = 512;  // force many spills
-    const core::world streamed{streamed_config};
-
-    const auto& a = materialized.ditl().letters;
-    const auto& b = streamed.ditl().letters;
-    ASSERT_EQ(a.size(), b.size());
-    std::size_t total = 0;
-    for (std::size_t li = 0; li < a.size(); ++li) {
-        ASSERT_EQ(a[li].records.size(), b[li].records.size()) << "letter " << li;
-        for (std::size_t r = 0; r < a[li].records.size(); ++r) {
-            ASSERT_TRUE(same_record(a[li].records[r], b[li].records[r]))
-                << "letter " << li << " record " << r;
-        }
-        total += a[li].records.size();
-    }
-    EXPECT_EQ(materialized.ditl().total_queries_per_day(),
-              streamed.ditl().total_queries_per_day());
-    EXPECT_EQ(materialized.ditl().stream_peak_buffered_bytes, 0u);
-    EXPECT_EQ(streamed.ditl().stream_peak_buffered_bytes,
-              512 * sizeof(capture::capture_record));
-    EXPECT_GT(streamed.ditl().stream_spilled_records, total / 2);
-}
 
 // ---------------------------------------------------------------------------
 // grid specs
@@ -209,13 +103,14 @@ TEST(GridSpec, HashIgnoresThreadsButSeesEveryKnob) {
     config.threads = 8;
     EXPECT_EQ(sweep::hash_config(config), base_hash) << "threads must not force re-runs";
 
+    auto buffered = core::world_config::small();
+    buffered.ditl.max_buffered_records = 512;
+    EXPECT_EQ(sweep::hash_config(buffered), base_hash)
+        << "an option DITL generation ignores must not force re-runs";
+
     auto seeded = core::world_config::small();
     seeded.seed = 43;
     EXPECT_NE(sweep::hash_config(seeded), base_hash);
-
-    auto streamed = core::world_config::small();
-    streamed.ditl.max_buffered_records = 512;
-    EXPECT_NE(sweep::hash_config(streamed), base_hash);
 }
 
 TEST(GridSpec, IdealCacheCollapsesRefreshes) {
