@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
 
 namespace ac::snapshot {
 
@@ -9,9 +10,17 @@ namespace {
 
 // ------------------------------------------------------- packed encoding --
 // Little-endian packed streams for the small metadata sections (config,
-// per-letter headers). Fixed field order on both sides; the reader throws
-// errc::malformed on any size mismatch, so a future field addition must bump
-// the format version rather than silently misparse.
+// per-letter headers). Each section's layout is written once, as a function
+// template over `io` that names its fields in order; the writer instantiates
+// it with byte_sink and the reader with byte_source, so the two sides cannot
+// drift apart. The reader throws errc::malformed on any size mismatch or
+// out-of-range value, so a future field addition must bump the format
+// version rather than silently misparse.
+
+/// Longest vector a packed section may declare (the CDN ring list).
+constexpr std::uint32_t max_packed_vector = 1024;
+
+static_assert(sizeof(long) == 8, "telemetry.min_samples is packed as 8 bytes");
 
 struct byte_sink {
     std::vector<std::byte> bytes;
@@ -20,15 +29,30 @@ struct byte_sink {
         const auto* p = static_cast<const std::byte*>(data);
         bytes.insert(bytes.end(), p, p + n);
     }
-    void u8(std::uint8_t v) { put(&v, 1); }
-    void u32(std::uint32_t v) { put(&v, 4); }
-    void u64(std::uint64_t v) { put(&v, 8); }
-    void i32(std::int32_t v) { put(&v, 4); }
-    void i64(std::int64_t v) { put(&v, 8); }
-    void f64(double v) { put(&v, 8); }
-    void str(const std::string& s) {
-        u32(static_cast<std::uint32_t>(s.size()));
+    // Arithmetic fields are stored as their in-memory bytes: bool and char
+    // as one byte, int as 4, long as 8.
+    template <typename T>
+        requires std::is_arithmetic_v<T>
+    void field(T v) {
+        put(&v, sizeof v);
+    }
+    template <typename E>
+        requires std::is_enum_v<E>
+    void field(E v) {
+        static_assert(sizeof(E) == 1, "packed enums are one byte");
+        field(static_cast<std::uint8_t>(v));
+    }
+    void field(const std::string& s) {
+        field(static_cast<std::uint32_t>(s.size()));
         put(s.data(), s.size());
+    }
+    void field(const std::vector<std::int32_t>& v) {
+        field(static_cast<std::uint32_t>(v.size()));
+        for (const auto x : v) field(x);
+    }
+    template <typename... T>
+    void fields(const T&... v) {
+        (field(v), ...);
     }
 };
 
@@ -40,228 +64,112 @@ struct byte_source {
     explicit byte_source(std::span<const std::byte> b, const char* section)
         : bytes(b), what(section) {}
 
+    [[noreturn]] void fail(const char* problem) const {
+        throw snapshot_error(errc::malformed, std::string{what} + " section " + problem);
+    }
     void get(void* out, std::size_t n) {
-        if (pos + n > bytes.size()) {
-            throw snapshot_error(errc::malformed,
-                                 std::string{what} + " section is shorter than its schema");
-        }
+        if (n > bytes.size() - pos) fail("is shorter than its schema");
         std::memcpy(out, bytes.data() + pos, n);
         pos += n;
     }
-    std::uint8_t u8() { std::uint8_t v; get(&v, 1); return v; }
-    std::uint32_t u32() { std::uint32_t v; get(&v, 4); return v; }
-    std::uint64_t u64() { std::uint64_t v; get(&v, 8); return v; }
-    std::int32_t i32() { std::int32_t v; get(&v, 4); return v; }
-    std::int64_t i64() { std::int64_t v; get(&v, 8); return v; }
-    double f64() { double v; get(&v, 8); return v; }
-    std::string str() {
-        const auto n = u32();
-        std::string s(n, '\0');
-        get(s.data(), n);
-        return s;
+    template <typename T>
+        requires std::is_arithmetic_v<T>
+    void field(T& v) {
+        get(&v, sizeof v);
+    }
+    void field(bool& v) {
+        std::uint8_t b;
+        field(b);
+        v = b != 0;
+    }
+    template <typename E>
+    void bounded_enum(E& v, std::uint8_t max, const char* problem) {
+        std::uint8_t b;
+        field(b);
+        if (b > max) fail(problem);
+        v = static_cast<E>(b);
+    }
+    void field(core::ditl_year& v) { bounded_enum(v, 1, "holds an out-of-range year"); }
+    void field(dns::anonymization& v) {
+        bounded_enum(v, 2, "holds an out-of-range anonymization");
+    }
+    void field(anycast::hosting_strategy& v) {
+        bounded_enum(v, 2, "holds an out-of-range hosting strategy");
+    }
+    void field(std::string& s) {
+        std::uint32_t n;
+        field(n);
+        // Check before allocating: the declared length comes from the file.
+        if (n > bytes.size() - pos) fail("is shorter than its schema");
+        s.assign(reinterpret_cast<const char*>(bytes.data() + pos), n);
+        pos += n;
+    }
+    void field(std::vector<std::int32_t>& v) {
+        std::uint32_t n;
+        field(n);
+        if (n > max_packed_vector) fail("declares an implausible vector length");
+        v.resize(n);
+        for (auto& x : v) field(x);
+    }
+    template <typename... T>
+    void fields(T&... v) {
+        (field(v), ...);
     }
     void finish() const {
-        if (pos != bytes.size()) {
-            throw snapshot_error(errc::malformed,
-                                 std::string{what} + " section is longer than its schema");
-        }
+        if (pos != bytes.size()) fail("is longer than its schema");
     }
 };
 
 // ----------------------------------------------------------- world config --
 
-void encode_config(byte_sink& s, const core::world_config& c) {
-    // `threads` is deliberately NOT serialized: it is an execution knob that
-    // never changes an output byte, and worlds built at different thread
-    // counts must produce byte-identical snapshots.
-    s.u64(c.seed);
-    s.u8(c.year == core::ditl_year::y2018 ? 0 : 1);
-    s.f64(c.ip_to_asn_unmapped);
-    s.i32(c.root_zone_tlds);
+/// `world/config`. `threads` is deliberately absent: it is an execution
+/// knob that never changes an output byte, and worlds built at different
+/// thread counts must produce byte-identical snapshots. So is
+/// `ditl.max_buffered_records`, which generation ignores (capture/ditl.h).
+template <typename IO, typename Config>
+void config_fields(IO& io, Config& c) {
+    io.fields(c.seed, c.year, c.ip_to_asn_unmapped, c.root_zone_tlds);
 
-    s.i32(c.regions.north_america);
-    s.i32(c.regions.south_america);
-    s.i32(c.regions.europe);
-    s.i32(c.regions.africa);
-    s.i32(c.regions.asia);
-    s.i32(c.regions.oceania);
-    s.i32(c.regions.antarctica);
+    auto& r = c.regions;
+    io.fields(r.north_america, r.south_america, r.europe, r.africa, r.asia, r.oceania,
+              r.antarctica);
 
-    s.i32(c.graph.tier1_count);
-    s.i32(c.graph.transits_per_continent);
-    s.i32(c.graph.eyeball_count);
-    s.i32(c.graph.enterprise_count);
-    s.i32(c.graph.public_dns_count);
-    s.f64(c.graph.transit_extra_provider_p);
-    s.f64(c.graph.transit_peering_p);
-    s.f64(c.graph.eyeball_multihome_p);
-    s.f64(c.graph.eyeball_ixp_peering_p);
-    s.f64(c.graph.eyeball_last_mile_ms_min);
-    s.f64(c.graph.eyeball_last_mile_ms_max);
+    auto& g = c.graph;
+    io.fields(g.tier1_count, g.transits_per_continent, g.eyeball_count, g.enterprise_count,
+              g.public_dns_count, g.transit_extra_provider_p, g.transit_peering_p,
+              g.eyeball_multihome_p, g.eyeball_ixp_peering_p, g.eyeball_last_mile_ms_min,
+              g.eyeball_last_mile_ms_max);
 
-    s.f64(c.users.users_per_weight);
-    s.f64(c.users.public_dns_share);
-    s.f64(c.users.bind_redundant_share);
-    s.f64(c.users.bind_fixed_share);
-    s.f64(c.users.forwarder_share);
-    s.f64(c.users.egress_only_ip_p);
-    s.i32(c.users.min_resolver_ips);
-    s.i32(c.users.max_resolver_ips);
+    auto& u = c.users;
+    io.fields(u.users_per_weight, u.public_dns_share, u.bind_redundant_share,
+              u.bind_fixed_share, u.forwarder_share, u.egress_only_ip_p, u.min_resolver_ips,
+              u.max_resolver_ips);
 
-    s.f64(c.query_model.tld_base);
-    s.f64(c.query_model.tld_exponent);
-    s.f64(c.query_model.max_tlds);
-    s.f64(c.query_model.ttl_days);
-    s.f64(c.query_model.refresh_median_bind_redundant);
-    s.f64(c.query_model.refresh_median_bind_fixed);
-    s.f64(c.query_model.refresh_median_other);
-    s.f64(c.query_model.refresh_sigma);
-    s.f64(c.query_model.chromium_probes_per_user);
-    s.f64(c.query_model.junk_per_user_median);
-    s.f64(c.query_model.junk_user_exponent);
-    s.f64(c.query_model.junk_reference_users);
-    s.f64(c.query_model.junk_sigma);
-    s.f64(c.query_model.ptr_per_user);
-    s.f64(c.query_model.preference_gamma_lo);
-    s.f64(c.query_model.preference_gamma_hi);
-    s.f64(c.query_model.preference_uniform_mix);
-    s.f64(c.query_model.tcp_share_zero_p);
-    s.f64(c.query_model.tcp_share_median);
-    s.f64(c.query_model.tcp_share_sigma);
+    auto& q = c.query_model;
+    io.fields(q.tld_base, q.tld_exponent, q.max_tlds, q.ttl_days,
+              q.refresh_median_bind_redundant, q.refresh_median_bind_fixed,
+              q.refresh_median_other, q.refresh_sigma, q.chromium_probes_per_user,
+              q.junk_per_user_median, q.junk_user_exponent, q.junk_reference_users,
+              q.junk_sigma, q.ptr_per_user, q.preference_gamma_lo, q.preference_gamma_hi,
+              q.preference_uniform_mix, q.tcp_share_zero_p, q.tcp_share_median,
+              q.tcp_share_sigma);
 
-    s.f64(c.ditl.ipv6_fraction);
-    s.f64(c.ditl.private_fraction);
-    s.f64(c.ditl.spoofed_fraction);
-    s.i32(c.ditl.junk_source_count);
-    s.i32(c.ditl.junk_ips_per_source);
-    s.f64(c.ditl.junk_source_median_qpd);
-    s.f64(c.ditl.junk_source_sigma);
-    s.i32(c.ditl.min_tcp_samples);
-    s.f64(c.ditl.capture_days);
-    s.f64(c.ditl.per_ip_split_share);
+    auto& d = c.ditl;
+    io.fields(d.ipv6_fraction, d.private_fraction, d.spoofed_fraction, d.junk_source_count,
+              d.junk_ips_per_source, d.junk_source_median_qpd, d.junk_source_sigma,
+              d.min_tcp_samples, d.capture_days, d.per_ip_split_share);
 
-    s.u32(static_cast<std::uint32_t>(c.cdn.ring_sizes.size()));
-    for (const int size : c.cdn.ring_sizes) s.i32(size);
-    s.u32(c.cdn.asn);
-    s.str(c.cdn.name);
-    s.f64(c.cdn.eyeball_peering_fraction);
-    s.f64(c.cdn.transit_peering_fraction);
-    s.f64(c.cdn.wan_circuitousness);
-    s.u64(c.cdn.seed);
+    auto& n = c.cdn;
+    io.fields(n.ring_sizes, n.asn, n.name, n.eyeball_peering_fraction,
+              n.transit_peering_fraction, n.wan_circuitousness, n.seed);
 
-    s.f64(c.telemetry.connections_per_user);
-    s.f64(c.telemetry.capture_days);
-    s.i64(c.telemetry.min_samples);
-    s.f64(c.telemetry.ring_share_sigma);
-    s.f64(c.telemetry.fetch_rtt_multiple);
+    auto& t = c.telemetry;
+    io.fields(t.connections_per_user, t.capture_days, t.min_samples, t.ring_share_sigma,
+              t.fetch_rtt_multiple);
 
-    s.i32(c.atlas.probe_count);
-    s.f64(c.atlas.europe_bias);
-    s.f64(c.atlas.connectivity_bias);
-    s.u64(c.atlas.seed);
-
-    s.f64(c.geodb.wrong_region_p);
-    s.f64(c.geodb.jitter_km);
-}
-
-core::world_config decode_config(byte_source& s) {
-    core::world_config c;
-    c.seed = s.u64();
-    const auto year = s.u8();
-    if (year > 1) throw snapshot_error(errc::malformed, "config year is out of range");
-    c.year = year == 0 ? core::ditl_year::y2018 : core::ditl_year::y2020;
-    c.ip_to_asn_unmapped = s.f64();
-    c.root_zone_tlds = s.i32();
-
-    c.regions.north_america = s.i32();
-    c.regions.south_america = s.i32();
-    c.regions.europe = s.i32();
-    c.regions.africa = s.i32();
-    c.regions.asia = s.i32();
-    c.regions.oceania = s.i32();
-    c.regions.antarctica = s.i32();
-
-    c.graph.tier1_count = s.i32();
-    c.graph.transits_per_continent = s.i32();
-    c.graph.eyeball_count = s.i32();
-    c.graph.enterprise_count = s.i32();
-    c.graph.public_dns_count = s.i32();
-    c.graph.transit_extra_provider_p = s.f64();
-    c.graph.transit_peering_p = s.f64();
-    c.graph.eyeball_multihome_p = s.f64();
-    c.graph.eyeball_ixp_peering_p = s.f64();
-    c.graph.eyeball_last_mile_ms_min = s.f64();
-    c.graph.eyeball_last_mile_ms_max = s.f64();
-
-    c.users.users_per_weight = s.f64();
-    c.users.public_dns_share = s.f64();
-    c.users.bind_redundant_share = s.f64();
-    c.users.bind_fixed_share = s.f64();
-    c.users.forwarder_share = s.f64();
-    c.users.egress_only_ip_p = s.f64();
-    c.users.min_resolver_ips = s.i32();
-    c.users.max_resolver_ips = s.i32();
-
-    c.query_model.tld_base = s.f64();
-    c.query_model.tld_exponent = s.f64();
-    c.query_model.max_tlds = s.f64();
-    c.query_model.ttl_days = s.f64();
-    c.query_model.refresh_median_bind_redundant = s.f64();
-    c.query_model.refresh_median_bind_fixed = s.f64();
-    c.query_model.refresh_median_other = s.f64();
-    c.query_model.refresh_sigma = s.f64();
-    c.query_model.chromium_probes_per_user = s.f64();
-    c.query_model.junk_per_user_median = s.f64();
-    c.query_model.junk_user_exponent = s.f64();
-    c.query_model.junk_reference_users = s.f64();
-    c.query_model.junk_sigma = s.f64();
-    c.query_model.ptr_per_user = s.f64();
-    c.query_model.preference_gamma_lo = s.f64();
-    c.query_model.preference_gamma_hi = s.f64();
-    c.query_model.preference_uniform_mix = s.f64();
-    c.query_model.tcp_share_zero_p = s.f64();
-    c.query_model.tcp_share_median = s.f64();
-    c.query_model.tcp_share_sigma = s.f64();
-
-    c.ditl.ipv6_fraction = s.f64();
-    c.ditl.private_fraction = s.f64();
-    c.ditl.spoofed_fraction = s.f64();
-    c.ditl.junk_source_count = s.i32();
-    c.ditl.junk_ips_per_source = s.i32();
-    c.ditl.junk_source_median_qpd = s.f64();
-    c.ditl.junk_source_sigma = s.f64();
-    c.ditl.min_tcp_samples = s.i32();
-    c.ditl.capture_days = s.f64();
-    c.ditl.per_ip_split_share = s.f64();
-
-    c.cdn.ring_sizes.clear();
-    const auto ring_count = s.u32();
-    if (ring_count > 1024) {
-        throw snapshot_error(errc::malformed, "config ring count is implausible");
-    }
-    c.cdn.ring_sizes.reserve(ring_count);
-    for (std::uint32_t i = 0; i < ring_count; ++i) c.cdn.ring_sizes.push_back(s.i32());
-    c.cdn.asn = s.u32();
-    c.cdn.name = s.str();
-    c.cdn.eyeball_peering_fraction = s.f64();
-    c.cdn.transit_peering_fraction = s.f64();
-    c.cdn.wan_circuitousness = s.f64();
-    c.cdn.seed = s.u64();
-
-    c.telemetry.connections_per_user = s.f64();
-    c.telemetry.capture_days = s.f64();
-    c.telemetry.min_samples = static_cast<long>(s.i64());
-    c.telemetry.ring_share_sigma = s.f64();
-    c.telemetry.fetch_rtt_multiple = s.f64();
-
-    c.atlas.probe_count = s.i32();
-    c.atlas.europe_bias = s.f64();
-    c.atlas.connectivity_bias = s.f64();
-    c.atlas.seed = s.u64();
-
-    c.geodb.wrong_region_p = s.f64();
-    c.geodb.jitter_km = s.f64();
-    return c;
+    io.fields(c.atlas.probe_count, c.atlas.europe_bias, c.atlas.connectivity_bias,
+              c.atlas.seed);
+    io.fields(c.geodb.wrong_region_p, c.geodb.jitter_km);
 }
 
 // ------------------------------------------------------------- ditl sections
@@ -270,20 +178,34 @@ std::string sec(const char* group, std::size_t index, const char* field) {
     return std::string{group} + "/" + std::to_string(index) + "/" + field;
 }
 
-void encode_letter_spec_flags(byte_sink& s, const dns::letter_spec& spec) {
-    s.u8(static_cast<std::uint8_t>(spec.anon));
-    s.u8(spec.in_ditl ? 1 : 0);
-    s.u8(spec.tcp_usable ? 1 : 0);
-    s.u8(spec.complete ? 1 : 0);
+/// The letter_spec part shared by both per-letter meta sections. The
+/// reader restores `spec.letter` from the section's own letter byte.
+template <typename IO, typename Spec>
+void letter_spec_fields(IO& io, Spec& s) {
+    io.fields(s.anon, s.in_ditl, s.tcp_usable, s.complete, s.global_sites, s.local_sites);
 }
 
-void decode_letter_spec_flags(byte_source& s, dns::letter_spec& spec) {
-    const auto anon = s.u8();
-    if (anon > 2) throw snapshot_error(errc::malformed, "letter anonymization out of range");
-    spec.anon = static_cast<dns::anonymization>(anon);
-    spec.in_ditl = s.u8() != 0;
-    spec.tcp_usable = s.u8() != 0;
-    spec.complete = s.u8() != 0;
+/// `ditl/<i>/meta`: exactly the fields the text serializer carries
+/// (capture/serialize.h), so a text round-trip re-snapshots
+/// byte-identically. `strategy` is deliberately absent from both.
+template <typename IO, typename Capture>
+void ditl_meta_fields(IO& io, Capture& lc) {
+    io.field(lc.letter);
+    letter_spec_fields(io, lc.spec);
+    io.field(lc.ipv6_queries_per_day);
+}
+
+/// `tables/<i>/meta`.
+template <typename IO, typename Table>
+void table_meta_fields(IO& io, Table& t) {
+    io.fields(t.letter, t.spec.strategy);
+    letter_spec_fields(io, t.spec);
+}
+
+/// Adds one per-letter meta section (one element spanning the payload).
+void add_meta(writer& w, std::string name, const byte_sink& meta) {
+    w.add_raw(std::move(name), meta.bytes.data(), meta.bytes.size(),
+              static_cast<std::uint32_t>(meta.bytes.size()));
 }
 
 [[nodiscard]] std::uint64_t f64_bits(double v) {
@@ -327,17 +249,9 @@ bool joint_record_mapping(const capture::letter_capture& lc, const capture::lett
 }
 
 void add_letter_capture_sections(writer& w, std::size_t i, const capture::letter_capture& lc) {
-    // Per-letter metadata: exactly the fields the text serializer carries
-    // (capture/serialize.h), so a text round-trip re-snapshots
-    // byte-identically. `strategy` is deliberately absent from both.
     byte_sink meta;
-    meta.u8(static_cast<std::uint8_t>(lc.letter));
-    encode_letter_spec_flags(meta, lc.spec);
-    meta.i32(lc.spec.global_sites);
-    meta.i32(lc.spec.local_sites);
-    meta.f64(lc.ipv6_queries_per_day);
-    w.add_raw(sec("ditl", i, "meta"), meta.bytes.data(), meta.bytes.size(),
-              static_cast<std::uint32_t>(meta.bytes.size()));
+    ditl_meta_fields(meta, lc);
+    add_meta(w, sec("ditl", i, "meta"), meta);
 
     std::vector<std::uint32_t> source_ip;
     std::vector<std::uint32_t> site;
@@ -385,13 +299,9 @@ void add_letter_capture_sections(writer& w, std::size_t i, const capture::letter
 capture::letter_capture read_letter_capture(const bundle& b, std::size_t i) {
     capture::letter_capture lc;
     byte_source meta{b.raw(sec("ditl", i, "meta")), "ditl meta"};
-    lc.letter = static_cast<char>(meta.u8());
-    lc.spec.letter = lc.letter;
-    decode_letter_spec_flags(meta, lc.spec);
-    lc.spec.global_sites = meta.i32();
-    lc.spec.local_sites = meta.i32();
-    lc.ipv6_queries_per_day = meta.f64();
+    ditl_meta_fields(meta, lc);
     meta.finish();
+    lc.spec.letter = lc.letter;
 
     const auto source_ip = b.typed_column<std::uint32_t>(sec("ditl", i, "rec/source_ip"));
     const auto site = b.typed_column<std::uint32_t>(sec("ditl", i, "rec/site"));
@@ -435,13 +345,8 @@ capture::letter_capture read_letter_capture(const bundle& b, std::size_t i) {
 void add_letter_table_sections(writer& w, std::size_t i, const capture::letter_table& t,
                                const capture::letter_capture* raw_capture) {
     byte_sink meta;
-    meta.u8(static_cast<std::uint8_t>(t.letter));
-    meta.u8(static_cast<std::uint8_t>(t.spec.strategy));
-    encode_letter_spec_flags(meta, t.spec);
-    meta.i32(t.spec.global_sites);
-    meta.i32(t.spec.local_sites);
-    w.add_raw(sec("tables", i, "meta"), meta.bytes.data(), meta.bytes.size(),
-              static_cast<std::uint32_t>(meta.bytes.size()));
+    table_meta_fields(meta, t);
+    add_meta(w, sec("tables", i, "meta"), meta);
 
     // The filtered per-row columns are a row subset of the letter's raw
     // capture records, which this file already wrote as ditl/i/rec/*. When
@@ -475,17 +380,9 @@ void add_letter_table_sections(writer& w, std::size_t i, const capture::letter_t
 capture::letter_table read_letter_table(const bundle& b, std::size_t i) {
     capture::letter_table t;
     byte_source meta{b.raw(sec("tables", i, "meta")), "letter table meta"};
-    t.letter = static_cast<char>(meta.u8());
-    t.spec.letter = t.letter;
-    const auto strategy = meta.u8();
-    if (strategy > 2) {
-        throw snapshot_error(errc::malformed, "letter hosting strategy out of range");
-    }
-    t.spec.strategy = static_cast<anycast::hosting_strategy>(strategy);
-    decode_letter_spec_flags(meta, t.spec);
-    t.spec.global_sites = meta.i32();
-    t.spec.local_sites = meta.i32();
+    table_meta_fields(meta, t);
     meta.finish();
+    t.spec.letter = t.letter;
 
     t.source_ip = b.typed_column<std::uint32_t>(sec("tables", i, "source_ip"));
     t.site = b.typed_column<std::uint32_t>(sec("tables", i, "site"));
@@ -601,6 +498,12 @@ std::vector<pop::cdn_user_counts::entry> read_entry_pairs(const bundle& b,
 
 // ------------------------------------------------------------- public API --
 
+std::vector<std::byte> encode_config(const core::world_config& config) {
+    byte_sink s;
+    config_fields(s, config);
+    return std::move(s.bytes);
+}
+
 void add_ditl_sections(writer& w, const capture::ditl_dataset& dataset) {
     w.add_scalar<std::uint32_t>("ditl/letter_count",
                                 static_cast<std::uint32_t>(dataset.letters.size()));
@@ -624,9 +527,8 @@ void save_ditl(const capture::ditl_dataset& dataset, const std::string& path) {
 std::vector<std::byte> encode_world(const core::world& world,
                                     std::uint32_t container_version) {
     writer w{container_version};
-    byte_sink config;
-    encode_config(config, world.config());
-    w.add_raw("world/config", config.bytes.data(), config.bytes.size());
+    const auto config = encode_config(world.config());
+    w.add_raw("world/config", config.data(), config.size());
 
     w.add_scalar<std::uint32_t>("space/next_key", world.space().allocated_slash24s());
     const auto ranges = world.space().export_ranges();
@@ -679,15 +581,19 @@ bool has_world(const bundle& b) { return b.has("world/config"); }
 
 core::world_config read_config(const bundle& b) {
     byte_source s{b.raw("world/config"), "world config"};
-    auto config = decode_config(s);
+    core::world_config config;
+    config_fields(s, config);
     s.finish();
     return config;
 }
 
+// The letter counts come from the file, so they are never reserved up
+// front: a count past the stored letters stops at the first missing
+// section (errc::section_missing).
+
 capture::ditl_dataset read_ditl(const bundle& b) {
     capture::ditl_dataset dataset;
     const auto count = b.scalar<std::uint32_t>("ditl/letter_count");
-    dataset.letters.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
         dataset.letters.push_back(read_letter_capture(b, i));
     }
@@ -697,7 +603,6 @@ capture::ditl_dataset read_ditl(const bundle& b) {
 std::vector<capture::letter_table> read_letter_tables(const bundle& b) {
     const auto count = b.scalar<std::uint32_t>("tables/letter_count");
     std::vector<capture::letter_table> tables;
-    tables.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) tables.push_back(read_letter_table(b, i));
     return tables;
 }

@@ -15,6 +15,13 @@
 // --format snapshot` writes one; `acctx analyze --format snapshot` reads one.
 // Its per-letter metadata carries exactly the fields the text format carries
 // (strategy excluded), so a text round-trip re-snapshots byte-identically.
+//
+// The small packed sections (`world/config`, `ditl/<i>/meta`,
+// `tables/<i>/meta`) are each laid out once, as a field list that both the
+// writer and the reader instantiate (world_io.cpp). `encode_config` exposes
+// the `world/config` payload: it holds every knob that can change an output
+// byte and nothing else, which is why sweep cells are keyed on its bytes
+// (sweep::hash_config, DESIGN §15).
 #pragma once
 
 #include <memory>
@@ -44,15 +51,21 @@ void save_world(const core::world& w, const std::string& path,
 [[nodiscard]] std::vector<std::byte> encode_ditl(const capture::ditl_dataset& dataset);
 void save_ditl(const capture::ditl_dataset& dataset, const std::string& path);
 
+/// The `world/config` section payload for `config`. `threads` and the DITL
+/// option generation ignores are left out: neither changes an output byte.
+[[nodiscard]] std::vector<std::byte> encode_config(const core::world_config& config);
+
 /// True when `b` holds a full world snapshot (config section present).
 [[nodiscard]] bool has_world(const bundle& b);
 
 /// The stored world config (seed, scale, year, all plan knobs). Throws
 /// errc::section_missing on a DITL-only snapshot, errc::malformed if the
-/// section does not decode exactly.
+/// section does not decode exactly (short, long, an out-of-range enum, or a
+/// declared length past the section's end).
 [[nodiscard]] core::world_config read_config(const bundle& b);
 
-/// Materializes the raw DITL dataset (row structs rebuilt from columns).
+/// Materializes the raw DITL dataset (row structs rebuilt from columns). A
+/// letter count past the stored letters throws errc::section_missing.
 [[nodiscard]] capture::ditl_dataset read_ditl(const bundle& b);
 
 /// Columnar tables: plain sections come back as *borrowed* columns pointing

@@ -11,9 +11,10 @@
 //
 // The grid is the cross product of every `dim` line; with no dims the spec
 // names a single cell. Cells are named from their assignments in dim order
-// ("peering-0.3_rings-5_cache-real"), and each carries a canonical FNV-1a
-// digest of its fully resolved `world_config` — the resume key the driver
-// stores in the manifest (DESIGN §15).
+// ("peering-0.3_rings-5_cache-real"), and each carries an FNV-1a digest of
+// its fully resolved `world_config`'s snapshot bytes — the resume key the
+// driver stores in the manifest (DESIGN §15). A value may appear once per
+// dim: a repeat would name two cells alike.
 #pragma once
 
 #include <cstdint>
@@ -61,13 +62,11 @@ struct cell {
 /// Expands the cross product into resolved cells (validates every value).
 [[nodiscard]] std::vector<cell> expand_cells(const grid_spec& spec);
 
-/// Canonical rendering of every config knob that can change output bytes —
-/// doubles in hexfloat so the digest is exact. `threads` is deliberately
-/// excluded: thread count never changes a byte, so it must not force re-runs.
-/// So is the DITL option that generation ignores (capture/ditl.h).
-[[nodiscard]] std::string describe_config(const core::world_config& config);
-
-/// FNV-1a 64 over `describe_config`.
+/// FNV-1a 64 over the config's snapshot bytes (`snapshot::encode_config`,
+/// the `world/config` section), which hold every knob that can change an
+/// output byte. `threads` is not among them: thread count never changes a
+/// byte, so it must not force re-runs. Neither is the DITL option that
+/// generation ignores (capture/ditl.h).
 [[nodiscard]] std::uint64_t hash_config(const core::world_config& config);
 
 } // namespace ac::sweep

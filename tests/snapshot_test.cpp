@@ -8,6 +8,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/capture/serialize.h"
@@ -512,6 +513,58 @@ TEST_F(SnapshotFixture, TruncationsAreTyped) {
           snapshot::header_bytes, img.size() / 2, img.size() - 1}) {
         std::vector<std::byte> cut{img.begin(), img.begin() + static_cast<long>(keep)};
         EXPECT_EQ(code_of(cut), snapshot::errc::truncated) << "kept " << keep;
+    }
+}
+
+// -------------------------------------------------- packed-section contents
+// Section checksums are easy to recompute (the writer does it), so the
+// readers must bound every length and count they take from a file before
+// allocating for it.
+
+TEST_F(SnapshotFixture, DeclaredStringLengthIsCheckedBeforeAllocating) {
+    auto config = core::world_config::small();
+    config.cdn.name = "name-marker";
+    auto bytes = snapshot::encode_config(config);
+    const std::string_view marker{config.cdn.name};
+    const auto* text = reinterpret_cast<const char*>(bytes.data());
+    const auto at = std::string_view{text, bytes.size()}.find(marker);
+    ASSERT_NE(at, std::string_view::npos);
+    ASSERT_GE(at, 4u);
+    // 4 GiB declared, a few hundred bytes present.
+    const std::uint32_t declared = 0xFFFFFFFF;
+    std::memcpy(bytes.data() + at - 4, &declared, sizeof declared);
+    snapshot::writer wr;
+    wr.add_raw("world/config", bytes.data(), bytes.size());
+    const auto b = snapshot::bundle::from_bytes(wr.finish());
+    try {
+        (void)snapshot::read_config(*b);
+        FAIL() << "malformed expected";
+    } catch (const snapshot::snapshot_error& e) {
+        EXPECT_EQ(e.code(), snapshot::errc::malformed) << e.what();
+    }
+}
+
+TEST_F(SnapshotFixture, DitlLetterCountPastStoredLettersIsTyped) {
+    snapshot::writer wr;
+    wr.add_scalar<std::uint32_t>("ditl/letter_count", 0xFFFFFFFF);
+    const auto b = snapshot::bundle::from_bytes(wr.finish());
+    try {
+        (void)snapshot::read_ditl(*b);
+        FAIL() << "section_missing expected";
+    } catch (const snapshot::snapshot_error& e) {
+        EXPECT_EQ(e.code(), snapshot::errc::section_missing) << e.what();
+    }
+}
+
+TEST_F(SnapshotFixture, TableLetterCountPastStoredLettersIsTyped) {
+    snapshot::writer wr;
+    wr.add_scalar<std::uint32_t>("tables/letter_count", 0xFFFFFFFF);
+    const auto b = snapshot::bundle::from_bytes(wr.finish());
+    try {
+        (void)snapshot::read_letter_tables(*b);
+        FAIL() << "section_missing expected";
+    } catch (const snapshot::snapshot_error& e) {
+        EXPECT_EQ(e.code(), snapshot::errc::section_missing) << e.what();
     }
 }
 

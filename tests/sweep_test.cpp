@@ -1,17 +1,22 @@
 // Sweep harness tests: grid spec parsing and cell expansion, the config
-// hash, and the driver's core contracts — thread-count byte-identity of a
-// whole grid on disk, manifest resume without recompute, and config-hash
-// mismatches forcing re-runs (DESIGN §15).
+// hash (every knob moves it and survives the snapshot round trip), and the
+// driver's core contracts — thread-count byte-identity of a whole grid on
+// disk, manifest resume without recompute, and config-hash mismatches
+// forcing re-runs (DESIGN §15).
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
+#include <span>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/world.h"
+#include "src/snapshot/world_io.h"
 #include "src/sweep/driver.h"
 #include "src/sweep/spec.h"
 
@@ -56,6 +61,7 @@ TEST(GridSpec, RejectsBadInput) {
     EXPECT_THROW(parse("dim cache magic\n"), sweep::spec_error);   // unknown token
     EXPECT_THROW(parse("dim flavor a b\n"), sweep::spec_error);    // unknown dim
     EXPECT_THROW(parse("dim rings 3\ndim rings 5\n"), sweep::spec_error);  // duplicate
+    EXPECT_THROW(parse("dim rings 3 3\n"), sweep::spec_error);    // repeated value
     EXPECT_THROW(parse("tier small extra\n"), sweep::spec_error);  // trailing token
     EXPECT_THROW(parse("wat 1\n"), sweep::spec_error);             // unknown directive
     // The message names the offending line.
@@ -96,21 +102,117 @@ TEST(GridSpec, ExpandsRowMajorWithLastDimFastest) {
     EXPECT_EQ(single[0].name, "base");
 }
 
+// Moves a knob to a different value that still decodes.
+template <typename T>
+T bumped(T v) {
+    if constexpr (std::is_floating_point_v<T>) {
+        return v + 0.125;
+    } else {
+        return v + 1;
+    }
+}
+std::string bumped(const std::string& v) { return v + "x"; }
+std::vector<int> bumped(std::vector<int> v) {
+    v.push_back(v.back() + 1);
+    return v;
+}
+core::ditl_year bumped(core::ditl_year y) {
+    return y == core::ditl_year::y2018 ? core::ditl_year::y2020 : core::ditl_year::y2018;
+}
+
+struct knob {
+    const char* name;
+    void (*bump)(core::world_config&);
+    bool (*same)(const core::world_config&, const core::world_config&);
+};
+
+#define KNOB(path)                                                                     \
+    knob {                                                                             \
+        #path, [](core::world_config& c) { c.path = bumped(c.path); },                 \
+            [](const core::world_config& a, const core::world_config& b) {             \
+                return a.path == b.path;                                               \
+            }                                                                          \
+    }
+
+// Every world_config knob that can change an output byte. Kept here, apart
+// from the snapshot's own field list, so a knob that list drops fails below.
+const knob every_knob[] = {
+    KNOB(seed), KNOB(year), KNOB(ip_to_asn_unmapped), KNOB(root_zone_tlds),
+    KNOB(regions.north_america), KNOB(regions.south_america), KNOB(regions.europe),
+    KNOB(regions.africa), KNOB(regions.asia), KNOB(regions.oceania),
+    KNOB(regions.antarctica),
+    KNOB(graph.tier1_count), KNOB(graph.transits_per_continent), KNOB(graph.eyeball_count),
+    KNOB(graph.enterprise_count), KNOB(graph.public_dns_count),
+    KNOB(graph.transit_extra_provider_p), KNOB(graph.transit_peering_p),
+    KNOB(graph.eyeball_multihome_p), KNOB(graph.eyeball_ixp_peering_p),
+    KNOB(graph.eyeball_last_mile_ms_min), KNOB(graph.eyeball_last_mile_ms_max),
+    KNOB(users.users_per_weight), KNOB(users.public_dns_share),
+    KNOB(users.bind_redundant_share), KNOB(users.bind_fixed_share),
+    KNOB(users.forwarder_share), KNOB(users.egress_only_ip_p), KNOB(users.min_resolver_ips),
+    KNOB(users.max_resolver_ips),
+    KNOB(query_model.tld_base), KNOB(query_model.tld_exponent), KNOB(query_model.max_tlds),
+    KNOB(query_model.ttl_days), KNOB(query_model.refresh_median_bind_redundant),
+    KNOB(query_model.refresh_median_bind_fixed), KNOB(query_model.refresh_median_other),
+    KNOB(query_model.refresh_sigma), KNOB(query_model.chromium_probes_per_user),
+    KNOB(query_model.junk_per_user_median), KNOB(query_model.junk_user_exponent),
+    KNOB(query_model.junk_reference_users), KNOB(query_model.junk_sigma),
+    KNOB(query_model.ptr_per_user), KNOB(query_model.preference_gamma_lo),
+    KNOB(query_model.preference_gamma_hi), KNOB(query_model.preference_uniform_mix),
+    KNOB(query_model.tcp_share_zero_p), KNOB(query_model.tcp_share_median),
+    KNOB(query_model.tcp_share_sigma),
+    KNOB(ditl.ipv6_fraction), KNOB(ditl.private_fraction), KNOB(ditl.spoofed_fraction),
+    KNOB(ditl.junk_source_count), KNOB(ditl.junk_ips_per_source),
+    KNOB(ditl.junk_source_median_qpd), KNOB(ditl.junk_source_sigma),
+    KNOB(ditl.min_tcp_samples), KNOB(ditl.capture_days), KNOB(ditl.per_ip_split_share),
+    KNOB(cdn.ring_sizes), KNOB(cdn.asn), KNOB(cdn.name), KNOB(cdn.eyeball_peering_fraction),
+    KNOB(cdn.transit_peering_fraction), KNOB(cdn.wan_circuitousness), KNOB(cdn.seed),
+    KNOB(telemetry.connections_per_user), KNOB(telemetry.capture_days),
+    KNOB(telemetry.min_samples), KNOB(telemetry.ring_share_sigma),
+    KNOB(telemetry.fetch_rtt_multiple),
+    KNOB(atlas.probe_count), KNOB(atlas.europe_bias), KNOB(atlas.connectivity_bias),
+    KNOB(atlas.seed),
+    KNOB(geodb.wrong_region_p), KNOB(geodb.jitter_km),
+};
+
+#undef KNOB
+
+core::world_config round_trip_config(std::span<const std::byte> bytes) {
+    snapshot::writer w;
+    w.add_raw("world/config", bytes.data(), bytes.size());
+    return snapshot::read_config(*snapshot::bundle::from_bytes(w.finish()));
+}
+
 TEST(GridSpec, HashIgnoresThreadsButSeesEveryKnob) {
-    auto config = core::world_config::small();
-    const auto base_hash = sweep::hash_config(config);
+    const auto base = core::world_config::small();
+    const auto base_hash = sweep::hash_config(base);
 
-    config.threads = 8;
-    EXPECT_EQ(sweep::hash_config(config), base_hash) << "threads must not force re-runs";
+    auto threaded = base;
+    threaded.threads = 8;
+    EXPECT_EQ(sweep::hash_config(threaded), base_hash) << "threads must not force re-runs";
 
-    auto buffered = core::world_config::small();
+    auto buffered = base;
     buffered.ditl.max_buffered_records = 512;
     EXPECT_EQ(sweep::hash_config(buffered), base_hash)
         << "an option DITL generation ignores must not force re-runs";
 
-    auto seeded = core::world_config::small();
-    seeded.seed = 43;
-    EXPECT_NE(sweep::hash_config(seeded), base_hash);
+    // Each knob in turn: the key moves, the snapshot carries the new value,
+    // and the decoded config re-encodes to the same bytes.
+    std::set<std::uint64_t> hashes{base_hash};
+    for (const auto& k : every_knob) {
+        SCOPED_TRACE(k.name);
+        auto config = base;
+        k.bump(config);
+        ASSERT_FALSE(k.same(config, base));
+        const auto hash = sweep::hash_config(config);
+        EXPECT_NE(hash, base_hash);
+        hashes.insert(hash);
+
+        const auto bytes = snapshot::encode_config(config);
+        const auto decoded = round_trip_config(bytes);
+        EXPECT_TRUE(k.same(decoded, config)) << "the snapshot drops this knob";
+        EXPECT_EQ(snapshot::encode_config(decoded), bytes);
+    }
+    EXPECT_EQ(hashes.size(), std::size(every_knob) + 1) << "two knobs share a key";
 }
 
 TEST(GridSpec, IdealCacheCollapsesRefreshes) {
