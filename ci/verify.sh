@@ -133,6 +133,15 @@ if [[ ${run_tier1} -eq 1 ]]; then
     echo "verify: snapshot + observability round trips OK" \
          "($(ls "${rt}/live" | wc -l) figure files identical; trace and metrics JSON valid)"
 
+    # DITL archive round trip: `analyze` re-runs the §2.1 filter on the
+    # `ditl/*` sections of any snapshot, so the DITL-only export and the
+    # full world snapshot of the same config must summarize identically.
+    ./build/tools/acctx export --scale small --out "${rt}/ditl.acx"
+    ./build/tools/acctx analyze --in "${rt}/ditl.acx" > "${rt}/analyze_export.txt"
+    ./build/tools/acctx analyze --in "${rt}/world.acx" > "${rt}/analyze_world.txt"
+    cmp "${rt}/analyze_export.txt" "${rt}/analyze_world.txt"
+    echo "verify: DITL export/analyze round trip OK (export and world snapshot agree)"
+
     # World bytes must not depend on the thread count: the graph fills its
     # nearest-interconnect table serially per link, while RIB construction
     # fans out over the pool.

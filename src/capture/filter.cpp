@@ -1,9 +1,5 @@
 #include "src/capture/filter.h"
 
-#include <algorithm>
-
-#include "src/table/table.h"
-
 namespace ac::capture {
 
 filtered_letter filter_letter(const letter_capture& capture, const filter_options& options) {
@@ -39,69 +35,6 @@ std::vector<filtered_letter> filter_all(const ditl_dataset& dataset,
     std::vector<filtered_letter> out;
     out.reserve(dataset.letters.size());
     for (const auto& lc : dataset.letters) out.push_back(filter_letter(lc, options));
-    return out;
-}
-
-namespace {
-
-/// Composite (source key << 32) | site, so one stable sort yields runs
-/// ordered by source then site — the same (key, site) order the analyses
-/// expect from the old map-based aggregation.
-template <typename Extract>
-std::pair<table::column<std::uint64_t>, table::column<double>> keyed_rows(
-    std::span<const capture_record> records, Extract extract) {
-    table::column<std::uint64_t> keys;
-    table::column<double> qpd;
-    keys.reserve(records.size());
-    qpd.reserve(records.size());
-    for (const auto& r : records) {
-        keys.push_back((std::uint64_t{extract(r)} << 32) | r.site);
-        qpd.push_back(r.queries_per_day);
-    }
-    return {std::move(keys), std::move(qpd)};
-}
-
-} // namespace
-
-std::vector<slash24_volume> aggregate_by_slash24(std::span<const capture_record> records) {
-    const auto [keys, qpd] = keyed_rows(
-        records, [](const capture_record& r) { return net::slash24{r.source_ip}.key(); });
-    const auto grouping = table::make_grouping(keys.view());
-    const auto sums = table::sum_by(grouping, qpd.view());
-
-    std::vector<slash24_volume> out;
-    for (std::size_t g = 0; g < grouping.groups(); ++g) {
-        const auto s24_key = static_cast<std::uint32_t>(grouping.keys[g] >> 32);
-        const auto site = static_cast<route::site_id>(grouping.keys[g]);
-        if (out.empty() || out.back().source.key() != s24_key) {
-            slash24_volume v;
-            v.source = net::slash24{net::ipv4_addr{s24_key << 8}};
-            out.push_back(std::move(v));
-        }
-        out.back().sites.push_back(slash24_site_volume{site, sums[g]});
-        out.back().total_queries_per_day += sums[g];
-    }
-    return out;
-}
-
-std::vector<ip_volume> aggregate_by_ip(std::span<const capture_record> records) {
-    const auto [keys, qpd] =
-        keyed_rows(records, [](const capture_record& r) { return r.source_ip.value(); });
-    const auto grouping = table::make_grouping(keys.view());
-    const auto sums = table::sum_by(grouping, qpd.view());
-
-    std::vector<ip_volume> out;
-    for (std::size_t g = 0; g < grouping.groups(); ++g) {
-        const auto ip_value = static_cast<std::uint32_t>(grouping.keys[g] >> 32);
-        const auto site = static_cast<route::site_id>(grouping.keys[g]);
-        if (out.empty() || out.back().source.value() != ip_value) {
-            ip_volume v;
-            v.source = net::ipv4_addr{ip_value};
-            out.push_back(std::move(v));
-        }
-        out.back().sites.push_back(slash24_site_volume{site, sums[g]});
-        out.back().total_queries_per_day += sums[g];
-    }
     return out;
 }
 

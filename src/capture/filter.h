@@ -43,39 +43,12 @@ struct filtered_letter {
 [[nodiscard]] std::vector<filtered_letter> filter_all(const ditl_dataset& dataset,
                                                       const filter_options& options = {});
 
-/// Per-site volume of one /24 after grouping records by source /24 — the
-/// paper's unit of analysis ("we henceforth refer to these /24's as
-/// recursives", §2.1).
-struct slash24_site_volume {
-    route::site_id site = 0;
-    double queries_per_day = 0.0;
-};
-
-struct slash24_volume {
-    net::slash24 source;
-    std::vector<slash24_site_volume> sites;  // ascending site id
-    double total_queries_per_day = 0.0;
-};
-
-/// Groups records by source /24, accumulating per-site volumes.
-[[nodiscard]] std::vector<slash24_volume> aggregate_by_slash24(
-    std::span<const capture_record> records);
-
-/// Groups records by exact source IP (for the no-/24-join sensitivity
-/// analysis of Fig. 9 and the per-IP favorite-site measure of App. B.2).
-struct ip_volume {
-    net::ipv4_addr source;
-    std::vector<slash24_site_volume> sites;
-    double total_queries_per_day = 0.0;
-};
-
-[[nodiscard]] std::vector<ip_volume> aggregate_by_ip(std::span<const capture_record> records);
-
 /// Columnar (struct-of-arrays) form of one letter's capture rows: one
 /// contiguous column per record attribute, plus the TCP medians keyed by
 /// a packed (source /24 key << 32) | site composite. This is the layout the
-/// analysis kernels (src/table/) consume; the row forms above remain the
-/// generator/serialization interchange format.
+/// analysis kernels (src/table/) consume; the row forms above are what DITL
+/// generation emits, the §2.1 filter reads, and `snapshot::read_ditl`
+/// rebuilds from an archive.
 struct letter_table {
     char letter = 'A';
     dns::letter_spec spec;

@@ -347,12 +347,10 @@ void anycast_rib::propagate(std::uint32_t row) {
 void anycast_rib::set_best(std::size_t as) {
     route_class best = route_class::none;
     std::uint8_t best_len = std::numeric_limits<std::uint8_t>::max();
-    std::uint8_t direct = 0;
     for (site_id s = 0; s < announcements_.size(); ++s) {
         const std::size_t c = cell(s, as);
         const auto cls = static_cast<route_class>(cls_[c]);
         if (cls == route_class::none) continue;
-        if (len_[c] <= 2) direct = 1;
         if (better(cls, len_[c], best, best_len)) {
             best = cls;
             best_len = len_[c];
@@ -360,7 +358,6 @@ void anycast_rib::set_best(std::size_t as) {
     }
     best_cls_[as] = static_cast<std::uint8_t>(best);
     best_len_[as] = best_len;
-    direct_[as] = direct;
 }
 
 template <class F>
@@ -375,11 +372,10 @@ void anycast_rib::for_each_candidate(std::size_t as, F&& visit) const {
 void anycast_rib::build_fast_path(engine::thread_pool* pool) {
     best_cls_.assign(as_count_, static_cast<std::uint8_t>(route_class::none));
     best_len_.assign(as_count_, std::numeric_limits<std::uint8_t>::max());
-    direct_.assign(as_count_, 0);
     cand_begin_.assign(as_count_ + 1, 0);
     std::vector<std::uint32_t> counts(as_count_, 0);
 
-    // Pass A: per-AS best (class, length), direct flag, candidate count.
+    // Pass A: per-AS best (class, length) and candidate count.
     engine::parallel_over(pool, as_count_, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
             set_best(i);
@@ -587,10 +583,6 @@ std::vector<std::optional<path_result>> anycast_rib::select_many(
     return out;
 }
 
-bool anycast_rib::has_direct_route(topo::asn_t asn) const {
-    return direct_[as_index(asn)] != 0;
-}
-
 void anycast_rib::check_site(site_id site) const {
     if (site >= announcements_.size()) throw std::out_of_range("anycast_rib: unknown site");
 }
@@ -689,12 +681,11 @@ bool anycast_rib::repair_as_index(std::size_t as, site_id site, std::uint32_t ol
         return true;
     };
     // Remove: the old cell leaves the candidate list if it held the best.
-    // Only a rescan can tell whether another site keeps a direct route, or
-    // which (class, len) is best once the list empties.
+    // Only a rescan can tell which (class, len) is best once the list
+    // empties.
     if (old_row != no_next_hop) {
         const std::size_t o = static_cast<std::size_t>(old_row) * as_count_ + as;
         const auto cls = static_cast<route_class>(cls_[o]);
-        if (cls != route_class::none && len_[o] <= 2) return rescan();
         if (cls != route_class::none && cls == best && len_[o] == best_len) {
             list.erase(std::lower_bound(list.begin(), list.end(), site));
             if (list.empty()) return rescan();
@@ -704,7 +695,6 @@ bool anycast_rib::repair_as_index(std::size_t as, site_id site, std::uint32_t ol
     const std::size_t n = cell(site, as);
     const auto cls = static_cast<route_class>(cls_[n]);
     if (cls == route_class::none) return false;
-    if (len_[n] <= 2) direct_[as] = 1;
     if (better(cls, len_[n], best, best_len)) {
         best_cls_[as] = cls_[n];
         best_len_[as] = len_[n];

@@ -26,8 +26,8 @@
 //   * the route matrix is a flat struct-of-arrays (one row per key), not a
 //     vector-of-vectors;
 //   * a per-AS best-route index (best class, best length, CSR candidate
-//     lists, direct-route flag) is precomputed once after propagation, so
-//     `best_candidates` and `has_direct_route` never rescan site tables;
+//     lists) is precomputed once after propagation, so `best_candidates`
+//     never rescans site tables;
 //   * all geographic terms come from precomputed tables — the region-pair
 //     distance matrix (`topo::region_table::distance_km`) and the graph's
 //     per-link nearest-interconnect table (`topo::as_graph::
@@ -50,7 +50,7 @@
 // propagating only a key it has never seen; no row is ever rewritten. The
 // per-AS best-route index is then repaired for exactly the ASes routed by
 // the site's old or new row, each from the one cell that changed (a full
-// site rescan only when that cell was a direct route or the sole best), and
+// site rescan only when that cell was the sole best), and
 // only the select-cache shards holding them are invalidated. The post-event
 // state is byte-identical to a from-scratch rebuild.
 //
@@ -223,11 +223,6 @@ public:
     [[nodiscard]] std::vector<std::optional<path_result>> select_many(
         std::span<const source_key> sources, engine::thread_pool* pool = nullptr) const;
 
-    /// True if this AS reaches the deployment through a route learned
-    /// directly from the origin AS (a "2 AS" path in Fig. 6a terms).
-    /// O(1) lookup into the precomputed per-AS flag.
-    [[nodiscard]] bool has_direct_route(topo::asn_t asn) const;
-
     [[nodiscard]] const std::vector<announcement>& announcements() const noexcept {
         return announcements_;
     }
@@ -325,7 +320,7 @@ private:
     void build_fast_path(engine::thread_pool* pool);
     /// The bulk build and the repair's fallback share these two scans, so a
     /// rescanned index slot is byte-identical to a from-scratch one:
-    /// `set_best` stores one AS's best (class, len) and direct flag,
+    /// `set_best` stores one AS's best (class, len),
     /// `for_each_candidate` visits its best-route sites in ascending order.
     void set_best(std::size_t as);
     template <class F>
@@ -334,7 +329,7 @@ private:
     /// changed: `site`'s cell in `old_row` (`no_next_hop` for a brand-new
     /// site) against its cell now (DESIGN §11). Falls back to the bulk
     /// build's scans over every site, returning true, when the old cell was
-    /// a direct route or the sole best candidate.
+    /// the sole best candidate.
     bool repair_as_index(std::size_t as, site_id site, std::uint32_t old_row);
     /// Marks every AS that `row` routes in `touched` (bitmap by dense index).
     void mark_routed(std::uint32_t row, std::vector<std::uint8_t>& touched) const;
@@ -387,7 +382,6 @@ private:
     std::vector<std::uint8_t> best_len_;
     std::vector<std::uint32_t> cand_begin_;  // CSR offsets into cand_sites_, size as_count_+1
     std::vector<site_id> cand_sites_;        // candidate sites, ascending per AS
-    std::vector<std::uint8_t> direct_;       // has_direct_route flags
 
     // Mutation overlay: a touched AS's candidate list moves out of the CSR
     // (whose offsets cannot shrink or grow in place) into its own vector.

@@ -67,6 +67,13 @@ inline constexpr std::size_t payload_alignment_v2 = 8;   // v2 files
     return version >= 2 ? payload_alignment_v2 : payload_alignment;
 }
 
+/// Encoded sections decode into owned columns, and an encoding header's row
+/// count is not bounded by its payload. The reader therefore caps the
+/// decoded bytes of all encoded sections of one file, together, at this
+/// multiple of the file size (errc::bad_encoding past it). Snapshots the
+/// writer produces decode to about 2x their file size.
+inline constexpr std::uint64_t max_decoded_bytes_per_file_byte = 64;
+
 /// Element type of a section payload. Tags are part of the on-disk format;
 /// never renumber.
 enum class elem_type : std::uint8_t {

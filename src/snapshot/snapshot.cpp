@@ -389,6 +389,7 @@ void bundle::parse_and_verify() {
     sections_.reserve(count);
     views_.clear();
     views_.reserve(count);
+    std::uint64_t decode_budget = max_decoded_bytes_per_file_byte * size_;
     const char* names = reinterpret_cast<const char*>(data_ + names_offset);
     for (std::uint32_t i = 0; i < count; ++i) {
         const std::byte* entry = data_ + table_offset + i * section_entry_bytes;
@@ -455,9 +456,11 @@ void bundle::parse_and_verify() {
         }
 
         // Parse + fully validate the encoding (bounds, widths, code/index
-        // ranges) so typed_column can decode without further checks. Nothing
-        // is decoded here — the view's pointers alias the payload bytes.
+        // ranges, rows within what is left of the decode budget) so
+        // typed_column can decode without further checks. Nothing is
+        // decoded here — the view's pointers alias the payload bytes.
         const std::span<const std::byte> payload{data_ + payload_offset, payload_bytes};
+        const std::uint64_t max_rows = decode_budget / elem_size;
         table::enc::any_view view;
         std::string encoding_error;
         if (encoding == table::enc::encoding::xref) {
@@ -471,14 +474,18 @@ void bundle::parse_and_verify() {
                                      "section '" + std::string{info.name} +
                                          "' xref source has a different element type");
             }
-            encoding_error =
-                table::enc::parse_xref(payload, elem_size, views_[xref_source].self, view);
+            encoding_error = table::enc::parse_xref(payload, elem_size,
+                                                    views_[xref_source].self, max_rows, view);
         } else {
-            encoding_error = table::enc::parse_view(encoding, payload, elem_size, view.self);
+            encoding_error =
+                table::enc::parse_view(encoding, payload, elem_size, max_rows, view.self);
         }
         if (!encoding_error.empty()) {
             throw snapshot_error(errc::bad_encoding, "section '" + std::string{info.name} +
                                                          "': " + encoding_error);
+        }
+        if (encoding != table::enc::encoding::plain) {
+            decode_budget -= view.self.rows * elem_size;
         }
 
         info.type = type;

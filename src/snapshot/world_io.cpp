@@ -185,9 +185,11 @@ void letter_spec_fields(IO& io, Spec& s) {
     io.fields(s.anon, s.in_ditl, s.tcp_usable, s.complete, s.global_sites, s.local_sites);
 }
 
-/// `ditl/<i>/meta`: exactly the fields the text serializer carries
-/// (capture/serialize.h), so a text round-trip re-snapshots
-/// byte-identically. `strategy` is deliberately absent from both.
+/// `ditl/<i>/meta`: the letter, its spec and its IPv6 volume. `strategy`
+/// is deliberately absent: no consumer of the raw captures (the §2.1
+/// filter, `acctx analyze`) reads it, `tables/<i>/meta` carries it for the
+/// filtered tables, and a capture read back with the default strategy
+/// re-encodes to the same bytes.
 template <typename IO, typename Capture>
 void ditl_meta_fields(IO& io, Capture& lc) {
     io.field(lc.letter);

@@ -10,11 +10,12 @@
 // deterministically from the stored config, so figures computed from a
 // hydrated world are byte-identical to the live world that was saved.
 //
-// A *DITL snapshot* (save_ditl) is the binary counterpart of the
-// capture::serialize text format: just the capture sections. `acctx export
-// --format snapshot` writes one; `acctx analyze --format snapshot` reads one.
-// Its per-letter metadata carries exactly the fields the text format carries
-// (strategy excluded), so a text round-trip re-snapshots byte-identically.
+// A *DITL snapshot* (save_ditl) holds just the capture sections: the DITL
+// archive format. `acctx export` writes one; `acctx analyze` reads the
+// `ditl/*` sections of any snapshot, DITL-only or full world, through
+// read_ditl. Its per-letter metadata leaves `strategy` out (it lives only
+// in `tables/<i>/meta`), and encode_ditl of a read_ditl result reproduces
+// the archive's bytes.
 //
 // The small packed sections (`world/config`, `ditl/<i>/meta`,
 // `tables/<i>/meta`) are each laid out once, as a field list that both the

@@ -106,16 +106,26 @@ grid_spec parse_grid_spec(std::istream& in) {
             for (const auto& existing : spec.dims) {
                 if (existing.name == dim.name) fail(line, "duplicate dim '" + dim.name + "'");
             }
+            // Each value's probe config, as the bytes cells are keyed on:
+            // two values with equal bytes (`3 3`, `0.3 0.30`) would build
+            // one world into two cells.
+            std::vector<std::vector<std::byte>> probes;
             std::string token;
             while (words >> token) {
                 if (!name_safe(token)) fail(line, "value '" + token + "' is not name-safe");
-                if (std::find(dim.values.begin(), dim.values.end(), token) != dim.values.end()) {
-                    fail(line, "repeated value '" + token + "' in dim '" + dim.name + "'");
-                }
                 // Validate eagerly against the tier's base config so a bad
                 // spec fails before any cell builds.
                 auto probe = core::world_config::for_tier(spec.tier);
                 apply_dim(probe, dim.name, token, line);
+                auto bytes = snapshot::encode_config(probe);
+                const auto same = std::find(probes.begin(), probes.end(), bytes);
+                if (same != probes.end()) {
+                    fail(line, "value '" + token + "' in dim '" + dim.name +
+                                   "' gives the same config as '" +
+                                   dim.values[static_cast<std::size_t>(same - probes.begin())] +
+                                   "'");
+                }
+                probes.push_back(std::move(bytes));
                 dim.values.push_back(token);
             }
             if (dim.values.empty()) fail(line, "dim '" + dim.name + "' needs values");

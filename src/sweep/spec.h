@@ -13,8 +13,9 @@
 // names a single cell. Cells are named from their assignments in dim order
 // ("peering-0.3_rings-5_cache-real"), and each carries an FNV-1a digest of
 // its fully resolved `world_config`'s snapshot bytes — the resume key the
-// driver stores in the manifest (DESIGN §15). A value may appear once per
-// dim: a repeat would name two cells alike.
+// driver stores in the manifest (DESIGN §15). Within one dim, no two values
+// may resolve to the same config bytes (`3 3`, `0.3 0.30`): they would build
+// one world into two cells.
 #pragma once
 
 #include <cstdint>

@@ -441,9 +441,16 @@ template <typename T>
 /// Returns an empty string on success, else a description of the defect
 /// (every payload array is bounds- and range-checked before any caller
 /// trusts an offset, so corrupt encodings fail typed, never UB).
+///
+/// A header's row count is not bounded by its payload: a width-0 dict or a
+/// one-run rle payload of 32 bytes can claim 2^32 - 1 rows. An encoded
+/// payload claiming more than `max_rows` rows is rejected here, before any
+/// per-row scan, so `any_view::decode` never reserves more than the caller
+/// allowed. Plain payloads hold their rows and ignore the bound.
 [[nodiscard]] inline std::string parse_view(encoding kind,
                                             std::span<const std::byte> payload,
-                                            std::uint32_t elem, view_core& out) {
+                                            std::uint32_t elem, std::uint64_t max_rows,
+                                            view_core& out) {
     out = view_core{};
     out.kind = kind;
     out.elem = elem;
@@ -467,6 +474,7 @@ template <typename T>
     out.aux = aux;
     out.width = width;
     if (rows == 0) return "zero-row encoded payload";
+    if (rows > max_rows) return "row count exceeds the decode bound";
     if (!valid_width(width)) return "invalid bit width";
 
     switch (kind) {
@@ -537,10 +545,11 @@ template <typename T>
 }
 
 /// Parses and validates an xref payload against its (already parsed,
-/// non-xref) source view. Same contract as parse_view.
+/// non-xref) source view. Same contract as parse_view, `max_rows` included:
+/// a width-0 index array claims any row count in 16 bytes.
 [[nodiscard]] inline std::string parse_xref(std::span<const std::byte> payload,
                                             std::uint32_t elem, const view_core& source,
-                                            any_view& out) {
+                                            std::uint64_t max_rows, any_view& out) {
     out = any_view{};
     out.self.kind = encoding::xref;
     out.self.elem = elem;
@@ -555,6 +564,7 @@ template <typename T>
     std::uint64_t aux;
     std::memcpy(&aux, payload.data() + 8, 8);
     if (rows == 0) return "zero-row encoded payload";
+    if (rows > max_rows) return "row count exceeds the decode bound";
     if (!valid_width(width)) return "invalid bit width";
     if (source.kind == encoding::xref) return "xref source is itself an xref";
     if (source.elem != elem) return "xref source element size mismatch";

@@ -166,15 +166,6 @@ template <typename K>
     return g;
 }
 
-/// Sequential group-by: calls reduce(key, rows) once per group, in ascending
-/// key order.
-template <typename K, typename Fn>
-void group_by(const grouping<K>& g, Fn&& reduce) {
-    obs::span by_span{"table/group_by"};
-    by_span.set_items(g.groups());
-    for (std::size_t i = 0; i < g.groups(); ++i) reduce(g.keys[i], g.rows(i));
-}
-
 /// Parallel group-by: computes reduce(key, rows) for every group on the
 /// pool (inline when `pool` is null or serial) and returns one R per group
 /// in ascending key order. Each group writes a pre-sized slot, so the result

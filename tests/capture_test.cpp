@@ -1,10 +1,12 @@
 // DITL capture generation, anonymization, and the §2.1 filter pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "src/capture/filter.h"
 #include "src/core/world.h"
+#include "src/table/table.h"
 
 namespace {
 
@@ -116,39 +118,55 @@ TEST_F(CaptureFixture, FilterOptionsAreHonored) {
     EXPECT_GT(filtered.stats.private_dropped, 0.0);
 }
 
+/// Groups a letter table's rows by (source key << 32) | site, where the
+/// source key is the /24 key or the whole address.
+table::grouping<std::uint64_t> group_by_source_and_site(const capture::letter_table& t,
+                                                        bool by_slash24) {
+    std::vector<std::uint64_t> keys;
+    keys.reserve(t.rows());
+    for (std::size_t i = 0; i < t.rows(); ++i) {
+        const std::uint32_t ip = t.source_ip[i];
+        const std::uint32_t source = by_slash24 ? net::slash24{net::ipv4_addr{ip}}.key() : ip;
+        keys.push_back((std::uint64_t{source} << 32) | t.site[i]);
+    }
+    return table::make_grouping(std::span<const std::uint64_t>{keys});
+}
+
+/// Sites reached per source (the high 32 bits of the keys), in ascending
+/// source order: each source holds one group per site.
+std::vector<std::size_t> sites_per_source(const table::grouping<std::uint64_t>& g) {
+    std::vector<std::size_t> sites;
+    for (std::size_t i = 0; i < g.groups(); ++i) {
+        if (i == 0 || (g.keys[i] >> 32) != (g.keys[i - 1] >> 32)) sites.push_back(0);
+        ++sites.back();
+    }
+    return sites;
+}
+
 TEST_F(CaptureFixture, AggregationPreservesTotals) {
     const auto filtered = capture::filter_all(w().ditl());
-    const auto& letter = filtered.front();
+    const auto t = capture::to_table(filtered.front());
     double record_total = 0.0;
-    for (const auto& r : letter.records) record_total += r.queries_per_day;
+    for (const auto& r : filtered.front().records) record_total += r.queries_per_day;
 
-    const auto by24 = capture::aggregate_by_slash24(letter.records);
-    double agg_total = 0.0;
-    for (const auto& v : by24) {
-        double site_total = 0.0;
-        for (const auto& s : v.sites) site_total += s.queries_per_day;
-        EXPECT_NEAR(site_total, v.total_queries_per_day, 1e-6);
-        agg_total += v.total_queries_per_day;
+    const auto by24 = group_by_source_and_site(t, true);
+    const auto by_ip = group_by_source_and_site(t, false);
+    for (const auto* g : {&by24, &by_ip}) {
+        double grouped_total = 0.0;
+        for (const double v : table::sum_by(*g, t.queries_per_day.view())) grouped_total += v;
+        EXPECT_NEAR(grouped_total, record_total, record_total * 1e-9);
     }
-    EXPECT_NEAR(agg_total, record_total, record_total * 1e-9);
-
-    const auto by_ip = capture::aggregate_by_ip(letter.records);
-    double ip_total = 0.0;
-    for (const auto& v : by_ip) ip_total += v.total_queries_per_day;
-    EXPECT_NEAR(ip_total, record_total, record_total * 1e-9);
-    EXPECT_GE(by_ip.size(), by24.size());
+    EXPECT_GE(sites_per_source(by_ip).size(), sites_per_source(by24).size());
 }
 
 TEST_F(CaptureFixture, SecondarySitesAppearForSomeSlash24s) {
     // App. B.2: a minority of /24s see more than one site per letter.
-    const auto& letter = w().ditl().of('L');
-    const auto by24 = capture::aggregate_by_slash24(letter.records);
-    int multi = 0;
-    for (const auto& v : by24) {
-        if (v.sites.size() > 1) ++multi;
-    }
+    const auto sites = sites_per_source(
+        group_by_source_and_site(capture::to_table(w().ditl().of('L')), true));
+    const auto multi =
+        std::count_if(sites.begin(), sites.end(), [](std::size_t n) { return n > 1; });
     EXPECT_GT(multi, 0);
-    EXPECT_LT(static_cast<double>(multi) / static_cast<double>(by24.size()), 0.5);
+    EXPECT_LT(static_cast<double>(multi) / static_cast<double>(sites.size()), 0.5);
 }
 
 TEST_F(CaptureFixture, LocalSitesAbsorbSomeQueries) {

@@ -1,15 +1,15 @@
 // Extension features: placement strategies, failover, the unicast
-// comparison, and capture serialization.
+// comparison, and the DITL archive round trip.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <unordered_set>
 
 #include "src/analysis/unicast.h"
 #include "src/anycast/failover.h"
 #include "src/anycast/placement.h"
-#include "src/capture/serialize.h"
+#include "src/capture/filter.h"
 #include "src/core/world.h"
+#include "src/snapshot/world_io.h"
 
 namespace {
 
@@ -145,82 +145,59 @@ TEST_F(ExtensionFixture, UnicastResidualReflectsPhysicalBound) {
     EXPECT_GT(c.unicast_inflation_ms.median(), 0.0);
 }
 
-// --- Serialization. ---
-
-TEST_F(ExtensionFixture, CaptureRoundTripsExactly) {
-    const auto& original = w().ditl().of('C');
-    std::stringstream buffer;
-    capture::write_capture(buffer, original);
-    const auto parsed = capture::read_capture(buffer);
-
-    EXPECT_EQ(parsed.letter, original.letter);
-    EXPECT_EQ(parsed.spec.anon, original.spec.anon);
-    EXPECT_EQ(parsed.spec.tcp_usable, original.spec.tcp_usable);
-    EXPECT_DOUBLE_EQ(parsed.ipv6_queries_per_day, original.ipv6_queries_per_day);
-    ASSERT_EQ(parsed.records.size(), original.records.size());
-    for (std::size_t i = 0; i < parsed.records.size(); ++i) {
-        EXPECT_EQ(parsed.records[i].source_ip, original.records[i].source_ip);
-        EXPECT_EQ(parsed.records[i].site, original.records[i].site);
-        EXPECT_EQ(parsed.records[i].category, original.records[i].category);
-        EXPECT_DOUBLE_EQ(parsed.records[i].queries_per_day,
-                         original.records[i].queries_per_day);
-    }
-    ASSERT_EQ(parsed.tcp_rtts.size(), original.tcp_rtts.size());
-    for (std::size_t i = 0; i < parsed.tcp_rtts.size(); ++i) {
-        EXPECT_EQ(parsed.tcp_rtts[i].source, original.tcp_rtts[i].source);
-        EXPECT_EQ(parsed.tcp_rtts[i].sample_count, original.tcp_rtts[i].sample_count);
-        EXPECT_DOUBLE_EQ(parsed.tcp_rtts[i].median_rtt_ms,
-                         original.tcp_rtts[i].median_rtt_ms);
-    }
-}
-
-TEST_F(ExtensionFixture, DatasetRoundTripPreservesTotals) {
-    std::stringstream buffer;
-    capture::write_dataset(buffer, w().ditl());
-    const auto parsed = capture::read_dataset(buffer);
-    ASSERT_EQ(parsed.letters.size(), w().ditl().letters.size());
-    EXPECT_DOUBLE_EQ(parsed.total_queries_per_day(), w().ditl().total_queries_per_day());
-}
-
-TEST(Serialize, RejectsMalformedInput) {
-    {
-        std::stringstream buffer{"not a capture\n"};
-        EXPECT_THROW((void)capture::read_dataset(buffer), std::runtime_error);
-    }
-    {
-        std::stringstream buffer{"letter A anon=bogus\n"};
-        EXPECT_THROW((void)capture::read_capture(buffer), std::runtime_error);
-    }
-    {
-        // Missing 'end'.
-        std::stringstream buffer{
-            "letter A anon=none in_ditl=1 tcp_usable=1 complete=1 global=5 local=0 "
-            "ipv6_qpd=0\nR 1.2.3.4 0 valid 10\n"};
-        EXPECT_THROW((void)capture::read_capture(buffer), std::runtime_error);
-    }
-    {
-        // Bad row tag.
-        std::stringstream buffer{
-            "letter A anon=none in_ditl=1 tcp_usable=1 complete=1 global=5 local=0 "
-            "ipv6_qpd=0\nX nope\nend\n"};
-        EXPECT_THROW((void)capture::read_capture(buffer), std::runtime_error);
-    }
-}
+// --- DITL archive. ---
 
 TEST(Serialize, FilteredAnalysisSurvivesRoundTrip) {
-    // A capture written to disk and re-read must produce identical filter
-    // statistics — the archival workflow the format exists for.
+    // A capture archived as a DITL snapshot and read back must hold the same
+    // rows and produce identical filter statistics: the archival workflow
+    // behind `acctx export` / `acctx analyze`.
     core::world w{core::world_config::small()};
-    std::stringstream buffer;
-    capture::write_dataset(buffer, w.ditl());
-    const auto parsed = capture::read_dataset(buffer);
+    const auto image = snapshot::encode_ditl(w.ditl());
+    const auto parsed = snapshot::read_ditl(*snapshot::bundle::from_bytes(image));
+    ASSERT_EQ(parsed.letters.size(), w.ditl().letters.size());
+    for (std::size_t l = 0; l < parsed.letters.size(); ++l) {
+        const auto& original = w.ditl().letters[l];
+        const auto& archived = parsed.letters[l];
+        EXPECT_EQ(archived.letter, original.letter);
+        EXPECT_EQ(archived.spec.anon, original.spec.anon);
+        EXPECT_EQ(archived.spec.in_ditl, original.spec.in_ditl);
+        EXPECT_EQ(archived.spec.tcp_usable, original.spec.tcp_usable);
+        EXPECT_EQ(archived.spec.complete, original.spec.complete);
+        EXPECT_EQ(archived.spec.global_sites, original.spec.global_sites);
+        EXPECT_EQ(archived.spec.local_sites, original.spec.local_sites);
+        EXPECT_EQ(archived.ipv6_queries_per_day, original.ipv6_queries_per_day);
+        ASSERT_EQ(archived.records.size(), original.records.size()) << original.letter;
+        for (std::size_t i = 0; i < archived.records.size(); ++i) {
+            EXPECT_EQ(archived.records[i].source_ip, original.records[i].source_ip);
+            EXPECT_EQ(archived.records[i].site, original.records[i].site);
+            EXPECT_EQ(archived.records[i].category, original.records[i].category);
+            EXPECT_EQ(archived.records[i].queries_per_day, original.records[i].queries_per_day);
+        }
+        ASSERT_EQ(archived.tcp_rtts.size(), original.tcp_rtts.size()) << original.letter;
+        for (std::size_t i = 0; i < archived.tcp_rtts.size(); ++i) {
+            EXPECT_EQ(archived.tcp_rtts[i].source, original.tcp_rtts[i].source);
+            EXPECT_EQ(archived.tcp_rtts[i].site, original.tcp_rtts[i].site);
+            EXPECT_EQ(archived.tcp_rtts[i].sample_count, original.tcp_rtts[i].sample_count);
+            EXPECT_EQ(archived.tcp_rtts[i].median_rtt_ms, original.tcp_rtts[i].median_rtt_ms);
+            EXPECT_EQ(archived.tcp_rtts[i].queries_per_day,
+                      original.tcp_rtts[i].queries_per_day);
+        }
+    }
+    // Re-archiving what was read back reproduces the archive's bytes.
+    EXPECT_EQ(snapshot::encode_ditl(parsed), image);
+
     const auto filtered_original = capture::filter_all(w.ditl());
     const auto filtered_parsed = capture::filter_all(parsed);
     ASSERT_EQ(filtered_original.size(), filtered_parsed.size());
     for (std::size_t i = 0; i < filtered_original.size(); ++i) {
-        EXPECT_DOUBLE_EQ(filtered_original[i].stats.kept, filtered_parsed[i].stats.kept);
-        EXPECT_DOUBLE_EQ(filtered_original[i].stats.invalid_dropped,
-                         filtered_parsed[i].stats.invalid_dropped);
+        const auto& a = filtered_original[i].stats;
+        const auto& b = filtered_parsed[i].stats;
+        EXPECT_EQ(a.raw_queries_per_day, b.raw_queries_per_day);
+        EXPECT_EQ(a.invalid_dropped, b.invalid_dropped);
+        EXPECT_EQ(a.ptr_dropped, b.ptr_dropped);
+        EXPECT_EQ(a.private_dropped, b.private_dropped);
+        EXPECT_EQ(a.ipv6_dropped, b.ipv6_dropped);
+        EXPECT_EQ(a.kept, b.kept);
     }
 }
 

@@ -7,6 +7,10 @@
 //     and with every single bit flipped. Each mutant is re-wrapped by
 //     snapshot::writer, so the checksums hold and the bytes reach the
 //     section reader itself.
+//   - Encoded section headers: the u32 row count of a dict, an rle, a delta
+//     and an xref section set to edge values and bit-flipped, checksums
+//     recomputed, so the bytes reach the encoding validation and its decode
+//     bound.
 //   - Grid specs: ci/sweep_smoke.txt truncated at every byte, with every bit
 //     flipped, and with lines dropped, duplicated and spliced in.
 // Each case must yield a value or the surface's typed error (snapshot_error,
@@ -16,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <exception>
 #include <fstream>
 #include <functional>
@@ -28,6 +33,7 @@
 
 #include "src/core/world.h"
 #include "src/snapshot/world_io.h"
+#include "src/snapshot/xxhash64.h"
 #include "src/sweep/spec.h"
 
 namespace {
@@ -147,6 +153,74 @@ TEST_F(PackedSectionMutation, TableMeta) {
                 EXPECT_EQ(tables[0].spec.letter, tables[0].letter);
             },
             "tables/0/meta case " + std::to_string(i));
+    }
+}
+
+// ------------------------------------------------------- encoded headers
+
+/// Recomputes every section checksum and the file checksum of `img`, so an
+/// in-place edit reaches the encoding validation instead of a checksum.
+void reseal(std::vector<std::byte>& img) {
+    std::uint32_t count = 0;
+    std::memcpy(&count, img.data() + 12, sizeof count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+        auto* entry = img.data() + snapshot::header_bytes + snapshot::section_entry_bytes * i;
+        std::uint64_t off = 0;
+        std::uint64_t bytes = 0;
+        std::memcpy(&off, entry + 16, sizeof off);
+        std::memcpy(&bytes, entry + 24, sizeof bytes);
+        const std::uint64_t sum = snapshot::xxhash64(img.data() + off, bytes);
+        std::memcpy(entry + 32, &sum, sizeof sum);
+    }
+    const std::uint64_t head = snapshot::xxhash64(img.data(), 56);
+    const std::uint64_t sum = snapshot::xxhash64(img.data() + snapshot::header_bytes,
+                                                 img.size() - snapshot::header_bytes, head);
+    std::memcpy(img.data() + 56, &sum, sizeof sum);
+}
+
+TEST(EncodedHeaderMutation, RowCount) {
+    // One section per encoding (dict, rle, delta, and an xref into the
+    // dict), each with its header's u32 row count replaced by every value
+    // below. A file that opens must decode every section to its row count.
+    std::vector<std::uint32_t> dict;
+    std::vector<std::uint32_t> runs;
+    std::vector<std::uint32_t> arithmetic;
+    std::vector<std::uint32_t> indices;
+    for (std::uint32_t i = 0; i < 300; ++i) {
+        dict.push_back(i % 7);
+        runs.push_back(i / 50);
+        arithmetic.push_back(1000000 + 3 * i);
+        if (i % 2 == 0) indices.push_back(i);
+    }
+    snapshot::writer w;
+    w.add_column_encoded<std::uint32_t>("dict", dict);
+    w.add_column_encoded<std::uint32_t>("rle", runs);
+    w.add_column_encoded<std::uint32_t>("delta", arithmetic);
+    w.add_column_xref<std::uint32_t>("xref", "dict", indices);
+    const auto seed = w.finish();
+    const auto clean = snapshot::bundle::from_bytes(seed);
+    ASSERT_EQ(clean->sections().size(), 4u);
+
+    for (const auto& s : clean->sections()) {
+        ASSERT_NE(s.encoding, table::enc::encoding::plain) << s.name;
+        const auto rows = static_cast<std::uint32_t>(s.rows);
+        std::vector<std::uint32_t> counts{0,       1,       rows - 1, rows + 1, 2 * rows,
+                                          1 << 16, 1 << 25, 0xFFFFFFFF};
+        for (int bit = 0; bit < 32; ++bit) counts.push_back(rows ^ (std::uint32_t{1} << bit));
+        for (const std::uint32_t count : counts) {
+            auto img = seed;
+            std::memcpy(img.data() + s.payload_offset, &count, sizeof count);
+            reseal(img);
+            expect_value_or<snapshot::snapshot_error>(
+                [&] {
+                    const auto b = snapshot::bundle::from_bytes(img);
+                    for (const auto& t : b->sections()) {
+                        EXPECT_EQ(b->typed_column<std::uint32_t>(t.name).size(), t.rows)
+                            << s.name << " rows " << count;
+                    }
+                },
+                std::string{s.name} + " rows " + std::to_string(count));
+        }
     }
 }
 

@@ -266,10 +266,12 @@ TEST_F(RoutingPolicy, SelectPrefersCustomerOverPeerRegardlessOfLength) {
 }
 
 TEST_F(RoutingPolicy, HasDirectRouteDetectsShortPaths) {
+    // A direct route is one learned from the origin AS itself: a "2 AS"
+    // path in Fig. 6a terms.
     auto rib = make_rib({{0, 1, 0, route::announcement_scope::global, {}}});
-    EXPECT_TRUE(rib.has_direct_route(2));
-    EXPECT_TRUE(rib.has_direct_route(4));
-    EXPECT_FALSE(rib.has_direct_route(8));
+    EXPECT_EQ(rib.route_toward(2, 0)->path_len, 2);
+    EXPECT_EQ(rib.route_toward(4, 0)->path_len, 2);
+    EXPECT_GT(rib.route_toward(8, 0)->path_len, 2);
 }
 
 TEST_F(RoutingPolicy, DenseSiteIdsEnforced) {
@@ -398,7 +400,7 @@ TEST_F(RoutingPolicy, SiteRoutesViewMatchesRouteToward) {
 TEST_F(RoutingPolicy, UnknownAsnAndNoRouteOrdering) {
     auto rib = make_rib({{0, 1, 0, route::announcement_scope::global, {}}});
     EXPECT_THROW((void)rib.select(99, 0), std::out_of_range);
-    EXPECT_THROW((void)rib.has_direct_route(99), std::out_of_range);
+    EXPECT_THROW((void)rib.route_toward(99, 0), std::out_of_range);
     EXPECT_THROW((void)rib.evaluate(99, 0, 0), std::out_of_range);
     // AS 5 holds no route at all: nullopt wins over region validation, as in
     // the pre-index implementation (candidate check came first).
@@ -596,8 +598,8 @@ TEST_F(RoutingPolicy, IncrementalMatchesRebuildAfterRandomizedTimeline) {
     }
 }
 
-// Index-level equivalence: the per-AS slot itself (candidate list, direct
-// flag) must equal a fresh rebuild after every event, not just `select`,
+// Index-level equivalence: the per-AS slot itself (its candidate list) must
+// equal a fresh rebuild after every event, not just `select`,
 // which can hide a stale candidate list behind an unchanged hot-potato pick.
 // `with_selects` also diffs `select` at every (AS, region).
 void expect_index_matches_rebuild(const route::anycast_rib& rib, const topo::as_graph& graph,
@@ -609,8 +611,6 @@ void expect_index_matches_rebuild(const route::anycast_rib& rib, const topo::as_
                                    pool};
     for (const topo::asn_t asn : rib.known_asns()) {
         ASSERT_EQ(rib.best_candidates(asn), fresh.best_candidates(asn))
-            << label << " asn " << asn;
-        ASSERT_EQ(rib.has_direct_route(asn), fresh.has_direct_route(asn))
             << label << " asn " << asn;
         for (topo::region_id region = 0; with_selects && region < graph.regions().size();
              ++region) {
@@ -642,7 +642,6 @@ TEST_F(RoutingPolicy, DeltaRepairMatchesRebuildUnderTies) {
     const std::vector<topo::asn_t> origins{1, 2, 4, 6};
     // Which repair branch each event exercised, observed from outside.
     bool sole_best_removal = false;
-    bool direct_removal = false;
     bool tie_insert = false;
     bool better_replaces_best = false;
     bool same_key_reannounce = false;
@@ -657,10 +656,8 @@ TEST_F(RoutingPolicy, DeltaRepairMatchesRebuildUnderTies) {
                                      : static_cast<route::site_id>(
                                            gen.uniform_index(rib.site_count()));
             std::vector<std::vector<route::site_id>> before;
-            std::vector<std::optional<route::site_route>> old_cells;
             for (const topo::asn_t asn : rib.known_asns()) {
                 before.push_back(rib.best_candidates(asn));
-                old_cells.push_back(append ? std::nullopt : rib.route_toward(asn, site));
             }
             const auto rescans_before = rescans_counted();
             auto a = append ? route::announcement{site, 6, 1, announcement_scope::global, {}, 1}
@@ -693,17 +690,17 @@ TEST_F(RoutingPolicy, DeltaRepairMatchesRebuildUnderTies) {
             expect_index_matches_rebuild(rib, graph_, &pool, label);
             if (HasFatalFailure()) return;
 
+            // A slot is rescanned exactly when the site was its sole best.
+            std::size_t sole_best_slots = 0;
             const auto asns = rib.known_asns();
             for (std::size_t i = 0; i < asns.size(); ++i) {
                 const auto after = rib.best_candidates(asns[i]);
                 auto others = before[i];
                 std::erase(others, site);
                 const bool was_best = others.size() != before[i].size();
-                const bool was_direct = old_cells[i] && old_cells[i]->path_len <= 2;
-                direct_removal = direct_removal || was_direct;
-                if (was_best && others.empty() && !was_direct) {
+                if (was_best && others.empty()) {
                     sole_best_removal = true;
-                    EXPECT_GT(stats.rescans, 0u) << label;
+                    ++sole_best_slots;
                 }
                 if (!others.empty() && after == std::vector<route::site_id>{site}) {
                     better_replaces_best = true;
@@ -713,18 +710,18 @@ TEST_F(RoutingPolicy, DeltaRepairMatchesRebuildUnderTies) {
                     tie_insert = true;
                 }
             }
+            EXPECT_EQ(stats.rescans, sole_best_slots) << label;
         }
     }
     EXPECT_TRUE(sole_best_removal);
-    EXPECT_TRUE(direct_removal);
     EXPECT_TRUE(tie_insert);
     EXPECT_TRUE(better_replaces_best);
     EXPECT_TRUE(same_key_reannounce);
 }
 
-TEST_F(RoutingPolicy, RescansOnlyWhereTheOldCellWasDirectOrSoleBest) {
+TEST_F(RoutingPolicy, RescansOnlyWhereTheOldCellWasSoleBest) {
     // Site 1 shares site 0's origin but prepends 3: it is no AS's best
-    // candidate and never a direct route, so withdrawing it rescans nothing.
+    // candidate, so withdrawing it rescans nothing.
     auto rib = make_rib({{0, 1, 0, route::announcement_scope::global, {}},
                          {1, 1, 3, route::announcement_scope::global, {}, 3}});
     for (const topo::asn_t asn : rib.known_asns()) {
@@ -737,14 +734,31 @@ TEST_F(RoutingPolicy, RescansOnlyWhereTheOldCellWasDirectOrSoleBest) {
     EXPECT_EQ(quiet.rescans, 0u);
     EXPECT_EQ(rescans_counted() - counted, 0u);
 
-    // Site 0 is now every routed AS's sole best (a direct route at its
-    // origin and neighbours): every touched slot falls back.
+    // Site 0 is now every routed AS's sole best: every touched slot falls
+    // back.
     counted = rescans_counted();
     const auto loud = rib.withdraw(0);
     EXPECT_GT(loud.rescans, 0u);
     EXPECT_EQ(loud.rescans, loud.ases_touched);
     EXPECT_EQ(rescans_counted() - counted, loud.rescans);
     expect_index_matches_rebuild(rib, graph_, nullptr, "both withdrawn");
+
+    // A direct route that is not the best costs no rescan: AS 1 learns site
+    // 1, hosted at its provider AS 2, over a 2-AS path, but its own origin
+    // route to site 0 stays its sole best.
+    auto two_hosts = make_rib({{0, 1, 0, route::announcement_scope::global, {}},
+                               {1, 2, 1, route::announcement_scope::global, {}}});
+    ASSERT_EQ(two_hosts.route_toward(1, 1)->path_len, 2);
+    ASSERT_EQ(two_hosts.best_candidates(1), std::vector<route::site_id>{0});
+    std::size_t sole_best_slots = 0;
+    for (const topo::asn_t asn : two_hosts.known_asns()) {
+        if (two_hosts.best_candidates(asn) == std::vector<route::site_id>{1}) ++sole_best_slots;
+    }
+    const auto direct = two_hosts.withdraw(1);
+    EXPECT_GT(direct.rescans, 0u);
+    EXPECT_EQ(direct.rescans, sole_best_slots);
+    EXPECT_LT(direct.rescans, direct.ases_touched);
+    expect_index_matches_rebuild(two_hosts, graph_, nullptr, "direct withdrawn");
 }
 
 // Sealed select memo (DESIGN §13): freezing seals the memoized selections;

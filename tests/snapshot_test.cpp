@@ -1,6 +1,8 @@
 // Snapshot container: round trips, hydration fidelity, corruption handling.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -11,7 +13,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/capture/serialize.h"
 #include "src/core/report.h"
 #include "src/snapshot/world_io.h"
 #include "src/snapshot/xxhash64.h"
@@ -406,17 +407,6 @@ TEST_F(SnapshotFixture, HydrateRejectsDitlOnlySnapshot) {
     }
 }
 
-// The binary DITL snapshot stores exactly the fields the text format stores,
-// so text-round-tripping a dataset and re-snapshotting it is byte-identical.
-TEST_F(SnapshotFixture, TextRoundTripResnapshotsIdentically) {
-    const auto direct = snapshot::encode_ditl(w().ditl());
-    std::stringstream text;
-    capture::write_dataset(text, w().ditl());
-    const auto reread = capture::read_dataset(text);
-    const auto via_text = snapshot::encode_ditl(reread);
-    EXPECT_EQ(direct, via_text);
-}
-
 // ------------------------------------------------------------- corruption --
 
 TEST_F(SnapshotFixture, EveryFlippedSectionByteIsCaught) {
@@ -541,6 +531,52 @@ TEST_F(SnapshotFixture, DeclaredStringLengthIsCheckedBeforeAllocating) {
         FAIL() << "malformed expected";
     } catch (const snapshot::snapshot_error& e) {
         EXPECT_EQ(e.code(), snapshot::errc::malformed) << e.what();
+    }
+}
+
+TEST_F(SnapshotFixture, EncodedRowCountIsBoundedBeforeDecoding) {
+    // A width-0 dict and a two-run rle section of u64 each claim 2^25 rows
+    // (256 MiB decoded) in a payload of a few dozen bytes. Opening must fail
+    // typed, at the decode bound, before anything is reserved.
+    constexpr std::uint32_t claimed = std::uint32_t{1} << 25;
+    std::vector<std::uint64_t> constant(64, 7);
+    std::vector<std::uint64_t> two_runs(64, 5);
+    std::fill(two_runs.begin() + 32, two_runs.end(), 9);
+    for (const auto* values : {&constant, &two_runs}) {
+        snapshot::writer wr;
+        wr.add_column_encoded<std::uint64_t>("col", *values);
+        auto img = wr.finish();
+        const auto clean = snapshot::bundle::from_bytes(img);
+        const auto info = clean->section("col");
+        ASSERT_EQ(clean->typed_column<std::uint64_t>("col").size(), values->size());
+        const std::size_t at = info.payload_offset;
+        std::memcpy(img.data() + at, &claimed, sizeof claimed);
+        if (info.encoding == table::enc::encoding::rle) {
+            // The last run end must still equal the row count: [16, 32) are
+            // the two run values, [32, 40) the two u32 run ends.
+            std::memcpy(img.data() + at + 36, &claimed, sizeof claimed);
+        } else {
+            ASSERT_EQ(info.encoding, table::enc::encoding::dict);
+            ASSERT_EQ(img.size(), 144u);
+        }
+        patch_section_checksums(img, at);
+        patch_file_checksum(img);
+
+        rusage before{};
+        getrusage(RUSAGE_SELF, &before);
+        try {
+            const auto b = snapshot::bundle::from_bytes(img);
+            (void)b->typed_column<std::uint64_t>("col");
+            ADD_FAILURE() << "bad_encoding expected for "
+                          << table::enc::encoding_name(info.encoding);
+        } catch (const snapshot::snapshot_error& e) {
+            EXPECT_EQ(e.code(), snapshot::errc::bad_encoding) << e.what();
+        }
+        rusage after{};
+        getrusage(RUSAGE_SELF, &after);
+        // ru_maxrss is in KiB on Linux; 256 MiB decoded would show.
+        EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 32 * 1024)
+            << table::enc::encoding_name(info.encoding);
     }
 }
 

@@ -62,6 +62,8 @@ TEST(GridSpec, RejectsBadInput) {
     EXPECT_THROW(parse("dim flavor a b\n"), sweep::spec_error);    // unknown dim
     EXPECT_THROW(parse("dim rings 3\ndim rings 5\n"), sweep::spec_error);  // duplicate
     EXPECT_THROW(parse("dim rings 3 3\n"), sweep::spec_error);    // repeated value
+    EXPECT_THROW(parse("dim peering 0.3 0.30\n"), sweep::spec_error);  // same config
+    EXPECT_THROW(parse("dim rings 3 03\n"), sweep::spec_error);        // same config
     EXPECT_THROW(parse("tier small extra\n"), sweep::spec_error);  // trailing token
     EXPECT_THROW(parse("wat 1\n"), sweep::spec_error);             // unknown directive
     // The message names the offending line.
@@ -70,6 +72,14 @@ TEST(GridSpec, RejectsBadInput) {
         FAIL() << "expected spec_error";
     } catch (const sweep::spec_error& err) {
         EXPECT_NE(std::string{err.what()}.find("line 2"), std::string::npos) << err.what();
+    }
+    try {
+        parse("tier small\ndim rings 3\ndim peering 0.5 0.50\n");
+        FAIL() << "expected spec_error";
+    } catch (const sweep::spec_error& err) {
+        EXPECT_NE(std::string{err.what()}.find("line 3"), std::string::npos) << err.what();
+        EXPECT_NE(std::string{err.what()}.find("same config as '0.5'"), std::string::npos)
+            << err.what();
     }
 }
 

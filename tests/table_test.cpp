@@ -192,7 +192,8 @@ void expect_encoding_roundtrip(const std::vector<T>& values, const char* context
         << context << ": chosen encoding must beat plain";
 
     table::enc::view_core core;
-    const auto err = table::enc::parse_view(encoded.kind, encoded.bytes, sizeof(T), core);
+    const auto err =
+        table::enc::parse_view(encoded.kind, encoded.bytes, sizeof(T), values.size(), core);
     ASSERT_TRUE(err.empty()) << context << ": " << err;
     table::enc::any_view view;
     view.self = core;
@@ -292,14 +293,16 @@ TEST(Encoding, XrefRoundTripsThroughSource) {
         table::enc::choose_and_encode<std::uint32_t>(std::span<const std::uint32_t>{source});
     ASSERT_NE(src_encoded.kind, table::enc::encoding::plain);
     table::enc::view_core src_core;
-    ASSERT_EQ(table::enc::parse_view(src_encoded.kind, src_encoded.bytes, 4, src_core), "");
+    ASSERT_EQ(table::enc::parse_view(src_encoded.kind, src_encoded.bytes, 4, source.size(),
+                                     src_core),
+              "");
 
     std::vector<std::uint32_t> indices;
     for (std::uint32_t i = 0; i < 2000; i += 3) indices.push_back(i);
     const auto xref_bytes =
         table::enc::encode_xref(std::span<const std::uint32_t>{indices}, source.size());
     table::enc::any_view view;
-    const auto err = table::enc::parse_xref(xref_bytes, 4, src_core, view);
+    const auto err = table::enc::parse_xref(xref_bytes, 4, src_core, indices.size(), view);
     ASSERT_TRUE(err.empty()) << err;
 
     const auto decoded = view.decode<std::uint32_t>();
@@ -317,7 +320,10 @@ TEST(Encoding, RejectsCorruptHeaders) {
         table::enc::choose_and_encode<std::uint32_t>(std::span<const std::uint32_t>{values});
     ASSERT_NE(encoded.kind, table::enc::encoding::plain);
     table::enc::view_core core;
-    ASSERT_EQ(table::enc::parse_view(encoded.kind, encoded.bytes, 4, core), "");
+    ASSERT_EQ(table::enc::parse_view(encoded.kind, encoded.bytes, 4, values.size(), core), "");
+    // A row count past the caller's bound is rejected before any row scan.
+    EXPECT_EQ(table::enc::parse_view(encoded.kind, encoded.bytes, 4, values.size() - 1, core),
+              "row count exceeds the decode bound");
     // Every single-byte flip inside the 16-byte header must be rejected or
     // still parse to in-range rows — never crash or index out of bounds.
     for (std::size_t at = 0; at < table::enc::header_bytes; ++at) {
@@ -325,7 +331,8 @@ TEST(Encoding, RejectsCorruptHeaders) {
             auto corrupt = encoded.bytes;
             corrupt[at] ^= flip;
             table::enc::view_core out;
-            const auto err = table::enc::parse_view(encoded.kind, corrupt, 4, out);
+            const auto err =
+                table::enc::parse_view(encoded.kind, corrupt, 4, values.size(), out);
             if (err.empty()) {
                 // A flip may survive inside the 8-byte padding slack (e.g. a
                 // row count nudged within the same packed size); survivors
@@ -342,7 +349,7 @@ TEST(Encoding, RejectsCorruptHeaders) {
         std::vector<std::byte> cut{encoded.bytes.begin(),
                                    encoded.bytes.begin() + static_cast<long>(keep)};
         table::enc::view_core out;
-        EXPECT_FALSE(table::enc::parse_view(encoded.kind, cut, 4, out).empty())
+        EXPECT_FALSE(table::enc::parse_view(encoded.kind, cut, 4, values.size(), out).empty())
             << "kept " << keep;
     }
 }

@@ -1,15 +1,16 @@
 // acctx — the anycast-context command line.
 //
-// One binary to build worlds, run the paper's analyses, and move capture
-// files around:
+// One binary to build worlds, run the paper's analyses, and archive and
+// re-analyze DITL captures:
 //
 //   acctx world    [--seed N] [--scale small|medium|large] [--year 2018|2020]
 //                  [--threads N] [--timing]
 //   acctx inflation [...]           Fig. 2-style root inflation summary
 //   acctx amortize  [...]           Fig. 3-style queries/user/day summary
 //   acctx cdn       [...]           Fig. 5-style CDN inflation summary
-//   acctx export    [...] --out F   write the DITL dataset (--format text|snapshot)
-//   acctx analyze   --in F          filter + summarize a capture file
+//   acctx export    [...] --out F   archive the DITL dataset as a DITL snapshot
+//   acctx analyze   --in F          filter + summarize the DITL captures of any
+//                                   snapshot (DITL-only or full world)
 //   acctx snapshot  [...] --out F   build a world and archive it as a snapshot
 //   acctx snapshot  --info F        print an existing snapshot's section table
 //   acctx report    [...] --out DIR write plot-ready CSVs for every figure
@@ -61,7 +62,6 @@
 #include "src/analysis/inflation.h"
 #include "src/analysis/join.h"
 #include "src/analysis/load_frontier.h"
-#include "src/capture/serialize.h"
 #include "src/core/render.h"
 #include "src/core/report.h"
 #include "src/core/world.h"
@@ -103,7 +103,6 @@ struct cli_options {
     std::uint16_t port = 0;  // serve: 0 = kernel-assigned ephemeral port
     bool dry_run = false;    // serve: bind + echo the port, then exit
     std::string letters = "K";
-    std::string format = "text";
     bool threads_set = false;
     bool world_knob_set = false;  // --seed/--scale/--year seen explicitly
 };
@@ -114,14 +113,13 @@ struct cli_options {
                  "serve|load|sweep>\n"
               << "             [--seed N] [--scale small|medium|large] [--year 2018|2020]\n"
               << "             [--threads N] [--timing] [--in FILE] [--out FILE]\n"
-              << "             [--from-snapshot FILE] [--format text|snapshot]\n"
-              << "             [--timeline FILE] [--letters STR] [--info FILE]\n"
+              << "             [--from-snapshot FILE] [--timeline FILE] [--letters STR]\n"
+              << "             [--info FILE]\n"
               << "  --threads N       construction threads (0 = hardware concurrency,\n"
               << "                    1 = serial); output is identical at any N\n"
               << "  --timing          with 'world': print the per-stage build report as JSON\n"
               << "  --from-snapshot F analysis commands: load datasets from a snapshot\n"
               << "                    (conflicts with --seed/--scale/--year)\n"
-              << "  --format FMT      export/analyze: capture file format (text|snapshot)\n"
               << "  --info F          snapshot: print the section table (name, type,\n"
               << "                    encoding, raw vs stored bytes, checksum) and totals\n"
               << "  --trace F         any command: write a Chrome trace_event JSON of every\n"
@@ -169,12 +167,12 @@ bool flag_applies(const std::string& command, const std::string& flag) {
         {"inflation", {"--seed", "--scale", "--year", "--threads", "--from-snapshot"}},
         {"amortize", {"--seed", "--scale", "--year", "--threads", "--from-snapshot"}},
         {"cdn", {"--seed", "--scale", "--year", "--threads", "--from-snapshot"}},
-        {"export", {"--seed", "--scale", "--year", "--threads", "--out", "--format"}},
+        {"export", {"--seed", "--scale", "--year", "--threads", "--out"}},
         {"snapshot", {"--seed", "--scale", "--year", "--threads", "--out", "--info"}},
         {"report", {"--seed", "--scale", "--year", "--threads", "--out", "--from-snapshot"}},
         {"scenario", {"--seed", "--scale", "--year", "--threads", "--out", "--from-snapshot",
                       "--timeline", "--letters"}},
-        {"analyze", {"--in", "--format"}},
+        {"analyze", {"--in"}},
         {"serve",
          {"--snapshot", "--port", "--threads", "--grid", "--grid-stride", "--dry-run"}},
         {"load", {"--seed", "--scale", "--year", "--threads", "--out", "--from-snapshot",
@@ -219,7 +217,7 @@ cli_options parse_args(int argc, char** argv) {
         if (arg == "--help" || arg == "-h") usage(0);
         if (arg == "--seed" || arg == "--scale" || arg == "--year" || arg == "--threads" ||
             arg == "--timing" || arg == "--in" || arg == "--out" || arg == "--info" ||
-            arg == "--from-snapshot" || arg == "--format" || arg == "--trace" ||
+            arg == "--from-snapshot" || arg == "--trace" ||
             arg == "--metrics-json" || arg == "--timeline" || arg == "--letters" ||
             arg == "--snapshot" || arg == "--port" || arg == "--grid" ||
             arg == "--grid-stride" || arg == "--dry-run" || arg == "--demand" ||
@@ -327,13 +325,6 @@ cli_options parse_args(int argc, char** argv) {
             options.letters = value();
             if (options.letters.empty()) {
                 std::cerr << "acctx scenario: --letters needs at least one letter\n";
-                usage(2);
-            }
-        } else if (arg == "--format") {
-            options.format = value();
-            if (options.format != "text" && options.format != "snapshot") {
-                std::cerr << "acctx " << options.command << ": unknown format '"
-                          << options.format << "' (expected text or snapshot)\n";
                 usage(2);
             }
         } else {
@@ -654,18 +645,9 @@ int cmd_export(const cli_options& options) {
         return 2;
     }
     const auto w = build_world(options);
-    if (options.format == "snapshot") {
-        snapshot::save_ditl(w.ditl(), *options.out_path);
-    } else {
-        std::ofstream out{*options.out_path};
-        if (!out) {
-            std::cerr << "acctx: cannot open " << *options.out_path << " for writing\n";
-            return 1;
-        }
-        capture::write_dataset(out, w.ditl());
-    }
+    snapshot::save_ditl(w.ditl(), *options.out_path);
     std::cout << "wrote " << w.ditl().letters.size() << " letter captures to "
-              << *options.out_path << " (" << options.format << ")\n";
+              << *options.out_path << "\n";
     return 0;
 }
 
@@ -752,17 +734,7 @@ int cmd_analyze(const cli_options& options) {
         std::cerr << "acctx analyze: --in FILE required\n";
         return 2;
     }
-    capture::ditl_dataset dataset;
-    if (options.format == "snapshot") {
-        dataset = snapshot::read_ditl(*snapshot::bundle::open(*options.in_path));
-    } else {
-        std::ifstream in{*options.in_path};
-        if (!in) {
-            std::cerr << "acctx: cannot open " << *options.in_path << "\n";
-            return 1;
-        }
-        dataset = capture::read_dataset(in);
-    }
+    const auto dataset = snapshot::read_ditl(*snapshot::bundle::open(*options.in_path));
     std::cout << "letters: " << dataset.letters.size() << ", total "
               << strfmt::fixed(dataset.total_queries_per_day() / 1e9, 3)
               << "B queries/day\n";
