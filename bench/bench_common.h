@@ -1,64 +1,19 @@
 // Shared bench scaffolding: every figure/table bench builds the same
 // full-scale world (memoized per process) and prints its paper-style rows
-// before running the google-benchmark timings.
-//
-// The second half of this header is the shared BENCH_*.json emitter: the
-// four baseline benches (world_build, routing, analysis, snapshot) collect
-// per-repeat samples into a `report` and write one common schema,
-// "ac-bench-v1", that ci/check_bench.py can diff against committed
-// baselines:
-//
-//   {
-//     "schema": "ac-bench-v1",
-//     "bench": "routing",            // which binary produced it
-//     "scale": "small",
-//     "machine": "<hostname>",       // baselines are machine-specific
-//     "git_rev": "<short rev at configure time>",
-//     "hardware_concurrency": N,
-//     "repeats": R,
-//     "note": "...",                 // free-form context, not gated
-//     "metrics": [
-//       {"name": "serial.warm_ms", "unit": "ms", "direction": "lower",
-//        "tolerance": 2.0, "median": 0.51, "min": 0.48, "samples": 5},
-//       ...
-//     ],
-//     "details": { ... }             // optional raw JSON per bench, not gated
-//   }
-//
-// `tolerance` is the relative regression band the CI gate applies to
-// `median` (direction "lower": fail above median * (1 + tolerance);
-// direction "higher": fail below median * (1 - tolerance)); check_bench.py
-// additionally grants a small absolute slack to sub-millisecond metrics so
-// scheduler noise on tiny hosts cannot fail the gate.
+// before running the google-benchmark timings. Performance is gated by
+// perfbench (BENCHMARK.json), not here.
 #pragma once
 
-// The baseline benches (world_build, routing, analysis, snapshot) have their
-// own mains and do not link google-benchmark; they define AC_BENCH_NO_HARNESS
-// before including this header to skip it (the header alone pulls in a static
-// initializer that needs the library).
-#ifndef AC_BENCH_NO_HARNESS
 #include <benchmark/benchmark.h>
-#endif
-
-#include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
-#include <deque>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/core/render.h"
 #include "src/core/world.h"
-
-#ifndef AC_GIT_REV
-#define AC_GIT_REV "unknown"
-#endif
 
 namespace ac::bench {
 
@@ -78,179 +33,8 @@ inline const core::world& world_2020() {
     return instance;
 }
 
-// ---------------------------------------------------------------------------
-// ac-bench-v1 report emitter
-// ---------------------------------------------------------------------------
-
-/// Which way a metric is allowed to drift before the CI gate fails.
-enum class direction { lower_is_better, higher_is_better };
-
-/// One gated measurement: per-repeat samples plus the tolerance band the CI
-/// gate applies to the median.
-struct metric {
-    std::string name;
-    std::string unit;        // "ms", "x", "bytes", "ratio"
-    direction dir = direction::lower_is_better;
-    double tolerance = 2.0;  // relative band around the baseline median
-    std::vector<double> values;
-
-    void add(double v) { values.push_back(v); }
-
-    [[nodiscard]] double median() const {
-        if (values.empty()) return 0.0;
-        auto sorted = values;
-        std::sort(sorted.begin(), sorted.end());
-        const std::size_t n = sorted.size();
-        return n % 2 == 1 ? sorted[n / 2] : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
-    }
-
-    [[nodiscard]] double min() const {
-        return values.empty() ? 0.0 : *std::min_element(values.begin(), values.end());
-    }
-};
-
-/// Wall-clock helper shared by the sample-collecting benches.
-[[nodiscard]] inline double ms_since(std::chrono::steady_clock::time_point start) {
-    const std::chrono::duration<double, std::milli> wall =
-        std::chrono::steady_clock::now() - start;
-    return wall.count();
-}
-
-/// An ac-bench-v1 report under construction. Metrics keep registration
-/// order in the emitted JSON so baseline diffs stay readable.
-class report {
-public:
-    report(std::string bench, std::string scale, int repeats)
-        : bench_{std::move(bench)}, scale_{std::move(scale)}, repeats_{repeats} {}
-
-    /// Registers a gated metric and returns a handle to push samples into.
-    /// Handles stay valid across later registrations (deque storage).
-    metric& add_metric(std::string name, std::string unit, direction dir, double tolerance) {
-        metrics_.push_back(metric{std::move(name), std::move(unit), dir, tolerance, {}});
-        return metrics_.back();
-    }
-
-    /// Convenience for derived values measured once (speedups, sizes).
-    void add_scalar(std::string name, std::string unit, direction dir, double tolerance,
-                    double value) {
-        add_metric(std::move(name), std::move(unit), dir, tolerance).add(value);
-    }
-
-    void set_note(std::string note) { note_ = std::move(note); }
-
-    /// Attaches pre-rendered JSON (per-stage breakdowns and the like) under
-    /// "details". Not inspected by the CI gate.
-    void add_details(std::string key, std::string raw_json) {
-        details_.emplace_back(std::move(key), std::move(raw_json));
-    }
-
-    void write(std::ostream& out) const {
-        out << "{\n";
-        out << "  \"schema\": \"ac-bench-v1\",\n";
-        out << "  \"bench\": \"" << bench_ << "\",\n";
-        out << "  \"scale\": \"" << scale_ << "\",\n";
-        out << "  \"machine\": \"" << machine_name() << "\",\n";
-        out << "  \"git_rev\": \"" << AC_GIT_REV << "\",\n";
-        out << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency() << ",\n";
-        out << "  \"repeats\": " << repeats_ << ",\n";
-        if (!note_.empty()) out << "  \"note\": \"" << note_ << "\",\n";
-        out << "  \"metrics\": [\n";
-        for (std::size_t i = 0; i < metrics_.size(); ++i) {
-            const auto& m = metrics_[i];
-            out << "    {\"name\": \"" << m.name << "\", \"unit\": \"" << m.unit
-                << "\", \"direction\": \""
-                << (m.dir == direction::lower_is_better ? "lower" : "higher")
-                << "\", \"tolerance\": " << m.tolerance << ", \"median\": " << m.median()
-                << ", \"min\": " << m.min() << ", \"samples\": " << m.values.size() << "}"
-                << (i + 1 < metrics_.size() ? "," : "") << "\n";
-        }
-        out << "  ]";
-        if (!details_.empty()) {
-            out << ",\n  \"details\": {\n";
-            for (std::size_t i = 0; i < details_.size(); ++i) {
-                out << "    \"" << details_[i].first << "\": " << details_[i].second
-                    << (i + 1 < details_.size() ? "," : "") << "\n";
-            }
-            out << "  }";
-        }
-        out << "\n}\n";
-    }
-
-    /// Writes the report to stdout and to `path`; returns the process exit
-    /// code (1 when the file cannot be opened).
-    [[nodiscard]] int write_file_and_stdout(const std::string& path) const {
-        write(std::cout);
-        std::ofstream out{path};
-        if (!out) {
-            std::cerr << bench_ << ": cannot open " << path << " for writing\n";
-            return 1;
-        }
-        write(out);
-        std::cerr << "wrote " << path << "\n";
-        return 0;
-    }
-
-    [[nodiscard]] static std::string machine_name() {
-        char host[256] = {};
-        if (::gethostname(host, sizeof(host) - 1) != 0) return "unknown";
-        return host;
-    }
-
-private:
-    std::string bench_;
-    std::string scale_;
-    int repeats_;
-    std::string note_;
-    std::deque<metric> metrics_;
-    std::vector<std::pair<std::string, std::string>> details_;
-};
-
-/// Shared `--threads N --repeat R --out FILE` parsing for the baseline
-/// benches. Exits with usage on unknown flags; `threads` resolves to
-/// hardware concurrency (or 4 when unknown/1, so pooled legs still exercise
-/// the scheduler).
-struct bench_args {
-    int threads = 0;
-    int repeat = 1;
-    std::string out_path;
-
-    static bench_args parse(int argc, char** argv, const char* bench_name,
-                            int default_repeat, std::string default_out) {
-        bench_args args;
-        args.repeat = default_repeat;
-        args.out_path = std::move(default_out);
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            auto value = [&]() -> const char* {
-                if (i + 1 >= argc) {
-                    std::cerr << bench_name << ": " << arg << " needs a value\n";
-                    std::exit(2);
-                }
-                return argv[++i];
-            };
-            if (arg == "--threads") {
-                args.threads = std::atoi(value());
-            } else if (arg == "--repeat") {
-                args.repeat = std::max(1, std::atoi(value()));
-            } else if (arg == "--out") {
-                args.out_path = value();
-            } else {
-                std::cerr << "usage: " << bench_name
-                          << " [--threads N] [--repeat R] [--out FILE]\n";
-                std::exit(2);
-            }
-        }
-        if (args.threads <= 0) {
-            const unsigned hw = std::thread::hardware_concurrency();
-            args.threads = hw > 1 ? static_cast<int>(hw) : 4;
-        }
-        return args;
-    }
-};
-
 } // namespace ac::bench
 
-#ifndef AC_BENCH_NO_HARNESS
 /// Main for figure benches: prints the figure, then runs timings.
 #define AC_BENCH_MAIN(print_fn)                                   \
     int main(int argc, char** argv) {                             \
@@ -262,4 +46,3 @@ struct bench_args {
         ::benchmark::Shutdown();                                  \
         return 0;                                                 \
     }
-#endif // AC_BENCH_NO_HARNESS

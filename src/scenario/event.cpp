@@ -3,21 +3,31 @@
 #include <algorithm>
 #include <charconv>
 #include <istream>
+#include <limits>
 #include <sstream>
 
 namespace ac::scenario {
 
 namespace {
 
-/// Parses a non-negative integer field; anything else (sign, trailing
-/// garbage, overflow) is malformed.
-long long parse_number(const std::string& token, const std::string& field, int line_no) {
-    long long value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(token.data(), token.data() + token.size(), value);
-    if (ec != std::errc{} || ptr != token.data() + token.size() || value < 0) {
+/// Parses an integer field that must lie in [min, max], the field's
+/// documented bound. A sign or trailing garbage is malformed; a value past
+/// the bound (however many digits) is rejected rather than narrowed, so no
+/// out-of-range input can wrap into an accepted one.
+unsigned long long parse_number(const std::string& token, const std::string& field,
+                                int line_no, unsigned long long min, unsigned long long max) {
+    const char* const end = token.data() + token.size();
+    unsigned long long value = 0;
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    const bool overflow = ec == std::errc::result_out_of_range;
+    if ((ec != std::errc{} && !overflow) || ptr != end) {
         throw timeline_error("timeline line " + std::to_string(line_no) + ": malformed " +
                              field + " '" + token + "'");
+    }
+    if (overflow || value < min || value > max) {
+        throw timeline_error("timeline line " + std::to_string(line_no) + ": " + field +
+                             " must be " + std::to_string(min) + ".." + std::to_string(max) +
+                             ", got '" + token + "'");
     }
     return value;
 }
@@ -217,7 +227,7 @@ timeline parse_timeline(std::istream& in) {
                                  ": expected '<step> <type> [args]', got '" + line + "'");
         }
         event e;
-        e.step = static_cast<int>(parse_number(tokens[0], "step", line_no));
+        e.step = static_cast<int>(parse_number(tokens[0], "step", line_no, 0, max_step));
         const event_shape* shape = shape_of(tokens[1]);
         if (shape == nullptr) {
             throw timeline_error("timeline line " + std::to_string(line_no) +
@@ -238,42 +248,28 @@ timeline parse_timeline(std::istream& in) {
         std::size_t next = 2;
         if (shape->has_target) e.target = tokens[next++];
         if (shape->has_site) {
-            e.site = static_cast<route::site_id>(parse_number(tokens[next++], "site", line_no));
+            e.site = static_cast<route::site_id>(parse_number(
+                tokens[next++], "site", line_no, 0, std::numeric_limits<route::site_id>::max()));
         }
         if (shape->has_region) {
-            e.region =
-                static_cast<topo::region_id>(parse_number(tokens[next++], "region", line_no));
+            e.region = static_cast<topo::region_id>(
+                parse_number(tokens[next++], "region", line_no, 0,
+                             std::numeric_limits<topo::region_id>::max()));
         }
         if (shape->has_amount) {
-            e.prepend = static_cast<int>(parse_number(tokens[next++], "prepend count", line_no));
-            if (e.prepend < 1 || e.prepend > max_prepend) {
-                throw timeline_error("timeline line " + std::to_string(line_no) +
-                                     ": prepend count must be 1.." +
-                                     std::to_string(max_prepend));
-            }
+            e.prepend = static_cast<int>(
+                parse_number(tokens[next++], "prepend count", line_no, 1, max_prepend));
         }
         if (shape->has_pct) {
-            e.pct = static_cast<int>(parse_number(tokens[next++], "percent", line_no));
-            if (e.type == event_type::demand_diurnal) {
-                if (e.pct > max_diurnal_amplitude_pct) {
-                    throw timeline_error("timeline line " + std::to_string(line_no) +
-                                         ": diurnal amplitude must be 0.." +
-                                         std::to_string(max_diurnal_amplitude_pct));
-                }
-            } else if (e.pct > max_demand_pct) {
-                throw timeline_error("timeline line " + std::to_string(line_no) +
-                                     ": demand percent must be 0.." +
-                                     std::to_string(max_demand_pct));
-            }
+            const bool diurnal = e.type == event_type::demand_diurnal;
+            e.pct = static_cast<int>(parse_number(
+                tokens[next++], diurnal ? "diurnal amplitude" : "demand percent", line_no, 0,
+                diurnal ? max_diurnal_amplitude_pct : max_demand_pct));
         }
         if (shape->has_window) {
-            e.window = static_cast<int>(parse_number(tokens[next++], shape->window_name, line_no));
             const int min_window = e.type == event_type::demand_diurnal ? 2 : 1;
-            if (e.window < min_window) {
-                throw timeline_error("timeline line " + std::to_string(line_no) + ": " +
-                                     shape->window_name + " must be at least " +
-                                     std::to_string(min_window));
-            }
+            e.window = static_cast<int>(parse_number(tokens[next++], shape->window_name,
+                                                     line_no, min_window, max_step));
         }
         tl.events.push_back(std::move(e));
     }

@@ -35,14 +35,16 @@
 //
 // The text format is one event per line: `<step> <type> <args...>`, with
 // `#` comments and blank lines ignored. Parsing is strict: unknown event
-// types, missing/extra arguments, and non-numeric fields are
-// `timeline_error`s, which `acctx scenario` and `acctx load` map to usage
-// errors. Two events firing at the same step whose effects collide — the
-// same <target, site>, the same target's whole prefix next to any site
-// event on that target, the same region's flash/hot-spot, or two global
-// demand settings — are also rejected: their outcome would depend on input
-// line order, which a deterministic replay must not be. Byte-identical
-// duplicates are allowed (idempotent).
+// types, missing/extra arguments, non-numeric fields, and numbers outside
+// their field's bound (`max_step`, `max_prepend` and the demand caps below;
+// site and region ids up to their u32 range) are `timeline_error`s, which
+// `acctx scenario` and `acctx load` map to usage errors. Two events firing
+// at the same step whose effects collide — the same <target, site>, the
+// same target's whole prefix next to any site event on that target, the
+// same region's flash/hot-spot, or two global demand settings — are also
+// rejected: their outcome would depend on input line order, which a
+// deterministic replay must not be. Byte-identical duplicates are allowed
+// (idempotent).
 #pragma once
 
 #include <cstdint>
@@ -81,18 +83,26 @@ enum class event_type : std::uint8_t {
 /// One timeline entry. Which fields are meaningful depends on `type`
 /// (see the table above); the parser only fills the ones the type uses.
 struct event {
-    int step = 0;
+    int step = 0;                  // 0..max_step
     event_type type = event_type::drain;
     std::string target;            // deployment name; empty for `outage`/demand
     route::site_id site = 0;       // drain/restore/prepend/promote/demote
     topo::region_id region = 0;    // outage/demand-flash/demand-hotspot
     int prepend = 0;               // prepend amount, 1..max_prepend
     int pct = 100;                 // demand percent (diurnal: amplitude)
-    int window = 0;                // demand-diurnal period / demand-flash duration
+    int window = 0;                // demand-diurnal period (2..max_step) /
+                                   // demand-flash duration (1..max_step)
 
     /// Human-readable rendering, e.g. "drain K site 3".
     [[nodiscard]] std::string describe() const;
 };
+
+/// Largest accepted step, and the longest demand period or duration. The
+/// step sizes the replay: the scenario driver re-measures every step up to
+/// the last one, and `load::demand_series` allocates per-step rows, so one
+/// line with a huge step would ask for billions of steps. No committed
+/// timeline uses a step above 20.
+inline constexpr int max_step = 10000;
 
 /// Largest accepted prepend count: path lengths live in a uint8 and real
 /// operators rarely prepend more than a handful of hops.

@@ -1,4 +1,4 @@
-// Deterministic mutation tests over two input surfaces (ROADMAP item 1).
+// Deterministic mutation tests over three input surfaces (ROADMAP item 1).
 //
 // No fuzzing engine: every case is enumerated from a committed or generated
 // seed, so a failure names its case and reproduces exactly.
@@ -13,9 +13,13 @@
 //     bound.
 //   - Grid specs: ci/sweep_smoke.txt truncated at every byte, with every bit
 //     flipped, and with lines dropped, duplicated and spliced in.
+//   - Timelines: the all-letter scenario ci/scenario_all_letters.txt and a
+//     timeline of all four demand-* events, mutated the same way, plus each
+//     numeric token pushed past 2^31 and 2^32. A timeline that parses must
+//     hold every field inside its documented bound (src/scenario/event.h).
 // Each case must yield a value or the surface's typed error (snapshot_error,
-// spec_error): never another exception, a crash, or, under AC_SANITIZE=address
-// (ci/verify.sh --asan), a sanitizer report.
+// spec_error, timeline_error): never another exception, a crash, or, under
+// AC_SANITIZE=address (ci/verify.sh --asan), a sanitizer report.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -32,6 +36,7 @@
 #include <vector>
 
 #include "src/core/world.h"
+#include "src/scenario/event.h"
 #include "src/snapshot/world_io.h"
 #include "src/snapshot/xxhash64.h"
 #include "src/sweep/spec.h"
@@ -224,7 +229,7 @@ TEST(EncodedHeaderMutation, RowCount) {
     }
 }
 
-// --------------------------------------------------------------- grid spec
+// ------------------------------------------------------------ text inputs
 
 std::string read_text(const std::string& path) {
     std::ifstream in{path, std::ios::binary};
@@ -246,6 +251,49 @@ std::string join_lines(const std::vector<std::string>& lines) {
     return out;
 }
 
+using text_case = std::function<void(const std::string& text, const std::string& which)>;
+
+/// Runs `check` on `seed`, on every truncation and single-bit flip of it, and
+/// on it with each line dropped, doubled, replaced by another line, and
+/// with another line's second half glued on.
+void for_each_text_mutant(const std::string& seed, const text_case& check) {
+    check(seed, "seed");
+    for (std::size_t keep = 0; keep < seed.size(); ++keep) {
+        check(seed.substr(0, keep), "truncated to " + std::to_string(keep));
+    }
+    for (std::size_t at = 0; at < seed.size(); ++at) {
+        for (int bit = 0; bit < 8; ++bit) {
+            auto m = seed;
+            m[at] = static_cast<char>(m[at] ^ (1 << bit));
+            check(m, "bit " + std::to_string(bit) + " of byte " + std::to_string(at));
+        }
+    }
+
+    const auto lines = split_lines(seed);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        auto dropped = lines;
+        dropped.erase(dropped.begin() + static_cast<std::ptrdiff_t>(i));
+        check(join_lines(dropped), "line " + std::to_string(i) + " dropped");
+
+        auto doubled = lines;
+        doubled.insert(doubled.begin() + static_cast<std::ptrdiff_t>(i), lines[i]);
+        check(join_lines(doubled), "line " + std::to_string(i) + " doubled");
+
+        for (std::size_t j = 0; j < lines.size(); ++j) {
+            auto replaced = lines;
+            replaced[i] = lines[j];
+            check(join_lines(replaced),
+                  "line " + std::to_string(j) + " over line " + std::to_string(i));
+            auto glued = lines;
+            glued[i] += lines[j].substr(lines[j].size() / 2);
+            check(join_lines(glued),
+                  "half of line " + std::to_string(j) + " after line " + std::to_string(i));
+        }
+    }
+}
+
+// --------------------------------------------------------------- grid spec
+
 /// Parses one mutant; a spec that parses must expand to uniquely named cells.
 void expect_spec_or_error(const std::string& text, const std::string& which) {
     expect_value_or<sweep::spec_error>(
@@ -265,42 +313,95 @@ void expect_spec_or_error(const std::string& text, const std::string& which) {
 TEST(GridSpecMutation, SweepSmokeSpec) {
     const auto seed = read_text(std::string{AC_SOURCE_DIR} + "/ci/sweep_smoke.txt");
     ASSERT_FALSE(seed.empty());
-    expect_spec_or_error(seed, "seed");
+    for_each_text_mutant(seed, expect_spec_or_error);
+}
 
-    for (std::size_t keep = 0; keep < seed.size(); ++keep) {
-        expect_spec_or_error(seed.substr(0, keep), "truncated to " + std::to_string(keep));
-    }
-    for (std::size_t at = 0; at < seed.size(); ++at) {
-        for (int bit = 0; bit < 8; ++bit) {
-            auto m = seed;
-            m[at] = static_cast<char>(m[at] ^ (1 << bit));
-            expect_spec_or_error(m, "bit " + std::to_string(bit) + " of byte " +
-                                        std::to_string(at));
-        }
-    }
+// ---------------------------------------------------------------- timeline
 
+/// Parses one mutant; a timeline that parses must be sorted by step and hold
+/// every field its event type uses inside the bound event.h documents (the
+/// fields it does not use keep their defaults).
+void expect_timeline_or_error(const std::string& text, const std::string& which) {
+    expect_value_or<scenario::timeline_error>(
+        [&] {
+            const auto tl = scenario::parse_timeline_text(text);
+            int previous = 0;
+            for (const auto& e : tl.events) {
+                const std::string at = which + ": " + e.describe();
+                EXPECT_GE(e.step, previous) << at;
+                EXPECT_LE(e.step, scenario::max_step) << at;
+                previous = e.step;
+
+                if (e.type == scenario::event_type::prepend) {
+                    EXPECT_GE(e.prepend, 1) << at;
+                    EXPECT_LE(e.prepend, scenario::max_prepend) << at;
+                } else {
+                    EXPECT_EQ(e.prepend, 0) << at;
+                }
+                if (e.type == scenario::event_type::demand_diurnal) {
+                    EXPECT_GE(e.pct, 0) << at;
+                    EXPECT_LE(e.pct, scenario::max_diurnal_amplitude_pct) << at;
+                    EXPECT_GE(e.window, 2) << at;
+                    EXPECT_LE(e.window, scenario::max_step) << at;
+                } else if (scenario::is_demand_event(e.type)) {
+                    EXPECT_GE(e.pct, 0) << at;
+                    EXPECT_LE(e.pct, scenario::max_demand_pct) << at;
+                } else {
+                    EXPECT_EQ(e.pct, 100) << at;
+                }
+                if (e.type == scenario::event_type::demand_flash) {
+                    EXPECT_GE(e.window, 1) << at;
+                    EXPECT_LE(e.window, scenario::max_step) << at;
+                } else if (e.type != scenario::event_type::demand_diurnal) {
+                    EXPECT_EQ(e.window, 0) << at;
+                }
+            }
+        },
+        which);
+}
+
+/// `seed` with each all-digit token, one at a time, pushed past 2^31 and
+/// 2^32 (n + 2^31, n + 2^32): values that wrap into accepted ones if the
+/// parser narrows before it range-checks.
+void for_each_widened_number(const std::string& seed, const text_case& check) {
     const auto lines = split_lines(seed);
     for (std::size_t i = 0; i < lines.size(); ++i) {
-        auto dropped = lines;
-        dropped.erase(dropped.begin() + static_cast<std::ptrdiff_t>(i));
-        expect_spec_or_error(join_lines(dropped), "line " + std::to_string(i) + " dropped");
-
-        auto doubled = lines;
-        doubled.insert(doubled.begin() + static_cast<std::ptrdiff_t>(i), lines[i]);
-        expect_spec_or_error(join_lines(doubled), "line " + std::to_string(i) + " doubled");
-
-        for (std::size_t j = 0; j < lines.size(); ++j) {
-            // Line j in place of line i, and line j's tail glued onto line i.
-            auto replaced = lines;
-            replaced[i] = lines[j];
-            expect_spec_or_error(join_lines(replaced), "line " + std::to_string(j) +
-                                                           " over line " + std::to_string(i));
-            auto glued = lines;
-            glued[i] += lines[j].substr(lines[j].size() / 2);
-            expect_spec_or_error(join_lines(glued), "half of line " + std::to_string(j) +
-                                                        " after line " + std::to_string(i));
+        std::istringstream fields{lines[i]};
+        std::vector<std::string> tokens;
+        for (std::string tok; fields >> tok;) tokens.push_back(tok);
+        for (std::size_t t = 0; t < tokens.size(); ++t) {
+            if (tokens[t].find_first_not_of("0123456789") != std::string::npos) continue;
+            for (const int shift : {31, 32}) {
+                auto widened = tokens;
+                widened[t] = std::to_string(std::stoull(tokens[t]) + (1ull << shift));
+                auto mutated = lines;
+                mutated[i].clear();
+                for (const auto& w : widened) mutated[i] += w + ' ';
+                check(join_lines(mutated), "token " + std::to_string(t) + " of line " +
+                                               std::to_string(i) + " + 2^" +
+                                               std::to_string(shift));
+            }
         }
     }
+}
+
+TEST(TimelineMutation, AllLetterScenario) {
+    const auto seed = read_text(std::string{AC_SOURCE_DIR} + "/ci/scenario_all_letters.txt");
+    ASSERT_FALSE(seed.empty());
+    ASSERT_FALSE(scenario::parse_timeline_text(seed).events.empty());
+    for_each_text_mutant(seed, expect_timeline_or_error);
+    for_each_widened_number(seed, expect_timeline_or_error);
+}
+
+TEST(TimelineMutation, EveryDemandEvent) {
+    const std::string seed =
+        "0 demand-diurnal 40 24\n"
+        "1 demand-level 150\n"
+        "2 demand-flash 1 300 2\n"
+        "3 demand-hotspot 1 250\n";
+    ASSERT_EQ(scenario::parse_timeline_text(seed).events.size(), 4u);
+    for_each_text_mutant(seed, expect_timeline_or_error);
+    for_each_widened_number(seed, expect_timeline_or_error);
 }
 
 } // namespace

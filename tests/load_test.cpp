@@ -1,5 +1,6 @@
 // Load subsystem tests: capacity apportionment, the integer demand model,
-// exact conservation under both assignment policies, the infinite-capacity
+// exact conservation under both assignment policies, the pinned shed and
+// unserved counts of a saturated bucket, the infinite-capacity
 // policy differential, thread-count determinism (with FNV-pinned frontier
 // goldens), the one-pass frontier quantiles against weighted_cdf, demand-event
 // replay through the scenario driver, and a TSan stress over the pooled
@@ -207,6 +208,24 @@ TEST_F(LoadFixture, ConservationExactPerBucket) {
             }
         }
     }
+}
+
+TEST_F(LoadFixture, LoadAwareShedPinnedAtFourTimesDemand) {
+    // Bucket 0 at 400% demand saturates every ring of the 1.3x fleet, so the
+    // load-aware waterfall takes its worst-case shed path. Its shed and
+    // unserved connection counts are deterministic integers: any change to
+    // the waterfall or the demand chain moves them.
+    const auto& cdn = w().cdn_net();
+    load::demand_plan dplan;
+    dplan.connections_per_user = w().config().telemetry.connections_per_user;
+    const load::demand_series demand{w().users(), demand_timeline(), dplan,
+                                     static_cast<topo::region_id>(cdn.regions().size())};
+    const load::route_plan plan{cdn, w().users()};
+    const load::capacity_model capacity{cdn, demand.nominal_total(), {}};
+    const auto r = load::assign_bucket(plan, demand.offered_bucket(0, 400),
+                                       capacity.per_front_end(), load::policy_kind::load_aware);
+    EXPECT_EQ(r.shed, 3'505'454'839);
+    EXPECT_EQ(r.unserved, 3'499'677'891);
 }
 
 TEST_F(LoadFixture, InfiniteCapacityPolicyEquality) {

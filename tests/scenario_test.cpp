@@ -1,7 +1,8 @@
 // Scenario subsystem tests: timeline parsing (strict rejection of unknown
-// event types and malformed entries), deterministic event replay through the
-// driver, per-step catchment/inflation metrics, and a small-world golden for
-// the step CSV of a mixed failover timeline.
+// event types, malformed entries and numbers past their field's bound),
+// deterministic event replay through the driver, per-step
+// catchment/inflation metrics, and a small-world golden for the step CSV of
+// a mixed failover timeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -137,6 +138,39 @@ TEST(ScenarioTimeline, RejectsMalformedEntries) {
                  scenario::timeline_error);
     // Bare step with no type.
     EXPECT_THROW((void)scenario::parse_timeline_text("7\n"), scenario::timeline_error);
+}
+
+TEST(ScenarioTimeline, RejectsNumbersPastTheirFieldBound) {
+    // Each message names line 1: a number past its field's bound is
+    // rejected, never narrowed into an accepted value.
+    const auto expect_rejected = [](const std::string& text, const std::string& fragment) {
+        try {
+            const auto tl = scenario::parse_timeline_text(text);
+            ADD_FAILURE() << "accepted '" << text << "' as " << tl.events.front().describe()
+                          << " at step " << tl.events.front().step;
+        } catch (const scenario::timeline_error& e) {
+            const std::string what = e.what();
+            EXPECT_EQ(what.rfind("timeline line 1: ", 0), 0u) << what;
+            EXPECT_NE(what.find(fragment), std::string::npos) << what;
+        }
+    };
+    expect_rejected("4294967297 prepend K 0 4294967297\n", "step must be 0..10000");
+    expect_rejected("10001 withdraw K\n", "step must be 0..10000");
+    expect_rejected("2147483647 withdraw K\n", "step must be 0..10000");
+    expect_rejected("99999999999999999999999 withdraw K\n", "step must be 0..10000");
+    expect_rejected("1 prepend K 0 4294967297\n", "prepend count must be 1..16");
+    expect_rejected("1 drain K 4294967296\n", "site must be 0..4294967295");
+    expect_rejected("1 outage 4294967296\n", "region must be 0..4294967295");
+    expect_rejected("1 demand-level 4294967396\n", "demand percent must be 0..10000");
+    expect_rejected("1 demand-diurnal 40 4294967297\n", "period must be 2..10000");
+    expect_rejected("1 demand-flash 0 300 10001\n", "duration must be 1..10000");
+
+    // The bounds themselves are accepted.
+    const auto tl = scenario::parse_timeline_text(
+        "10000 withdraw K\n1 drain K 4294967295\n2 demand-flash 0 300 10000\n");
+    EXPECT_EQ(tl.last_step(), scenario::max_step);
+    EXPECT_EQ(tl.events[0].site, 4294967295u);
+    EXPECT_EQ(tl.events[1].window, scenario::max_step);
 }
 
 TEST(ScenarioTimeline, EmptyAndCommentOnlyInputIsEmpty) {

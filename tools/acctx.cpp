@@ -38,7 +38,9 @@
 // legacy alias for medium, the paper-scale default).
 //
 // Every world-building command accepts --threads N (0 = hardware
-// concurrency, 1 = serial); thread count never changes output bytes.
+// concurrency, 1 = serial, at most 256); thread count never changes output
+// bytes. Numeric flags take decimal digits within their range or fail with a
+// usage error naming the flag.
 //
 // The analysis commands (inflation/amortize/cdn/report) also accept
 // --from-snapshot FILE: datasets load from the archive instead of being
@@ -51,9 +53,11 @@
 // registry); observability never changes output bytes (DESIGN §10).
 //
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -107,6 +111,11 @@ struct cli_options {
     bool world_knob_set = false;  // --seed/--scale/--year seen explicitly
 };
 
+/// Largest accepted --threads. The pool starts every worker up front, so the
+/// cap bounds how many OS threads one flag can start; it is far above the
+/// core counts the thread-scaling work targets.
+constexpr unsigned long long max_threads = 256;
+
 [[noreturn]] void usage(int code) {
     std::cerr << "usage: acctx "
                  "<world|inflation|amortize|cdn|export|analyze|snapshot|report|scenario|"
@@ -116,7 +125,8 @@ struct cli_options {
               << "             [--from-snapshot FILE] [--timeline FILE] [--letters STR]\n"
               << "             [--info FILE]\n"
               << "  --threads N       construction threads (0 = hardware concurrency,\n"
-              << "                    1 = serial); output is identical at any N\n"
+              << "                    1 = serial, at most " << max_threads
+              << "); output is identical at any N\n"
               << "  --timing          with 'world': print the per-stage build report as JSON\n"
               << "  --from-snapshot F analysis commands: load datasets from a snapshot\n"
               << "                    (conflicts with --seed/--scale/--year)\n"
@@ -158,11 +168,12 @@ struct cli_options {
     std::exit(code);
 }
 
-/// Flags each command accepts. A flag that exists but does not apply to the
-/// chosen command is a hard error, not a silent no-op: a typo like
-/// `acctx analyze --out F` would otherwise run and discard the flag.
-bool flag_applies(const std::string& command, const std::string& flag) {
-    static const std::map<std::string, std::vector<std::string>> allowed{
+/// Flags each command accepts, keyed by every command acctx knows. A flag
+/// that exists but does not apply to the chosen command is a hard error, not
+/// a silent no-op: a typo like `acctx analyze --out F` would otherwise run
+/// and discard the flag.
+const std::map<std::string, std::vector<std::string>>& command_flags() {
+    static const std::map<std::string, std::vector<std::string>> flags{
         {"world", {"--seed", "--scale", "--year", "--threads", "--timing"}},
         {"inflation", {"--seed", "--scale", "--year", "--threads", "--from-snapshot"}},
         {"amortize", {"--seed", "--scale", "--year", "--threads", "--from-snapshot"}},
@@ -179,17 +190,41 @@ bool flag_applies(const std::string& command, const std::string& flag) {
                   "--demand", "--policy", "--headroom"}},
         {"sweep", {"--grid", "--out", "--threads", "--max-cells"}},
     };
+    return flags;
+}
+
+bool flag_applies(const std::string& command, const std::string& flag) {
     // Observability flags apply to every command: they only add output files,
     // never change what a command computes.
     if (flag == "--trace" || flag == "--metrics-json") return true;
-    const auto it = allowed.find(command);
-    if (it == allowed.end()) return false;
+    const auto it = command_flags().find(command);
+    if (it == command_flags().end()) return false;
     return std::find(it->second.begin(), it->second.end(), flag) != it->second.end();
 }
 
-bool known_command(const std::string& command) {
-    return flag_applies(command, "--seed") || command == "analyze" || command == "serve" ||
-           command == "sweep";
+/// True when some command accepts `flag`.
+bool known_flag(const std::string& flag) {
+    return std::any_of(command_flags().begin(), command_flags().end(), [&](const auto& entry) {
+        return flag_applies(entry.first, flag);
+    });
+}
+
+/// Parses a numeric flag's value: decimal digits only (no sign, no trailing
+/// text) and within [min, max]. Anything else is a usage error naming the
+/// flag, never a silently truncated or wrapped value.
+unsigned long long parse_int_flag(const std::string& command, const std::string& flag,
+                                  const std::string& value, unsigned long long min,
+                                  unsigned long long max) {
+    const char* const end = value.data() + value.size();
+    unsigned long long n = 0;
+    const auto [ptr, ec] = std::from_chars(value.data(), end, n);
+    if (ec != std::errc{} || ptr != end || n < min || n > max) {
+        std::cerr << "acctx " << command << ": " << flag << " needs "
+                  << (min == 1 ? "a positive integer" : "an integer") << " in [" << min
+                  << ", " << max << "], got '" << value << "'\n";
+        usage(2);
+    }
+    return n;
 }
 
 cli_options parse_args(int argc, char** argv) {
@@ -197,7 +232,7 @@ cli_options parse_args(int argc, char** argv) {
     cli_options options;
     options.command = argv[1];
     if (options.command == "--help" || options.command == "-h") usage(0);
-    if (!known_command(options.command)) {
+    if (!command_flags().contains(options.command)) {
         std::cerr << "acctx: unknown command '" << options.command << "'\n";
         usage(2);
     }
@@ -207,25 +242,17 @@ cli_options parse_args(int argc, char** argv) {
             if (i + 1 >= argc) usage(2);
             return argv[++i];
         };
-        auto check_applies = [&] {
-            if (!flag_applies(options.command, arg)) {
-                std::cerr << "acctx " << options.command << ": option " << arg
-                          << " does not apply\n";
-                usage(2);
-            }
-        };
         if (arg == "--help" || arg == "-h") usage(0);
-        if (arg == "--seed" || arg == "--scale" || arg == "--year" || arg == "--threads" ||
-            arg == "--timing" || arg == "--in" || arg == "--out" || arg == "--info" ||
-            arg == "--from-snapshot" || arg == "--trace" ||
-            arg == "--metrics-json" || arg == "--timeline" || arg == "--letters" ||
-            arg == "--snapshot" || arg == "--port" || arg == "--grid" ||
-            arg == "--grid-stride" || arg == "--dry-run" || arg == "--demand" ||
-            arg == "--policy" || arg == "--headroom" || arg == "--max-cells") {
-            check_applies();
+        if (known_flag(arg) && !flag_applies(options.command, arg)) {
+            std::cerr << "acctx " << options.command << ": option " << arg
+                      << " does not apply\n";
+            usage(2);
         }
+        auto number = [&](unsigned long long min, unsigned long long max) {
+            return parse_int_flag(options.command, arg, value(), min, max);
+        };
         if (arg == "--seed") {
-            options.seed = std::strtoull(value().c_str(), nullptr, 10);
+            options.seed = number(0, std::numeric_limits<std::uint64_t>::max());
             options.world_knob_set = true;
         } else if (arg == "--scale") {
             const auto v = value();
@@ -248,7 +275,7 @@ cli_options parse_args(int argc, char** argv) {
             }
             options.world_knob_set = true;
         } else if (arg == "--threads") {
-            options.threads = static_cast<int>(std::strtol(value().c_str(), nullptr, 10));
+            options.threads = static_cast<int>(number(0, max_threads));
             options.threads_set = true;
         } else if (arg == "--timing") {
             options.timing = true;
@@ -293,32 +320,11 @@ cli_options parse_args(int argc, char** argv) {
         } else if (arg == "--grid") {
             options.grid_path = value();
         } else if (arg == "--grid-stride") {
-            const auto v = value();
-            char* end = nullptr;
-            const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || end == nullptr || *end != '\0' || n == 0) {
-                std::cerr << "acctx serve: --grid-stride needs a positive integer\n";
-                usage(2);
-            }
-            options.grid_stride = static_cast<std::size_t>(n);
+            options.grid_stride = number(1, std::numeric_limits<std::size_t>::max());
         } else if (arg == "--max-cells") {
-            const auto v = value();
-            char* end = nullptr;
-            const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || end == nullptr || *end != '\0' || n == 0) {
-                std::cerr << "acctx sweep: --max-cells needs a positive integer\n";
-                usage(2);
-            }
-            options.max_cells = static_cast<std::size_t>(n);
+            options.max_cells = number(1, std::numeric_limits<std::size_t>::max());
         } else if (arg == "--port") {
-            const auto v = value();
-            char* end = nullptr;
-            const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || end == nullptr || *end != '\0' || n > 65535) {
-                std::cerr << "acctx serve: --port needs an integer in [0, 65535]\n";
-                usage(2);
-            }
-            options.port = static_cast<std::uint16_t>(n);
+            options.port = static_cast<std::uint16_t>(number(0, 65535));
         } else if (arg == "--dry-run") {
             options.dry_run = true;
         } else if (arg == "--letters") {
