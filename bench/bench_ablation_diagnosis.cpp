@@ -55,10 +55,11 @@ void print_figure(std::ostream& os) {
     for (const auto& d : report.worst(50)) {
         if (d.problem != analysis::path_problem::no_peering) continue;
         const auto before = cdn.evaluate(d.asn, d.region, cdn.ring_count() - 1);
-        if (!before || before->as_path.size() < 2) continue;
+        if (!before || before->path_ases < 2) continue;
         if (++tried > 8) break;
         // Rebuild the PoP rib with that first-hop neighbor suppressed.
-        const topo::asn_t bad_neighbor = before->as_path[before->as_path.size() - 2];
+        const auto path = cdn.pop_rib().as_path(d.asn, before->site);
+        const topo::asn_t bad_neighbor = path[path.size() - 2];
         std::vector<route::announcement> announcements;
         for (std::size_t i = 0; i < cdn.front_end_regions().size(); ++i) {
             route::announcement a{static_cast<route::site_id>(i), cdn.asn(),

@@ -37,7 +37,7 @@ void print_figure(std::ostream& os) {
             const auto path = w.cdn_net().evaluate(loc.asn, loc.region, top_ring);
             if (!path) continue;
             ++total;
-            if (path->as_path.size() <= 2) ++direct;
+            if (path->path_ases <= 2) ++direct;
             rtt.add(path->rtt_ms, loc.users);
         }
         os << "  " << strfmt::fixed(peering, 2) << "     "

@@ -46,7 +46,7 @@ int main() {
                       << strfmt::fixed(path->external_rtt_ms, 1) << " + WAN "
                       << strfmt::fixed(path->internal_rtt_ms, 1) << "), page load ~"
                       << strfmt::fixed(path->rtt_ms * 10.0, 0) << " ms, AS path "
-                      << path->as_path.size() << " hops\n";
+                      << path->path_ases << " hops\n";
         }
         std::cout << "\n";
     }

@@ -150,7 +150,8 @@ aspath_study_result run_aspath_study(const atlas::probe_fleet& fleet,
 
         // CDN: external path is ring-independent; inflation uses R110.
         if (const auto path = cdn.evaluate(probe.asn, probe.region, cdn.ring_count() - 1)) {
-            const int length = atlas::organization_path_length(path->as_path, graph);
+            const int length = atlas::organization_path_length(
+                cdn.pop_rib().as_path(probe.asn, path->site), graph);
             const double min_km = cdn.nearest_front_end_km(loc, cdn.ring_count() - 1);
             const double gi = std::max(0.0, geo::round_trip_fiber_ms(path->front_end_km) -
                                                 geo::round_trip_fiber_ms(min_km));
@@ -165,7 +166,8 @@ aspath_study_result run_aspath_study(const atlas::probe_fleet& fleet,
             const auto& dep = roots.deployment_of(letters[li]);
             const auto path = dep.rib().select(probe.asn, probe.region);
             if (!path) continue;
-            const int length = atlas::organization_path_length(path->as_path, graph);
+            const int length =
+                atlas::organization_path_length(dep.rib().as_path(probe.asn, path->site), graph);
             const auto& site = dep.site_at(path->site);
             const double site_km =
                 geo::distance_km(loc, regions.at(site.region).location);

@@ -54,7 +54,7 @@ diagnosis_report diagnose_cdn_paths(const cdn::cdn_network& cdn, const pop::user
         // Classification, most actionable cause first.
         const double ingress_km =
             geo::distance_km(user_loc, cdn.regions().at(path->ingress_pop).location);
-        const bool direct = path->as_path.size() <= 2;
+        const bool direct = path->path_ases <= 2;
         if (d.excess_ms <= options.healthy_budget_ms) {
             d.problem = path_problem::healthy;
         } else if (nearest_km > options.isolated_km) {

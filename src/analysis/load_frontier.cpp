@@ -29,9 +29,12 @@ load_frontier_point make_point(const load::route_plan& plan, const load::bucket_
     // Latency of what was actually served: every kept (location, ring) cell
     // weighs its RTT by its connections. Latency-only keeps everything on
     // the outermost ring (overloaded front-ends still serve, just badly —
-    // that shows up in overload_fraction, not here); load-aware's unserved
-    // residue is excluded because those users got nothing.
-    const auto q = kept_rtt_quantiles(plan.rtt_order(), plan.cell_rtt_ms(), r.kept);
+    // that shows up in overload_fraction, not here, and only that ring's
+    // cells need a visit); load-aware's unserved residue is excluded because
+    // those users got nothing.
+    const auto order = policy == load::policy_kind::latency_only ? plan.top_ring_rtt_order()
+                                                                 : plan.rtt_order();
+    const auto q = kept_rtt_quantiles(order, plan.cell_rtt_ms(), r.kept);
     p.p50_ms = q.p50_ms;
     p.p95_ms = q.p95_ms;
     if (r.offered > 0) {

@@ -93,17 +93,17 @@ std::optional<int> as_path_length(const probe& p, const anycast::deployment& dep
                                   const topo::as_graph& graph) {
     const auto path = dep.rib().select(p.asn, p.region);
     if (!path) return std::nullopt;
-    return organization_path_length(path->as_path, graph);
+    return organization_path_length(dep.rib().as_path(p.asn, path->site), graph);
 }
 
 std::optional<int> as_path_length_to_cdn(const probe& p, const cdn::cdn_network& cdn,
                                          const topo::as_graph& graph) {
     const auto path = cdn.evaluate(p.asn, p.region, /*ring=*/0);
     if (!path) return std::nullopt;
-    return organization_path_length(path->as_path, graph);
+    return organization_path_length(cdn.pop_rib().as_path(p.asn, path->site), graph);
 }
 
-int organization_path_length(const std::vector<topo::asn_t>& as_path,
+int organization_path_length(std::span<const topo::asn_t> as_path,
                              const topo::as_graph& graph) {
     int length = 0;
     const std::string* previous = nullptr;

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/anycast/deployment.h"
@@ -75,7 +76,7 @@ struct ping_result {
                                                        const topo::as_graph& graph);
 
 /// Merges consecutive same-organization hops (CAIDA sibling merge).
-[[nodiscard]] int organization_path_length(const std::vector<topo::asn_t>& as_path,
+[[nodiscard]] int organization_path_length(std::span<const topo::asn_t> as_path,
                                            const topo::as_graph& graph);
 
 } // namespace ac::atlas

@@ -121,8 +121,9 @@ std::optional<cdn_network::cdn_path> cdn_network::evaluate(topo::asn_t asn,
     cdn_path path;
     path.ring = ring;
     path.ingress_pop = front_ends_[external->site];
+    path.site = external->site;
+    path.path_ases = external->path_ases;
     path.external_rtt_ms = external->rtt_ms;
-    path.as_path = external->as_path;
 
     // Internal leg: nearest ring front-end to the ingress PoP over the WAN
     // (precomputed per (PoP, ring) at construction).

@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/routing/bgp.h"
@@ -61,17 +62,20 @@ public:
     /// proxy when apportioning per-front-end capacity.
     [[nodiscard]] int ring_membership_count(int front_end) const noexcept;
 
-    /// A fully evaluated user path to one ring.
+    /// A fully evaluated user path to one ring. Flat: the external AS path
+    /// is `pop_rib().as_path(asn, site)`.
     struct cdn_path {
         int ring = 0;
         int front_end = 0;                // index into front_end_regions()
         topo::region_id ingress_pop = 0;  // PoP region where traffic entered
+        route::site_id site = 0;          // ingress PoP's site in pop_rib()
+        std::uint32_t path_ases = 0;      // ASes on the external path, user AS first
         double external_rtt_ms = 0.0;     // user -> PoP (public Internet)
         double internal_rtt_ms = 0.0;     // PoP -> front-end (private WAN)
         double rtt_ms = 0.0;              // total per-RTT latency
         double front_end_km = 0.0;        // great-circle user-to-front-end
-        std::vector<topo::asn_t> as_path; // external AS path (user AS first)
     };
+    static_assert(std::is_trivially_copyable_v<cdn_path>);
 
     /// Evaluates the path from <asn, region> to `ring`. nullopt if the source
     /// AS has no route to the CDN at all.

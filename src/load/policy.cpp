@@ -87,6 +87,10 @@ route_plan::route_plan(const cdn::cdn_network& cdn, const pop::user_base& base,
     std::sort(rtt_order_.begin(), rtt_order_.end(), [&](std::uint32_t a, std::uint32_t b) {
         return rtt_[a] != rtt_[b] ? rtt_[a] < rtt_[b] : a < b;
     });
+    top_ring_rtt_order_.reserve(reachable_);
+    for (const std::uint32_t cell : rtt_order_) {
+        if (cell % rings == rings - 1) top_ring_rtt_order_.push_back(cell);
+    }
 }
 
 std::span<const std::uint32_t> route_plan::members(int fe, int ring) const noexcept {

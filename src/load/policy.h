@@ -73,6 +73,11 @@ public:
     /// fixed by the plan, so a weighted quantile over any bucket's `kept`
     /// is one pass over this order instead of a sort per bucket.
     [[nodiscard]] std::span<const std::uint32_t> rtt_order() const noexcept { return rtt_order_; }
+    /// The outermost ring's cells of rtt_order(), in the same order: all a
+    /// latency-only quantile needs, since that policy keeps nothing else.
+    [[nodiscard]] std::span<const std::uint32_t> top_ring_rtt_order() const noexcept {
+        return top_ring_rtt_order_;
+    }
     /// Locations served by front-end `fe` on `ring`, ascending location id.
     [[nodiscard]] std::span<const std::uint32_t> members(int fe, int ring) const noexcept;
 
@@ -82,6 +87,7 @@ private:
     std::vector<std::uint32_t> members_;  // ring-major CSR payload
     std::vector<std::uint32_t> offsets_;  // rings x (front_ends + 1)
     std::vector<std::uint32_t> rtt_order_;  // reachable cells by (RTT, cell)
+    std::vector<std::uint32_t> top_ring_rtt_order_;  // its outermost-ring cells
     std::size_t locations_ = 0;
     std::size_t reachable_ = 0;
     int rings_ = 0;

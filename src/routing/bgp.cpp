@@ -430,6 +430,19 @@ std::optional<path_result> anycast_rib::evaluate(topo::asn_t asn, topo::region_i
     return evaluate_indexed(as_index(asn), asn, region, site);
 }
 
+std::vector<topo::asn_t> anycast_rib::as_path(topo::asn_t asn, site_id site) const {
+    check_site(site);
+    std::size_t cur = as_index(asn);
+    std::vector<topo::asn_t> path;
+    if (static_cast<route_class>(cls_[cell(site, cur)]) == route_class::none) return path;
+    while (static_cast<route_class>(cls_[cell(site, cur)]) != route_class::origin) {
+        path.push_back(asns_[cur]);
+        cur = next_idx_[cell(site, cur)];
+    }
+    path.push_back(asns_[cur]);
+    return path;
+}
+
 std::optional<path_result> anycast_rib::evaluate_indexed(std::size_t as, topo::asn_t asn,
                                                          topo::region_id region,
                                                          site_id site) const {
@@ -449,7 +462,6 @@ std::optional<path_result> anycast_rib::evaluate_indexed(std::size_t as, topo::a
     int hops = 0;
 
     while (static_cast<route_class>(cls_[cell(site, cur)]) != route_class::origin) {
-        result.as_path.push_back(asns_[cur]);
         const std::uint32_t l = link_[cell(site, cur)];
         // Early exit: cross to the next AS at the interconnection point
         // nearest our current position (precomputed per link by the graph).
@@ -461,7 +473,7 @@ std::optional<path_result> anycast_rib::evaluate_indexed(std::size_t as, topo::a
         ++hops;
         cur = next_idx_[cell(site, cur)];
     }
-    result.as_path.push_back(asns_[cur]);
+    result.path_ases = static_cast<std::uint32_t>(hops + 1);
 
     // Final intra-origin segment to the site itself.
     const double tail_km = regions_->distance_km(here, a.origin_region);

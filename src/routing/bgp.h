@@ -19,6 +19,12 @@
 // therefore an emergent property of policy routing over the synthetic graph,
 // never an injected quantity.
 //
+// A selection answer (`path_result`) is flat: site, AS count and latency
+// terms, no AS list. The AS path itself depends only on the source AS and
+// the site (next hops are per row, not per region), so the few callers that
+// need it (Fig. 6a's organization path lengths) walk it on demand with
+// `as_path`.
+//
 // Route selection is the fast path of the whole system (every figure funnels
 // through `select`), so the RIB is built for O(1)-amortized queries
 // (DESIGN §8):
@@ -33,9 +39,10 @@
 //     per-link nearest-interconnect table (`topo::as_graph::
 //     nearest_interconnect`, shared by every RIB over the graph) — no
 //     haversine trig at query time;
-//   * `select` results are memoized in one sharded, lazily-filled cache.
-//     Selection is a pure function of (asn, region), so a memoized answer
-//     is bit-identical to a fresh one, and concurrent fills are race-safe:
+//   * `select` results are memoized in one sharded, lazily-filled cache of
+//     flat answers, so a fill or a hit copies a few words and allocates
+//     nothing. Selection is a pure function of (asn, region), so a memoized
+//     answer is bit-identical to a fresh one, and concurrent fills are race-safe:
 //     any thread that computes a key computes the same bytes, and the first
 //     insert wins. For serving, `freeze_select_cache` seals that same memo:
 //     sealed reads take no lock and store nothing.
@@ -68,6 +75,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -126,16 +134,19 @@ struct site_route {
     friend bool operator==(const site_route&, const site_route&) = default;
 };
 
-/// A fully evaluated path from a source <region, AS> to a site.
+/// A fully evaluated path from a source <region, AS> to a site. Flat, so
+/// the select memo stores and returns it without allocating; the ASes on
+/// the path come from `anycast_rib::as_path(asn, site)`.
 struct path_result {
     site_id site = 0;
-    std::vector<topo::asn_t> as_path;   // source AS first, origin AS last
+    std::uint32_t path_ases = 0;        // ASes on the path, source and origin included
     double rtt_ms = 0.0;                // steady-state (median) round-trip time
     double path_km = 0.0;               // one-way geographic distance travelled
     double direct_km = 0.0;             // great-circle source-to-site distance
 
     friend bool operator==(const path_result&, const path_result&) = default;
 };
+static_assert(std::is_trivially_copyable_v<path_result>);
 
 /// One <AS, region> traffic source, for bulk route evaluation.
 struct source_key {
@@ -205,6 +216,13 @@ public:
     /// AS path geographically. Returns nullopt if the AS has no route.
     [[nodiscard]] std::optional<path_result> evaluate(topo::asn_t asn, topo::region_id region,
                                                       site_id site) const;
+
+    /// The AS path from `asn` to `site`, source AS first and the site's
+    /// origin AS last (`path_ases` entries, prepending not repeated); empty
+    /// when `asn` holds no route toward `site`. The path follows the route
+    /// row's next hops, so it is the same from every region of `asn`.
+    /// Throws std::out_of_range on an unknown ASN or site.
+    [[nodiscard]] std::vector<topo::asn_t> as_path(topo::asn_t asn, site_id site) const;
 
     /// Full selection for a source <region, AS>: picks among best_candidates
     /// by lowest first-segment IGP distance (early exit), returning the

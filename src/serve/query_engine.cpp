@@ -227,7 +227,7 @@ bool query_engine::route_json(char letter, topo::asn_t asn, topo::region_id regi
     out += ",\"path_km\":";
     append_value(out, path.path_km);
     out += ",\"hops\":";
-    append_u64(out, path.as_path.size());
+    append_u64(out, path.path_ases);
     out += '}';
     return true;
 }

@@ -1,10 +1,12 @@
 // Atlas probe platform and the web page-load RTT model.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <unordered_set>
 
 #include "src/atlas/atlas.h"
 #include "src/core/world.h"
+#include "src/snapshot/xxhash64.h"
 #include "src/web/browsing.h"
 #include "src/web/page_load.h"
 
@@ -82,10 +84,13 @@ TEST_F(AtlasFixture, OrganizationMergeCollapsesSiblings) {
         as.presence = {0};
         graph.add_as(as);
     }
-    EXPECT_EQ(atlas::organization_path_length({1, 2, 3}, graph), 2);
-    EXPECT_EQ(atlas::organization_path_length({1, 3, 2}, graph), 3);
-    EXPECT_EQ(atlas::organization_path_length({1}, graph), 1);
-    EXPECT_EQ(atlas::organization_path_length({}, graph), 0);
+    const auto length = [&](std::vector<topo::asn_t> path) {
+        return atlas::organization_path_length(path, graph);
+    };
+    EXPECT_EQ(length({1, 2, 3}), 2);
+    EXPECT_EQ(length({1, 3, 2}), 3);
+    EXPECT_EQ(length({1}), 1);
+    EXPECT_EQ(length({}), 0);
 }
 
 TEST_F(AtlasFixture, PathLengthsToCdnShorterThanToRoots) {
@@ -103,6 +108,26 @@ TEST_F(AtlasFixture, PathLengthsToCdnShorterThanToRoots) {
     }
     ASSERT_GT(count, 100);
     EXPECT_LT(cdn_total / count, root_total / count);
+}
+
+TEST_F(AtlasFixture, PathLengthsAreByteStable) {
+    // Organization path length of every fleet probe toward the CDN and
+    // toward every letter (-1 where unreachable).
+    std::ostringstream text;
+    for (const auto& p : w().fleet().probes()) {
+        text << p.id << ':' << atlas::as_path_length_to_cdn(p, w().cdn_net(), w().graph())
+                                   .value_or(-1);
+        for (const char letter : w().roots().all_letters()) {
+            text << ','
+                 << atlas::as_path_length(p, w().roots().deployment_of(letter), w().graph())
+                        .value_or(-1);
+        }
+        text << '\n';
+    }
+    const std::string bytes = text.str();
+    EXPECT_EQ(snapshot::xxhash64(bytes.data(), bytes.size()), 0x8e4151f7e74e5555ull)
+        << "path length digest changed: 0x" << std::hex
+        << snapshot::xxhash64(bytes.data(), bytes.size());
 }
 
 TEST(PageLoad, TransferRttsEquation4) {

@@ -89,7 +89,7 @@ TEST_F(CdnFixture, MostUsersReachCdnDirectly) {
         const auto path = net().evaluate(loc.asn, loc.region, 0);
         if (!path) continue;
         ++total;
-        if (path->as_path.size() <= 2) ++direct;
+        if (path->path_ases <= 2) ++direct;
     }
     ASSERT_GT(total, 0);
     EXPECT_GT(static_cast<double>(direct) / total, 0.5);

@@ -1,4 +1,4 @@
-// Deterministic mutation tests over three input surfaces (ROADMAP item 1).
+// Deterministic mutation tests over four input surfaces (ROADMAP item 1).
 //
 // No fuzzing engine: every case is enumerated from a committed or generated
 // seed, so a failure names its case and reproduces exactly.
@@ -17,29 +17,40 @@
 //     timeline of all four demand-* events, mutated the same way, plus each
 //     numeric token pushed past 2^31 and 2^32. A timeline that parses must
 //     hold every field inside its documented bound (src/scenario/event.h).
+//   - HTTP requests: a /route request, a batched /inflation request and the
+//     two pipelined, each truncated at every byte and with every bit
+//     flipped, sent one case per loopback connection to a live server.
 // Each case must yield a value or the surface's typed error (snapshot_error,
-// spec_error, timeline_error): never another exception, a crash, or, under
+// spec_error, timeline_error; for HTTP, a closed connection or a
+// 200/400/404/405 response): never another exception, a crash, or, under
 // AC_SANITIZE=address (ci/verify.sh --asan), a sanitizer report.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <set>
 #include <span>
 #include <sstream>
 #include <string>
 #include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "src/core/world.h"
 #include "src/scenario/event.h"
+#include "src/serve/http.h"
+#include "src/serve/query_engine.h"
 #include "src/snapshot/world_io.h"
 #include "src/snapshot/xxhash64.h"
 #include "src/sweep/spec.h"
+#include "tests/http_test_client.h"
 
 namespace {
 
@@ -402,6 +413,98 @@ TEST(TimelineMutation, EveryDemandEvent) {
     ASSERT_EQ(scenario::parse_timeline_text(seed).events.size(), 4u);
     for_each_text_mutant(seed, expect_timeline_or_error);
     for_each_widened_number(seed, expect_timeline_or_error);
+}
+
+// -------------------------------------------------------------------- http
+
+/// Statuses of the back-to-back responses in `stream`, in order; -1 for
+/// bytes that do not parse as a complete response.
+std::vector<int> response_statuses(const std::string& stream) {
+    std::vector<int> statuses;
+    for (std::size_t at = 0; at < stream.size();) {
+        const std::size_t header_end = stream.find("\r\n\r\n", at);
+        const std::size_t length_at = stream.find("Content-Length: ", at);
+        if (stream.compare(at, 9, "HTTP/1.1 ") != 0 || header_end == std::string::npos ||
+            length_at == std::string::npos || length_at > header_end) {
+            statuses.push_back(-1);
+            break;
+        }
+        statuses.push_back(std::atoi(stream.c_str() + at + 9));
+        at = header_end + 4 + std::strtoull(stream.c_str() + length_at + 16, nullptr, 10);
+        if (at > stream.size()) {
+            statuses.push_back(-1);
+            break;
+        }
+    }
+    return statuses;
+}
+
+TEST(HttpRequestMutation, RouteInflationAndPipelinedPair) {
+    auto config = core::world_config::small();
+    config.threads = 1;
+    const serve::query_engine engine{std::make_unique<core::world>(std::move(config))};
+    // A short header deadline bounds any case the server would wait on.
+    serve::http_server server{engine,
+                              {.port = 0, .header_deadline = std::chrono::milliseconds{200}}};
+    server.start();
+
+    const auto& rec = engine.world().users().recursives().front();
+    const auto asns = engine.index().asns();
+    ASSERT_GE(asns.size(), 3u);
+    const std::string route = "GET /route?letter=" +
+                              std::string(1, engine.catchments().begin()->first) +
+                              "&asn=" + std::to_string(rec.asn) +
+                              "&region=" + std::to_string(rec.region) +
+                              " HTTP/1.1\r\nHost: t\r\n\r\n";
+    const std::string inflation = "GET /inflation?asn=" + std::to_string(asns[0]) + "," +
+                                  std::to_string(asns[1]) + "," + std::to_string(asns[2]) +
+                                  " HTTP/1.1\r\nHost: t\r\n\r\n";
+
+    std::size_t cases = 0;
+    std::size_t answered_200 = 0;
+    const auto check = [&](const std::string& request, const std::string& which) {
+        testing_support::test_client client{server.port()};
+        ASSERT_TRUE(client.connected()) << which;
+        client.set_recv_timeout(std::chrono::milliseconds{5000});
+        // A case the server hangs up on mid-send is a closed connection.
+        client.send_raw(request);
+        client.half_close();
+        const std::string stream = client.read_to_end();
+        EXPECT_TRUE(client.closed_within(std::chrono::milliseconds{0}))
+            << which << ": connection left open";
+        for (const int status : response_statuses(stream)) {
+            EXPECT_TRUE(status == 200 || status == 400 || status == 404 || status == 405)
+                << which << ": status " << status << "\n" << stream;
+            if (status == 200) ++answered_200;
+        }
+        ++cases;
+    };
+
+    const std::pair<std::string, std::string> seeds[] = {
+        {"route", route}, {"inflation", inflation}, {"pipelined", route + inflation}};
+    for (const auto& [name, seed] : seeds) {
+        check(seed, name + " seed");
+        for (std::size_t keep = 0; keep < seed.size(); ++keep) {
+            check(seed.substr(0, keep), name + " truncated to " + std::to_string(keep));
+        }
+        for (std::size_t at = 0; at < seed.size(); ++at) {
+            for (int bit = 0; bit < 8; ++bit) {
+                auto m = seed;
+                m[at] = static_cast<char>(m[at] ^ (1 << bit));
+                check(m, name + " bit " + std::to_string(bit) + " of byte " + std::to_string(at));
+            }
+        }
+    }
+    EXPECT_GT(answered_200, 0u);
+    EXPECT_LT(answered_200, cases);
+
+    // The server survived every case.
+    testing_support::test_client client{server.port()};
+    ASSERT_TRUE(client.connected());
+    const auto response = client.get("/healthz");
+    EXPECT_EQ(testing_support::test_client::status_of(response), 200);
+    EXPECT_EQ(testing_support::test_client::body_of(response), "ok\n");
+    server.stop();
 }
 
 } // namespace

@@ -501,6 +501,43 @@ TEST_F(LoadFixture, FrontierQuantilesMatchWeightedCdf) {
     }
 }
 
+TEST_F(LoadFixture, TopRingOrderGivesLatencyOnlyQuantilesOfFullOrder) {
+    // The top-ring order is rtt_order() filtered to the outermost ring, and
+    // a latency-only point reads the same p50/p95 from either order.
+    const auto& cdn = w().cdn_net();
+    const load::route_plan plan{cdn, w().users()};
+    const auto rings = static_cast<std::size_t>(plan.rings());
+    std::vector<std::uint32_t> filtered;
+    for (const std::uint32_t cell : plan.rtt_order()) {
+        if (cell % rings == rings - 1) filtered.push_back(cell);
+    }
+    const auto top = plan.top_ring_rtt_order();
+    ASSERT_EQ(std::vector<std::uint32_t>(top.begin(), top.end()), filtered);
+    EXPECT_EQ(top.size(), plan.reachable_locations());
+
+    const auto tl = demand_timeline();
+    const auto options = frontier_options();
+    const load::demand_series demand{w().users(), tl, options.demand,
+                                     static_cast<topo::region_id>(cdn.regions().size())};
+    const load::capacity_model capacity{cdn, demand.nominal_total(), options.capacity};
+    std::size_t checked = 0;
+    for (const int level : options.levels) {
+        for (int bucket = 0; bucket < demand.buckets(); ++bucket) {
+            const auto r = load::assign_bucket(plan, demand.offered_bucket(bucket, level),
+                                               capacity.per_front_end(),
+                                               load::policy_kind::latency_only);
+            const auto full =
+                analysis::kept_rtt_quantiles(plan.rtt_order(), plan.cell_rtt_ms(), r.kept);
+            const auto outer = analysis::kept_rtt_quantiles(top, plan.cell_rtt_ms(), r.kept);
+            EXPECT_EQ(outer.p50_ms, full.p50_ms) << level << "% bucket " << bucket;
+            EXPECT_EQ(outer.p95_ms, full.p95_ms) << level << "% bucket " << bucket;
+            EXPECT_GT(full.p95_ms, 0.0);
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, options.levels.size() * static_cast<std::size_t>(demand.buckets()));
+}
+
 TEST(LoadQuantiles, HeavyTiesMatchWeightedCdfInAnyTieOrder) {
     // Synthetic plans over only 7 distinct RTTs: 4000 cells with integer
     // counts up to 2^40, or a handful of cells with counts below 4, where a

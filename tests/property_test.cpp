@@ -2,10 +2,13 @@
 // seeds and parameter sweeps, exercised via TEST_P.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "src/analysis/stats.h"
 #include "src/anycast/deployment.h"
+#include "src/core/world.h"
 #include "src/netbase/geo.h"
 #include "src/netbase/rng.h"
 #include "src/routing/bgp.h"
@@ -49,21 +52,23 @@ protected:
 TEST_P(RoutingInvariants, PathsStartAtSourceAndEndAtSiteHost) {
     for (topo::asn_t asn : graph_.with_role(topo::as_role::eyeball)) {
         const auto region = graph_.at(asn).presence.front();
-        const auto path = dep_->rib().select(asn, region);
-        if (!path) continue;
-        ASSERT_FALSE(path->as_path.empty());
-        EXPECT_EQ(path->as_path.front(), asn);
-        EXPECT_EQ(path->as_path.back(), dep_->site_at(path->site).host_asn);
+        const auto selected = dep_->rib().select(asn, region);
+        if (!selected) continue;
+        const auto path = dep_->rib().as_path(asn, selected->site);
+        ASSERT_FALSE(path.empty());
+        EXPECT_EQ(path.front(), asn);
+        EXPECT_EQ(path.back(), dep_->site_at(selected->site).host_asn);
     }
 }
 
 TEST_P(RoutingInvariants, PathsHaveNoAsLoops) {
     for (topo::asn_t asn : graph_.with_role(topo::as_role::eyeball)) {
         const auto region = graph_.at(asn).presence.front();
-        const auto path = dep_->rib().select(asn, region);
-        if (!path) continue;
-        std::set<topo::asn_t> seen(path->as_path.begin(), path->as_path.end());
-        EXPECT_EQ(seen.size(), path->as_path.size());
+        const auto selected = dep_->rib().select(asn, region);
+        if (!selected) continue;
+        const auto path = dep_->rib().as_path(asn, selected->site);
+        std::set<topo::asn_t> seen(path.begin(), path.end());
+        EXPECT_EQ(seen.size(), path.size());
     }
 }
 
@@ -98,14 +103,16 @@ TEST_P(RoutingInvariants, ValleyFreeClassSequence) {
     // customer* — equivalently, no provider-link after a customer/peer link.
     for (topo::asn_t asn : graph_.with_role(topo::as_role::eyeball)) {
         const auto region = graph_.at(asn).presence.front();
-        const auto path = dep_->rib().select(asn, region);
-        if (!path || path->as_path.size() < 2) continue;
+        const auto selected = dep_->rib().select(asn, region);
+        if (!selected) continue;
+        const auto path = dep_->rib().as_path(asn, selected->site);
+        if (path.size() < 2) continue;
         int phase = 0;  // 0=climbing (via providers), 1=peered, 2=descending
-        for (std::size_t i = 0; i + 1 < path->as_path.size(); ++i) {
+        for (std::size_t i = 0; i + 1 < path.size(); ++i) {
             topo::as_relationship rel = topo::as_relationship::peer;
             bool found = false;
-            for (const auto& nb : graph_.neighbors(path->as_path[i])) {
-                if (nb.neighbor == path->as_path[i + 1]) {
+            for (const auto& nb : graph_.neighbors(path[i])) {
+                if (nb.neighbor == path[i + 1]) {
                     rel = nb.relationship;
                     found = true;
                     break;
@@ -143,6 +150,33 @@ TEST_P(RoutingInvariants, SelectionIsDeterministic) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoutingInvariants,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u));
+
+// The walked AS path agrees with the flat selection answer for every user
+// location toward every letter of the small world.
+TEST(SmallWorldPaths, WalkedPathMatchesSelection) {
+    const core::world w{core::world_config::small()};
+    std::size_t checked = 0;
+    for (const char letter : w.roots().all_letters()) {
+        const auto& dep = w.roots().deployment_of(letter);
+        for (const auto& loc : w.users().locations()) {
+            const auto selected = dep.rib().select(loc.asn, loc.region);
+            if (!selected) continue;
+            const auto path = dep.rib().as_path(loc.asn, selected->site);
+            ASSERT_EQ(path.size(), selected->path_ases) << letter << " AS" << loc.asn;
+            EXPECT_EQ(path.front(), loc.asn);
+            EXPECT_EQ(path.back(), dep.site_at(selected->site).host_asn);
+            EXPECT_EQ(std::set<topo::asn_t>(path.begin(), path.end()).size(), path.size());
+            for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+                const auto neighbors = w.graph().neighbors(path[i]);
+                EXPECT_TRUE(std::any_of(neighbors.begin(), neighbors.end(), [&](const auto& nb) {
+                    return nb.neighbor == path[i + 1];
+                })) << letter << " AS" << path[i] << " -> AS" << path[i + 1];
+            }
+            ++checked;
+        }
+    }
+    EXPECT_GT(checked, 0u);
+}
 
 // --- RNG distribution properties over seeds. ---
 

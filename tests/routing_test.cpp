@@ -241,7 +241,8 @@ TEST_F(RoutingPolicy, EvaluateBuildsFullAsPath) {
     const auto path = rib.evaluate(8, 2, 0);
     ASSERT_TRUE(path.has_value());
     const std::vector<topo::asn_t> expected{8, 3, 2, 1};
-    EXPECT_EQ(path->as_path, expected);
+    EXPECT_EQ(rib.as_path(8, path->site), expected);
+    EXPECT_EQ(path->path_ases, expected.size());
     EXPECT_GT(path->rtt_ms, 0.0);
     EXPECT_GT(path->path_km, 0.0);
 }

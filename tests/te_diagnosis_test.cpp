@@ -1,9 +1,12 @@
 // Traffic-engineering announcement suppression and path diagnosis.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "src/analysis/diagnosis.h"
 #include "src/core/world.h"
 #include "src/routing/bgp.h"
+#include "src/snapshot/xxhash64.h"
 
 namespace {
 
@@ -161,6 +164,30 @@ TEST_F(DiagnosisFixture, TighterBudgetFlagsMoreUsers) {
     const auto lax = analysis::diagnose_cdn_paths(w().cdn_net(), w().users());
     const auto tight = analysis::diagnose_cdn_paths(w().cdn_net(), w().users(), strict);
     EXPECT_LE(tight.user_share_by_problem[0], lax.user_share_by_problem[0]);
+}
+
+TEST_F(DiagnosisFixture, DiagnosesAreByteStable) {
+    // Every field of every diagnosis (doubles as exact hex floats) at the
+    // default and a strict budget, where most locations reach the
+    // direct-path test. The digest pins the classification, which reads
+    // the external AS path's length.
+    analysis::diagnosis_options strict;
+    strict.healthy_budget_ms = 5.0;
+    std::ostringstream text;
+    text << std::hexfloat;
+    for (const auto& options : {analysis::diagnosis_options{}, strict}) {
+        const auto report = analysis::diagnose_cdn_paths(w().cdn_net(), w().users(), options);
+        for (const auto& d : report.diagnoses) {
+            text << d.asn << ',' << d.region << ',' << d.users << ',' << d.rtt_ms << ','
+                 << d.optimal_ms << ',' << d.excess_ms << ','
+                 << analysis::to_string(d.problem) << '\n';
+        }
+        for (const double share : report.user_share_by_problem) text << share << '\n';
+    }
+    const std::string bytes = text.str();
+    EXPECT_EQ(snapshot::xxhash64(bytes.data(), bytes.size()), 0xd8ee1bc43e3fb812ull)
+        << "diagnosis digest changed: 0x" << std::hex
+        << snapshot::xxhash64(bytes.data(), bytes.size());
 }
 
 TEST_F(DiagnosisFixture, ProblemNamesAreStable) {
