@@ -117,8 +117,15 @@ if [[ ${run_tier1} -eq 1 ]]; then
     ./build/tools/acctx snapshot --scale small --out "${rt}/world.acx"
     ./build/tools/acctx report --from-snapshot "${rt}/world.acx" --out "${rt}/snap"
     # The section inspector must read the archive it just wrote and agree it
-    # is a v2 container.
-    ./build/tools/acctx snapshot --info "${rt}/world.acx" | grep -q "container v2"
+    # is a v2 container that stores datasets only: no derived `tables/*`
+    # section and no section in the retired xref encoding.
+    ./build/tools/acctx snapshot --info "${rt}/world.acx" > "${rt}/info.txt"
+    grep -q "container v2" "${rt}/info.txt"
+    if awk '$1 ~ /^tables\// || $3 == "xref" { found = 1 } END { exit !found }' \
+        "${rt}/info.txt"; then
+        echo "verify: snapshot holds a tables/* section or an xref encoding" >&2
+        exit 1
+    fi
     ./build/tools/acctx report --scale small --out "${rt}/obs" \
         --trace "${rt}/trace.json" --metrics-json "${rt}/metrics.json"
     for f in "${rt}/live"/*.csv; do
@@ -174,9 +181,10 @@ PY
     cmp "${rt}/large_t1.acx" "${rt}/large_t4.acx"
     echo "verify: snapshot bytes identical at 1 vs 4 threads (small, medium, large)"
 
-    # Live-vs-snapshot figures at medium, where dict, rle, delta and xref
-    # sections all appear: every encoded column decodes on load and must
-    # reproduce the live figure bytes.
+    # Live-vs-snapshot figures at medium, where dict, rle and delta sections
+    # all appear: every encoded column decodes on load, the filter re-runs
+    # over the restored captures, and the figures must reproduce the live
+    # bytes.
     ./build/tools/acctx report --scale medium --threads 4 --out "${rt}/medium_live"
     ./build/tools/acctx report --from-snapshot "${rt}/medium_t1.acx" --out "${rt}/medium_snap"
     for f in "${rt}/medium_live"/*.csv; do

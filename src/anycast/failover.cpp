@@ -9,9 +9,8 @@ namespace ac::anycast {
 
 degraded_deployment::degraded_deployment(const deployment& dep,
                                          std::span<const route::site_id> failed_sites,
-                                         const topo::as_graph& graph)
-    : dep_(&dep), failed_(failed_sites.begin(), failed_sites.end()) {
-    std::unordered_set<route::site_id> down(failed_.begin(), failed_.end());
+                                         const topo::as_graph& graph) {
+    const std::unordered_set<route::site_id> down(failed_sites.begin(), failed_sites.end());
     std::vector<route::announcement> announcements;
     for (const auto& s : dep.sites()) {
         if (down.contains(s.id)) continue;
@@ -20,8 +19,7 @@ degraded_deployment::degraded_deployment(const deployment& dep,
         announcements.push_back(
             route::announcement{degraded_id, s.host_asn, s.region, s.scope, {}});
     }
-    surviving_ = static_cast<int>(site_map_.size());
-    if (surviving_ > 0) {
+    if (!site_map_.empty()) {
         rib_ = std::make_unique<route::anycast_rib>(graph, std::move(announcements));
     }
 }

@@ -29,23 +29,9 @@ public:
     [[nodiscard]] std::optional<route::path_result> select(topo::asn_t asn,
                                                            topo::region_id region) const;
 
-    [[nodiscard]] const std::vector<route::site_id>& failed() const noexcept {
-        return failed_;
-    }
-    [[nodiscard]] int surviving_sites() const noexcept { return surviving_; }
-
-    /// Maps a site id in the degraded rib back to the original deployment's
-    /// site id.
-    [[nodiscard]] route::site_id original_site(route::site_id degraded_id) const {
-        return site_map_.at(degraded_id);
-    }
-
 private:
-    const deployment* dep_;
-    std::vector<route::site_id> failed_;
     std::vector<route::site_id> site_map_;  // degraded id -> original id
-    std::unique_ptr<route::anycast_rib> rib_;
-    int surviving_ = 0;
+    std::unique_ptr<route::anycast_rib> rib_;  // null when no site survives
 };
 
 /// Outcome of failing a set of sites under a fixed user population.

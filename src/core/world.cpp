@@ -75,11 +75,12 @@ world::world(world_config config, std::unique_ptr<world_datasets> data)
     // edges also serialize the mutators: users allocates address space,
     // roots and cdn both attach host networks to the graph.
     //
-    // With `data` (snapshot hydration) the substrate stages run unchanged —
-    // they are pure functions of (config, seed) — while the dataset stages
-    // restore their outputs instead of synthesizing them. The restored
-    // address space supersedes the live allocation history so the databases
-    // stage sees the junk /24s the skipped DITL generator would have added.
+    // With `data` (snapshot hydration) the substrate stages and the filter
+    // run unchanged — they are pure functions of (config, seed) and of the
+    // captures — while the generation stages restore their outputs instead
+    // of synthesizing them. The restored address space supersedes the live
+    // allocation history so the databases stage sees the junk /24s the
+    // skipped DITL generator would have added.
     engine::thread_pool* pool = pool_.get();
     engine::stage_graph stages;
 
@@ -150,11 +151,11 @@ world::world(world_config config, std::unique_ptr<world_datasets> data)
         return records;
     });
     // Tables are the world's one form of the filtered captures and the
-    // server logs: each stage converts its rows and drops them, and a
-    // hydrated world adopts the restored (possibly borrowed) tables instead.
+    // server logs: each stage converts its rows and drops them. The filter
+    // is analysis, not generation, so a hydrated world runs it too; only the
+    // server logs are adopted from the restored (possibly borrowed) table.
     stages.add("filter", {"ditl"}, [&] {
-        filtered_tables_ = data ? std::move(data->filtered_tables)
-                                : capture::to_tables(capture::filter_all(ditl_));
+        filtered_tables_ = capture::to_tables(capture::filter_all(ditl_));
         return filtered_tables_.size();
     });
     stages.add("server_logs", {"filter"}, [&] {

@@ -75,12 +75,13 @@ struct world_config {
 /// — the hydration path for `src/snapshot/` (snapshot::hydrate_world builds
 /// one of these from a loaded bundle). The substrate (regions, graph, roots,
 /// CDN, fleet, databases) is still rebuilt deterministically from the
-/// config/seed; only the expensive dataset stages are replaced. Columnar
-/// tables may hold borrowed columns pointing into `retain` (e.g. an mmap'd
-/// snapshot), which the world keeps alive.
+/// config/seed; only the expensive generation stages are replaced. Derived
+/// data is not injected: the `filter` stage re-runs the §2.1 filter over
+/// `ditl`, so the filtered tables are owned. The server log table may hold
+/// borrowed columns pointing into `retain` (e.g. an mmap'd snapshot), which
+/// the world keeps alive.
 struct world_datasets {
     capture::ditl_dataset ditl;
-    std::vector<capture::letter_table> filtered_tables;
     cdn::server_log_table server_log_table;
     std::vector<cdn::client_measurement_row> client_rows;
     std::vector<pop::cdn_user_counts::entry> cdn_count_blocks;
@@ -99,8 +100,9 @@ class world {
 public:
     explicit world(world_config config);
 
-    /// Hydrates a world from pre-generated datasets: substrate stages run
-    /// exactly as in a live build, dataset stages are restored from `data`.
+    /// Hydrates a world from pre-generated datasets: substrate stages and the
+    /// `filter` stage run exactly as in a live build, generation stages are
+    /// restored from `data`.
     /// Figures from a hydrated world are byte-identical to the live world
     /// that exported the datasets. `profiles()` is left empty — per-recursive
     /// query profiles only feed DITL synthesis, which hydration skips.

@@ -76,8 +76,6 @@ public:
     /// The fixed source population measured after every step.
     void set_sources(std::vector<weighted_source> sources);
 
-    [[nodiscard]] std::size_t target_count() const noexcept { return targets_.size(); }
-
     /// Replays `tl` and returns one `step_metrics` per step 0..last_step().
     /// Step 0 is conventionally the pre-event baseline (timelines start
     /// events at step 1); a step with no events still re-measures.

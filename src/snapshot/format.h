@@ -4,14 +4,14 @@
 // blob, then aligned section payloads. All integers are little-endian
 // fixed-width. A *plain* payload is a raw little-endian element array, so a
 // reader hands out `table::column<T>` spans pointing straight into an mmap
-// of the file; a v2 payload may instead be *encoded* (dictionary, RLE,
-// frame-of-reference delta, or a cross-reference into another section — see
-// src/table/encoding.h), in which case the reader validates it on open and
-// decodes it once, on load, into an owning `table::column<T>`. Every
-// section carries an XXH64 checksum over its payload, and the header
-// carries one over the whole file (checksum field excluded), so a flipped
-// byte anywhere — header, table, names, payload or padding — fails
-// verification with a typed error instead of undefined behaviour.
+// of the file; a v2 payload may instead be *encoded* (dictionary, RLE or
+// frame-of-reference delta — see src/table/encoding.h), in which case the
+// reader validates it on open and decodes it once, on load, into an owning
+// `table::column<T>`. Every section carries an XXH64 checksum over its
+// payload, and the header carries one over the whole file (checksum field
+// excluded), so a flipped byte anywhere — header, table, names, payload or
+// padding — fails verification with a typed error instead of undefined
+// behaviour.
 //
 //   [0,  8)  magic "ACXSNAP1"
 //   [8, 12)  u32 format version (readers reject newer versions; v1 files
@@ -28,18 +28,16 @@
 //   u32 name offset (into the name blob), u32 name length,
 //   u8  element type tag,
 //   u8  encoding tag (v2; must be zero in v1 files),
-//   u16 cross-reference source section index (v2, xref sections only;
-//       must be zero otherwise — kept in the entry, not the payload, so
-//       columns sharing one index mapping dedup to a single payload),
+//   u16 reserved, zero in both versions (it once held a cross-reference
+//       source index; a nonzero value is malformed in v1, bad_encoding in v2),
 //   u32 element size in bytes,
 //   u64 payload offset (aligned), u64 payload length in bytes,
 //   u64 XXH64 over the payload
 //
 // Payload alignment is 64 bytes in v1 and 8 bytes in v2 (encoded payloads
 // are small; 64-byte padding between them would cost ~1% of the file).
-// Identical payload bytes may share one payload (and one checksum): the v2
-// writer dedups, and nothing in the format forbids overlap for v1 readers
-// either.
+// The writer gives every section its own payload range; the reader checks
+// each range against the file bounds and its own checksum only.
 #pragma once
 
 #include <bit>

@@ -28,7 +28,6 @@ std::size_t align_up(std::size_t n, std::size_t alignment) {
     return (n + alignment - 1) / alignment * alignment;
 }
 
-void put_u16(std::byte* at, std::uint16_t v) { std::memcpy(at, &v, sizeof v); }
 void put_u32(std::byte* at, std::uint32_t v) { std::memcpy(at, &v, sizeof v); }
 void put_u64(std::byte* at, std::uint64_t v) { std::memcpy(at, &v, sizeof v); }
 
@@ -88,15 +87,13 @@ void writer::add_typed(std::string name, elem_type type, const void* data, std::
     section.name = std::move(name);
     section.type = type;
     section.elem_size = elem_size;
-    section.rows = elem_size == 0 ? 0 : bytes / elem_size;
     section.payload.resize(bytes);
     if (bytes != 0) std::memcpy(section.payload.data(), data, bytes);
     sections_.push_back(std::move(section));
 }
 
 void writer::add_encoded(std::string name, elem_type type, std::uint32_t elem_size,
-                         table::enc::encoding encoding, std::vector<std::byte> payload,
-                         std::uint64_t rows, std::uint16_t xref_source) {
+                         table::enc::encoding encoding, std::vector<std::byte> payload) {
     obs::span section_span{"snapshot/section_write"};
     section_span.set_items(payload.size());
     obs::registry::global().get_counter("snapshot.sections_written").add(1);
@@ -112,35 +109,8 @@ void writer::add_encoded(std::string name, elem_type type, std::uint32_t elem_si
     section.type = type;
     section.elem_size = elem_size;
     section.encoding = encoding;
-    section.xref_source = xref_source;
-    section.rows = rows;
     section.payload = std::move(payload);
     sections_.push_back(std::move(section));
-}
-
-void writer::add_xref(std::string name, elem_type type, std::uint32_t elem_size,
-                      std::string_view source_name, std::span<const std::uint32_t> indices) {
-    if (version_ < 2) {
-        throw snapshot_error(errc::malformed,
-                             "xref sections require container version 2");
-    }
-    std::size_t source = sections_.size();
-    for (std::size_t i = 0; i < sections_.size(); ++i) {
-        if (sections_[i].name == source_name) {
-            source = i;
-            break;
-        }
-    }
-    if (source == sections_.size() || source > 0xffff ||
-        sections_[source].type != type ||
-        sections_[source].encoding == table::enc::encoding::xref) {
-        throw snapshot_error(errc::malformed, "invalid xref source '" +
-                                                  std::string{source_name} + "' for '" +
-                                                  name + "'");
-    }
-    add_encoded(std::move(name), type, elem_size, table::enc::encoding::xref,
-                table::enc::encode_xref(indices, sections_[source].rows), indices.size(),
-                static_cast<std::uint16_t>(source));
 }
 
 void writer::add_raw(std::string name, const void* data, std::size_t bytes,
@@ -159,31 +129,13 @@ std::vector<std::byte> writer::finish() const {
     const std::size_t names_offset = table_offset + sections_.size() * section_entry_bytes;
     const std::size_t first_payload = align_up(names_offset + names_bytes, alignment);
 
-    // Lay out payloads. A v2 writer dedups: byte-identical payloads share
-    // one file range (and therefore one checksum) — the four per-row letter
-    // table columns that xref one shared index mapping collapse this way.
-    std::vector<std::uint64_t> payload_checksums(sections_.size());
+    // Lay out payloads, each in its own aligned file range.
     std::vector<std::size_t> payload_offsets(sections_.size());
-    std::vector<bool> shared(sections_.size(), false);
     std::size_t total = first_payload;
     for (std::size_t i = 0; i < sections_.size(); ++i) {
-        const auto& s = sections_[i];
-        payload_checksums[i] = xxhash64(s.payload.data(), s.payload.size());
-        if (version_ >= 2) {
-            for (std::size_t j = 0; j < i; ++j) {
-                if (payload_checksums[j] == payload_checksums[i] &&
-                    sections_[j].payload == s.payload) {
-                    payload_offsets[i] = payload_offsets[j];
-                    shared[i] = true;
-                    break;
-                }
-            }
-        }
-        if (!shared[i]) {
-            total = align_up(total, alignment);
-            payload_offsets[i] = total;
-            total += s.payload.size();
-        }
+        total = align_up(total, alignment);
+        payload_offsets[i] = total;
+        total += sections_[i].payload.size();
     }
 
     std::vector<std::byte> image(total, std::byte{0});
@@ -205,15 +157,15 @@ std::vector<std::byte> writer::finish() const {
         put_u32(entry + 4, static_cast<std::uint32_t>(s.name.size()));
         entry[8] = static_cast<std::byte>(s.type);
         entry[9] = static_cast<std::byte>(s.encoding);  // always zero in v1
-        put_u16(entry + 10, s.xref_source);             // always zero unless xref
+        // [10, 12) stay reserved (zero).
         put_u32(entry + 12, s.elem_size);
         put_u64(entry + 16, payload_offsets[i]);
         put_u64(entry + 24, s.payload.size());
-        put_u64(entry + 32, payload_checksums[i]);
+        put_u64(entry + 32, xxhash64(s.payload.data(), s.payload.size()));
 
         std::memcpy(image.data() + names_offset + name_cursor, s.name.data(), s.name.size());
         name_cursor += s.name.size();
-        if (!s.payload.empty() && !shared[i]) {
+        if (!s.payload.empty()) {
             std::memcpy(image.data() + payload_offsets[i], s.payload.data(),
                         s.payload.size());
         }
@@ -397,7 +349,7 @@ void bundle::parse_and_verify() {
         const std::uint32_t name_len = get_u32(entry + 4);
         const auto type = static_cast<elem_type>(entry[8]);
         const auto encoding_tag = static_cast<std::uint8_t>(entry[9]);
-        const std::uint16_t xref_source = get_u16(entry + 10);
+        const std::uint16_t reserved = get_u16(entry + 10);
         const std::uint32_t elem_size = get_u32(entry + 12);
         const std::uint64_t payload_offset = get_u64(entry + 16);
         const std::uint64_t payload_bytes = get_u64(entry + 24);
@@ -413,7 +365,7 @@ void bundle::parse_and_verify() {
             throw snapshot_error(errc::malformed, "section '" + std::string{info.name} +
                                                       "' has an unknown element type tag");
         }
-        if (version == 1 && (encoding_tag != 0 || xref_source != 0)) {
+        if (version == 1 && (encoding_tag != 0 || reserved != 0)) {
             throw snapshot_error(errc::malformed,
                                  "section '" + std::string{info.name} +
                                      "' has nonzero v2 encoding fields in a v1 file");
@@ -422,12 +374,11 @@ void bundle::parse_and_verify() {
             throw snapshot_error(errc::bad_encoding, "section '" + std::string{info.name} +
                                                          "' has an unknown encoding tag");
         }
-        const auto encoding = static_cast<table::enc::encoding>(encoding_tag);
-        if (encoding != table::enc::encoding::xref && xref_source != 0) {
-            throw snapshot_error(errc::bad_encoding,
-                                 "section '" + std::string{info.name} +
-                                     "' has an xref source but is not an xref");
+        if (reserved != 0) {
+            throw snapshot_error(errc::bad_encoding, "section '" + std::string{info.name} +
+                                                         "' has nonzero reserved entry bytes");
         }
+        const auto encoding = static_cast<table::enc::encoding>(encoding_tag);
         if (elem_size == 0 ||
             (type != elem_type::raw && elem_size != elem_size_of(type))) {
             throw snapshot_error(errc::malformed, "section '" + std::string{info.name} +
@@ -455,43 +406,23 @@ void bundle::parse_and_verify() {
             }
         }
 
-        // Parse + fully validate the encoding (bounds, widths, code/index
-        // ranges, rows within what is left of the decode budget) so
-        // typed_column can decode without further checks. Nothing is
-        // decoded here — the view's pointers alias the payload bytes.
+        // Parse + fully validate the encoding (bounds, widths, code ranges,
+        // rows within what is left of the decode budget) so typed_column can
+        // decode without further checks. Nothing is decoded here — the
+        // view's pointers alias the payload bytes.
         const std::span<const std::byte> payload{data_ + payload_offset, payload_bytes};
-        const std::uint64_t max_rows = decode_budget / elem_size;
-        table::enc::any_view view;
-        std::string encoding_error;
-        if (encoding == table::enc::encoding::xref) {
-            if (xref_source >= i) {
-                throw snapshot_error(errc::bad_encoding,
-                                     "section '" + std::string{info.name} +
-                                         "' xref source index is out of range");
-            }
-            if (sections_[xref_source].type != type) {
-                throw snapshot_error(errc::bad_encoding,
-                                     "section '" + std::string{info.name} +
-                                         "' xref source has a different element type");
-            }
-            encoding_error = table::enc::parse_xref(payload, elem_size,
-                                                    views_[xref_source].self, max_rows, view);
-        } else {
-            encoding_error =
-                table::enc::parse_view(encoding, payload, elem_size, max_rows, view.self);
-        }
+        table::enc::view_core view;
+        const std::string encoding_error = table::enc::parse_view(
+            encoding, payload, elem_size, decode_budget / elem_size, view);
         if (!encoding_error.empty()) {
             throw snapshot_error(errc::bad_encoding, "section '" + std::string{info.name} +
                                                          "': " + encoding_error);
         }
-        if (encoding != table::enc::encoding::plain) {
-            decode_budget -= view.self.rows * elem_size;
-        }
+        if (encoding != table::enc::encoding::plain) decode_budget -= view.rows * elem_size;
 
         info.type = type;
         info.encoding = encoding;
-        info.xref_source = xref_source;
-        info.rows = view.self.rows;
+        info.rows = view.rows;
         info.elem_size = elem_size;
         info.payload_offset = payload_offset;
         info.payload_bytes = payload_bytes;

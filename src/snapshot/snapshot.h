@@ -5,8 +5,7 @@
 // section contents, so two worlds with byte-identical datasets produce
 // byte-identical snapshot files regardless of how many threads built them.
 // A v2 writer (the default) may store a column section encoded
-// (dict/rle/delta, chosen automatically by exact candidate sizes, or as an
-// xref into another section) and dedups byte-identical payloads; a writer
+// (dict/rle/delta, chosen automatically by exact candidate sizes); a writer
 // constructed with container version 1 reproduces the v1 format — all
 // plain, 64-byte aligned — for backward-compat round trips.
 //
@@ -17,7 +16,7 @@
 //             spans into the mapping, so nothing is deserialized (falls back
 //             to owned on platforms without mmap).
 // Both modes verify the file checksum, every section checksum, and every
-// encoding header (bounds, widths, code/index ranges) on open; all
+// encoding header (bounds, widths, code ranges) on open; all
 // structural failures throw snapshot_error (format.h) — never UB. Encoded
 // sections are validated on open and decoded once, when `typed_column` is
 // asked for them, into an owning `table::column<T>`; plain sections come
@@ -50,13 +49,11 @@ namespace ac::snapshot {
 /// Collects sections and assembles a snapshot file image.
 class writer {
 public:
-    /// `container_version` 2 (default) enables encoded sections, payload
-    /// dedup and 8-byte payload alignment; 1 writes the original all-plain
-    /// 64-byte-aligned format.
+    /// `container_version` 2 (default) enables encoded sections and 8-byte
+    /// payload alignment; 1 writes the original all-plain 64-byte-aligned
+    /// format.
     explicit writer(std::uint32_t container_version = format_version)
         : version_(container_version) {}
-
-    [[nodiscard]] std::uint32_t container_version() const noexcept { return version_; }
 
     /// Adds one section. Names must be unique; insertion order is the
     /// on-disk order (and therefore part of byte-identity).
@@ -91,17 +88,7 @@ public:
             return;
         }
         add_encoded(std::move(name), elem_tag<T>::value, sizeof(T), encoded.kind,
-                    std::move(encoded.bytes), values.size(), 0);
-    }
-
-    /// Adds a column as bit-packed row indices into a previously added
-    /// non-xref section of the same element type (see encoding.h). Only
-    /// valid on a v2 writer (the caller checks `container_version()` and
-    /// falls back to `add_column_encoded` with the materialized values).
-    template <typename T>
-    void add_column_xref(std::string name, std::string_view source_name,
-                         std::span<const std::uint32_t> indices) {
-        add_xref(std::move(name), elem_tag<T>::value, sizeof(T), source_name, indices);
+                    std::move(encoded.bytes));
     }
 
     /// Convenience for one-value sections (totals, counts).
@@ -126,18 +113,13 @@ private:
         elem_type type = elem_type::raw;
         std::uint32_t elem_size = 1;
         table::enc::encoding encoding = table::enc::encoding::plain;
-        std::uint16_t xref_source = 0;
-        std::uint64_t rows = 0;
         std::vector<std::byte> payload;
     };
 
     void add_typed(std::string name, elem_type type, const void* data, std::size_t bytes,
                    std::uint32_t elem_size);
     void add_encoded(std::string name, elem_type type, std::uint32_t elem_size,
-                     table::enc::encoding encoding, std::vector<std::byte> payload,
-                     std::uint64_t rows, std::uint16_t xref_source);
-    void add_xref(std::string name, elem_type type, std::uint32_t elem_size,
-                  std::string_view source_name, std::span<const std::uint32_t> indices);
+                     table::enc::encoding encoding, std::vector<std::byte> payload);
 
     std::uint32_t version_ = format_version;
     std::vector<pending_section> sections_;
@@ -156,7 +138,6 @@ public:
         elem_type type = elem_type::raw;
         std::uint32_t elem_size = 1;
         table::enc::encoding encoding = table::enc::encoding::plain;
-        std::uint16_t xref_source = 0;     // section index, xref sections only
         std::uint64_t rows = 0;            // decoded element count
         std::uint64_t payload_offset = 0;  // absolute file offset
         std::uint64_t payload_bytes = 0;
@@ -260,7 +241,7 @@ private:
     bool mapped_region_ = false;  // data_ came from mmap (munmap on destroy)
     std::uint32_t version_ = format_version;
     std::vector<section_info> sections_;
-    std::vector<table::enc::any_view> views_;  // validated per-section views
+    std::vector<table::enc::view_core> views_;  // validated per-section views
 };
 
 } // namespace ac::snapshot

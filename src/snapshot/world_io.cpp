@@ -174,86 +174,28 @@ void config_fields(IO& io, Config& c) {
 
 // ------------------------------------------------------------- ditl sections
 
-std::string sec(const char* group, std::size_t index, const char* field) {
-    return std::string{group} + "/" + std::to_string(index) + "/" + field;
+/// `ditl/<index>/<field>`.
+std::string sec(std::size_t index, const char* field) {
+    return "ditl/" + std::to_string(index) + "/" + field;
 }
 
-/// The letter_spec part shared by both per-letter meta sections. The
+/// `ditl/<i>/meta`: the letter, its full spec and its IPv6 volume. The
+/// §2.1 filter copies the spec into each filtered table, so a hydrated
+/// world's tables keep `strategy` because this section stores it. The
 /// reader restores `spec.letter` from the section's own letter byte.
-template <typename IO, typename Spec>
-void letter_spec_fields(IO& io, Spec& s) {
-    io.fields(s.anon, s.in_ditl, s.tcp_usable, s.complete, s.global_sites, s.local_sites);
-}
-
-/// `ditl/<i>/meta`: the letter, its spec and its IPv6 volume. `strategy`
-/// is deliberately absent: no consumer of the raw captures (the §2.1
-/// filter, `acctx analyze`) reads it, `tables/<i>/meta` carries it for the
-/// filtered tables, and a capture read back with the default strategy
-/// re-encodes to the same bytes.
 template <typename IO, typename Capture>
 void ditl_meta_fields(IO& io, Capture& lc) {
-    io.field(lc.letter);
-    letter_spec_fields(io, lc.spec);
-    io.field(lc.ipv6_queries_per_day);
-}
-
-/// `tables/<i>/meta`.
-template <typename IO, typename Table>
-void table_meta_fields(IO& io, Table& t) {
-    io.fields(t.letter, t.spec.strategy);
-    letter_spec_fields(io, t.spec);
-}
-
-/// Adds one per-letter meta section (one element spanning the payload).
-void add_meta(writer& w, std::string name, const byte_sink& meta) {
-    w.add_raw(std::move(name), meta.bytes.data(), meta.bytes.size(),
-              static_cast<std::uint32_t>(meta.bytes.size()));
-}
-
-[[nodiscard]] std::uint64_t f64_bits(double v) {
-    std::uint64_t b;
-    std::memcpy(&b, &v, sizeof b);
-    return b;
-}
-
-/// Tries to express the filtered letter table's four per-row columns as ONE
-/// shared row-index mapping into the letter's raw capture records. The
-/// filter preserves record order, so a greedy in-order walk that matches
-/// (source_ip, site, category, qpd) simultaneously finds the mapping when
-/// it exists; doubles are matched by bit pattern because an xref decode
-/// reproduces the *record's* bits. Returns false when any table row has no
-/// remaining matching record (the caller then encodes the columns directly).
-bool joint_record_mapping(const capture::letter_capture& lc, const capture::letter_table& t,
-                          std::vector<std::uint32_t>& indices) {
-    const std::size_t rows = t.source_ip.size();
-    indices.clear();
-    if (rows == 0 || lc.records.empty() || lc.letter != t.letter) return false;
-    indices.reserve(rows);
-    std::size_t j = 0;
-    for (std::size_t r = 0; r < rows; ++r) {
-        const std::uint32_t ip = t.source_ip[r];
-        const std::uint32_t site = t.site[r];
-        const auto category = t.category[r];
-        const std::uint64_t qpd = f64_bits(t.queries_per_day[r]);
-        while (j < lc.records.size()) {
-            const auto& rec = lc.records[j];
-            if (rec.source_ip.value() == ip && rec.site == site &&
-                rec.category == category && f64_bits(rec.queries_per_day) == qpd) {
-                break;
-            }
-            ++j;
-        }
-        if (j == lc.records.size()) return false;
-        indices.push_back(static_cast<std::uint32_t>(j));
-        ++j;
-    }
-    return true;
+    auto& s = lc.spec;
+    io.fields(lc.letter, s.strategy, s.anon, s.in_ditl, s.tcp_usable, s.complete,
+              s.global_sites, s.local_sites, lc.ipv6_queries_per_day);
 }
 
 void add_letter_capture_sections(writer& w, std::size_t i, const capture::letter_capture& lc) {
     byte_sink meta;
     ditl_meta_fields(meta, lc);
-    add_meta(w, sec("ditl", i, "meta"), meta);
+    // One element spanning the payload.
+    w.add_raw(sec(i, "meta"), meta.bytes.data(), meta.bytes.size(),
+              static_cast<std::uint32_t>(meta.bytes.size()));
 
     std::vector<std::uint32_t> source_ip;
     std::vector<std::uint32_t> site;
@@ -269,10 +211,10 @@ void add_letter_capture_sections(writer& w, std::size_t i, const capture::letter
         category.push_back(static_cast<std::uint8_t>(r.category));
         qpd.push_back(r.queries_per_day);
     }
-    w.add_column_encoded<std::uint32_t>(sec("ditl", i, "rec/source_ip"), source_ip);
-    w.add_column_encoded<std::uint32_t>(sec("ditl", i, "rec/site"), site);
-    w.add_column_encoded<std::uint8_t>(sec("ditl", i, "rec/category"), category);
-    w.add_column_encoded<double>(sec("ditl", i, "rec/qpd"), qpd);
+    w.add_column_encoded<std::uint32_t>(sec(i, "rec/source_ip"), source_ip);
+    w.add_column_encoded<std::uint32_t>(sec(i, "rec/site"), site);
+    w.add_column_encoded<std::uint8_t>(sec(i, "rec/category"), category);
+    w.add_column_encoded<double>(sec(i, "rec/qpd"), qpd);
 
     std::vector<std::uint32_t> tcp_source;
     std::vector<std::uint32_t> tcp_site;
@@ -291,24 +233,24 @@ void add_letter_capture_sections(writer& w, std::size_t i, const capture::letter
         tcp_median.push_back(t.median_rtt_ms);
         tcp_qpd.push_back(t.queries_per_day);
     }
-    w.add_column_encoded<std::uint32_t>(sec("ditl", i, "tcp/source"), tcp_source);
-    w.add_column_encoded<std::uint32_t>(sec("ditl", i, "tcp/site"), tcp_site);
-    w.add_column_encoded<std::int32_t>(sec("ditl", i, "tcp/samples"), tcp_samples);
-    w.add_column_encoded<double>(sec("ditl", i, "tcp/median"), tcp_median);
-    w.add_column_encoded<double>(sec("ditl", i, "tcp/qpd"), tcp_qpd);
+    w.add_column_encoded<std::uint32_t>(sec(i, "tcp/source"), tcp_source);
+    w.add_column_encoded<std::uint32_t>(sec(i, "tcp/site"), tcp_site);
+    w.add_column_encoded<std::int32_t>(sec(i, "tcp/samples"), tcp_samples);
+    w.add_column_encoded<double>(sec(i, "tcp/median"), tcp_median);
+    w.add_column_encoded<double>(sec(i, "tcp/qpd"), tcp_qpd);
 }
 
 capture::letter_capture read_letter_capture(const bundle& b, std::size_t i) {
     capture::letter_capture lc;
-    byte_source meta{b.raw(sec("ditl", i, "meta")), "ditl meta"};
+    byte_source meta{b.raw(sec(i, "meta")), "ditl meta"};
     ditl_meta_fields(meta, lc);
     meta.finish();
     lc.spec.letter = lc.letter;
 
-    const auto source_ip = b.typed_column<std::uint32_t>(sec("ditl", i, "rec/source_ip"));
-    const auto site = b.typed_column<std::uint32_t>(sec("ditl", i, "rec/site"));
-    const auto category = b.typed_column<std::uint8_t>(sec("ditl", i, "rec/category"));
-    const auto qpd = b.typed_column<double>(sec("ditl", i, "rec/qpd"));
+    const auto source_ip = b.typed_column<std::uint32_t>(sec(i, "rec/source_ip"));
+    const auto site = b.typed_column<std::uint32_t>(sec(i, "rec/site"));
+    const auto category = b.typed_column<std::uint8_t>(sec(i, "rec/category"));
+    const auto qpd = b.typed_column<double>(sec(i, "rec/qpd"));
     if (site.size() != source_ip.size() || category.size() != source_ip.size() ||
         qpd.size() != source_ip.size()) {
         throw snapshot_error(errc::malformed, "ditl record columns disagree on row count");
@@ -324,11 +266,11 @@ capture::letter_capture read_letter_capture(const bundle& b, std::size_t i) {
                                                 qpd[r]};
     }
 
-    const auto tcp_source = b.typed_column<std::uint32_t>(sec("ditl", i, "tcp/source"));
-    const auto tcp_site = b.typed_column<std::uint32_t>(sec("ditl", i, "tcp/site"));
-    const auto tcp_samples = b.typed_column<std::int32_t>(sec("ditl", i, "tcp/samples"));
-    const auto tcp_median = b.typed_column<double>(sec("ditl", i, "tcp/median"));
-    const auto tcp_qpd = b.typed_column<double>(sec("ditl", i, "tcp/qpd"));
+    const auto tcp_source = b.typed_column<std::uint32_t>(sec(i, "tcp/source"));
+    const auto tcp_site = b.typed_column<std::uint32_t>(sec(i, "tcp/site"));
+    const auto tcp_samples = b.typed_column<std::int32_t>(sec(i, "tcp/samples"));
+    const auto tcp_median = b.typed_column<double>(sec(i, "tcp/median"));
+    const auto tcp_qpd = b.typed_column<double>(sec(i, "tcp/qpd"));
     if (tcp_site.size() != tcp_source.size() || tcp_samples.size() != tcp_source.size() ||
         tcp_median.size() != tcp_source.size() || tcp_qpd.size() != tcp_source.size()) {
         throw snapshot_error(errc::malformed, "ditl tcp columns disagree on row count");
@@ -340,65 +282,6 @@ capture::letter_capture read_letter_capture(const bundle& b, std::size_t i) {
             tcp_median[r], tcp_qpd[r]};
     }
     return lc;
-}
-
-// ----------------------------------------------------- letter table sections
-
-void add_letter_table_sections(writer& w, std::size_t i, const capture::letter_table& t,
-                               const capture::letter_capture* raw_capture) {
-    byte_sink meta;
-    table_meta_fields(meta, t);
-    add_meta(w, sec("tables", i, "meta"), meta);
-
-    // The filtered per-row columns are a row subset of the letter's raw
-    // capture records, which this file already wrote as ditl/i/rec/*. When
-    // the shared in-order mapping exists, store all four columns as xrefs
-    // over it — the four index payloads are byte-identical, so payload
-    // dedup keeps exactly one copy on disk.
-    std::vector<std::uint32_t> indices;
-    if (w.container_version() >= 2 && raw_capture != nullptr &&
-        joint_record_mapping(*raw_capture, t, indices)) {
-        w.add_column_xref<std::uint32_t>(sec("tables", i, "source_ip"),
-                                         sec("ditl", i, "rec/source_ip"), indices);
-        w.add_column_xref<std::uint32_t>(sec("tables", i, "site"),
-                                         sec("ditl", i, "rec/site"), indices);
-        w.add_column_xref<std::uint8_t>(sec("tables", i, "category"),
-                                        sec("ditl", i, "rec/category"), indices);
-        w.add_column_xref<double>(sec("tables", i, "qpd"), sec("ditl", i, "rec/qpd"),
-                                  indices);
-    } else {
-        w.add_column_encoded(sec("tables", i, "source_ip"), t.source_ip.view());
-        w.add_column_encoded(sec("tables", i, "site"), t.site.view());
-        std::vector<std::uint8_t> category;
-        category.reserve(t.category.size());
-        for (const auto c : t.category.view()) category.push_back(static_cast<std::uint8_t>(c));
-        w.add_column_encoded<std::uint8_t>(sec("tables", i, "category"), category);
-        w.add_column_encoded(sec("tables", i, "qpd"), t.queries_per_day.view());
-    }
-    w.add_column_encoded(sec("tables", i, "tcp_key"), t.tcp_key.view());
-    w.add_column_encoded(sec("tables", i, "tcp_median"), t.tcp_median_rtt_ms.view());
-}
-
-capture::letter_table read_letter_table(const bundle& b, std::size_t i) {
-    capture::letter_table t;
-    byte_source meta{b.raw(sec("tables", i, "meta")), "letter table meta"};
-    table_meta_fields(meta, t);
-    meta.finish();
-    t.spec.letter = t.letter;
-
-    t.source_ip = b.typed_column<std::uint32_t>(sec("tables", i, "source_ip"));
-    t.site = b.typed_column<std::uint32_t>(sec("tables", i, "site"));
-    t.category = table::column_cast<capture::query_category>(
-        b.typed_column<std::uint8_t>(sec("tables", i, "category")));
-    t.queries_per_day = b.typed_column<double>(sec("tables", i, "qpd"));
-    t.tcp_key = b.typed_column<std::uint64_t>(sec("tables", i, "tcp_key"));
-    t.tcp_median_rtt_ms = b.typed_column<double>(sec("tables", i, "tcp_median"));
-    if (t.site.size() != t.source_ip.size() || t.category.size() != t.source_ip.size() ||
-        t.queries_per_day.size() != t.source_ip.size() ||
-        t.tcp_median_rtt_ms.size() != t.tcp_key.size()) {
-        throw snapshot_error(errc::malformed, "letter table columns disagree on row count");
-    }
-    return t;
 }
 
 // ------------------------------------------------------- telemetry sections
@@ -546,16 +429,6 @@ std::vector<std::byte> encode_world(const core::world& world,
               4 * sizeof(std::uint32_t));
 
     add_ditl_sections(w, world.ditl());
-
-    const auto tables = world.filtered_tables();
-    const auto& letters = world.ditl().letters;
-    w.add_scalar<std::uint32_t>("tables/letter_count",
-                                static_cast<std::uint32_t>(tables.size()));
-    for (std::size_t i = 0; i < tables.size(); ++i) {
-        add_letter_table_sections(w, i, tables[i],
-                                  i < letters.size() ? &letters[i] : nullptr);
-    }
-
     add_server_log_sections(w, world.server_log_table());
     add_client_sections(w, world.client_measurements());
     add_population_sections(w, world.cdn_user_counts(), world.apnic_user_counts());
@@ -600,13 +473,6 @@ capture::ditl_dataset read_ditl(const bundle& b) {
         dataset.letters.push_back(read_letter_capture(b, i));
     }
     return dataset;
-}
-
-std::vector<capture::letter_table> read_letter_tables(const bundle& b) {
-    const auto count = b.scalar<std::uint32_t>("tables/letter_count");
-    std::vector<capture::letter_table> tables;
-    for (std::uint32_t i = 0; i < count; ++i) tables.push_back(read_letter_table(b, i));
-    return tables;
 }
 
 cdn::server_log_table read_server_log_table(const bundle& b) {
@@ -666,7 +532,6 @@ world_parts read_world_parts(const std::shared_ptr<const bundle>& b, int threads
 
     core::world_datasets data;
     data.ditl = read_ditl(*b);
-    data.filtered_tables = read_letter_tables(*b);
     data.server_log_table = read_server_log_table(*b);
     data.client_rows = read_client_rows(*b);
     data.cdn_count_blocks = read_entry_pairs(*b, "pop/cdn/block_key", "pop/cdn/block_users");

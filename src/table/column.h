@@ -77,20 +77,4 @@ private:
     std::span<const T> borrow_{};
 };
 
-/// Re-types a column whose element has the same size and an equivalent bit
-/// pattern (e.g. `column<std::uint8_t>` -> `column<enum_type>`): a borrowed
-/// column stays borrowed without a copy, an owned one is converted.
-template <typename To, typename From>
-[[nodiscard]] column<To> column_cast(const column<From>& from) {
-    static_assert(sizeof(To) == sizeof(From));
-    const std::span<const From> v = from.view();
-    if (!from.owns()) {
-        return column<To>::borrowed({reinterpret_cast<const To*>(v.data()), v.size()});
-    }
-    std::vector<To> out;
-    out.reserve(v.size());
-    for (const From& x : v) out.push_back(static_cast<To>(x));
-    return column<To>(std::move(out));
-}
-
 } // namespace ac::table

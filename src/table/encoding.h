@@ -1,14 +1,14 @@
-// Encoded column storage: dictionary, RLE, frame-of-reference delta and
-// cross-reference encodings over typed columns (DESIGN.md §12).
+// Encoded column storage: dictionary, RLE and frame-of-reference delta
+// encodings over typed columns (DESIGN.md §12).
 //
 // Encodings operate on the little-endian *bit patterns* of the element type
 // (1, 4 or 8 bytes, zero-extended to u64), never on interpreted values, so
 // every encoding is lossless and value-exact for integers and doubles alike.
-// The writer encodes (`choose_and_encode`, `encode_xref`); the reader
-// validates a payload into a view (`parse_view`, `parse_xref`) — a handful
-// of pointers into externally owned bytes, typically an mmap'd snapshot
-// section — and decodes it once, on load, with `any_view::decode` into plain
-// values. Analysis kernels never see an encoded column.
+// The writer encodes (`choose_and_encode`); the reader validates a payload
+// into a view (`parse_view`) — a handful of pointers into externally owned
+// bytes, typically an mmap'd snapshot section — and decodes it once, on
+// load, with `view_core::decode` into plain values. Analysis kernels never
+// see an encoded column.
 //
 // Payload layout (after the snapshot section entry says which encoding):
 //
@@ -28,11 +28,6 @@
 //     [16,..) u64 per-block anchors (block minimum pattern), u32 per-block
 //             byte offsets into the packed area, u8 per-block bit widths,
 //             then the packed per-block deltas (pattern - anchor)
-//   xref   aux = source section row count; width = index bit width
-//     [16,..) bit-packed row indices into another section of the same
-//             element type. The source section index lives in the *section
-//             table entry*, not here, so columns sharing one index mapping
-//             have byte-identical payloads and dedup to a single payload.
 //
 // Bit widths are restricted to {0..56, 64} so any packed value spans at most
 // 8 bytes and decodes with one unaligned u64 load; packed arrays are padded
@@ -53,16 +48,16 @@
 
 namespace ac::table::enc {
 
-/// On-disk encoding tags (section table entry byte 9). Never renumber.
+/// On-disk encoding tags (section table entry byte 9). Never renumber; tag
+/// 4 (a retired cross-reference encoding) is unknown.
 enum class encoding : std::uint8_t {
     plain = 0,
     dict = 1,
     rle = 2,
     delta = 3,
-    xref = 4,
 };
 
-inline constexpr std::uint8_t max_encoding_tag = 4;
+inline constexpr std::uint8_t max_encoding_tag = 3;
 
 [[nodiscard]] constexpr const char* encoding_name(encoding e) noexcept {
     switch (e) {
@@ -70,7 +65,6 @@ inline constexpr std::uint8_t max_encoding_tag = 4;
         case encoding::dict: return "dict";
         case encoding::rle: return "rle";
         case encoding::delta: return "delta";
-        case encoding::xref: return "xref";
     }
     return "unknown";
 }
@@ -146,123 +140,74 @@ inline void write_packed(std::byte* base, std::uint64_t i, unsigned w,
 
 // ------------------------------------------------------------ view layer --
 
-/// A validated view over one non-xref encoded payload. All pointers
-/// reference externally owned bytes; the view itself is trivially copyable.
+/// A validated view over one encoded payload. All pointers reference
+/// externally owned bytes; the view itself is trivially copyable.
 struct view_core {
     encoding kind = encoding::plain;
     std::uint32_t elem = 0;  // element size in bytes (1, 4 or 8)
     std::uint64_t rows = 0;
     const std::byte* values = nullptr;  // plain: elements; rle: run values
-    const std::byte* packed = nullptr;  // dict: codes; delta: packed area; xref: indices
+    const std::byte* packed = nullptr;  // dict: codes; delta: packed area
     const std::byte* aux1 = nullptr;    // dict: dict deltas; rle: run ends; delta: anchors
     const std::byte* aux2 = nullptr;    // delta: block byte offsets (u32)
     const std::byte* aux3 = nullptr;    // delta: block bit widths (u8)
-    std::uint64_t aux = 0;              // dict: D; rle: R; xref: source rows
+    std::uint64_t aux = 0;              // dict: D; rle: R
     std::uint64_t dict_min = 0;
-    unsigned width = 0;        // dict: code width; xref: index width
+    unsigned width = 0;        // dict: code width
     unsigned value_width = 0;  // dict: dictionary value width
 
     [[nodiscard]] std::uint64_t dict_value_bits(std::uint64_t code) const noexcept {
         return dict_min + read_packed(aux1, code, value_width);
     }
 
-    /// Bit pattern of row i — the random access an xref's indices need into
-    /// their source. O(1) for plain/dict/delta, O(log runs) for rle.
-    [[nodiscard]] std::uint64_t bits_at(std::uint64_t i) const noexcept {
-        switch (kind) {
-            case encoding::plain: return load_bits(values + i * elem, elem);
-            case encoding::dict: return dict_value_bits(read_packed(packed, i, width));
-            case encoding::rle: {
-                const auto* ends = reinterpret_cast<const std::uint32_t*>(aux1);
-                const auto* run =
-                    std::upper_bound(ends, ends + aux, static_cast<std::uint32_t>(i));
-                return load_bits(values + static_cast<std::uint64_t>(run - ends) * elem,
-                                 elem);
-            }
-            case encoding::delta: {
-                const std::uint64_t b = i / delta_block_rows;
-                std::uint64_t anchor;
-                std::memcpy(&anchor, aux1 + b * 8, 8);
-                std::uint32_t offset;
-                std::memcpy(&offset, aux2 + b * 4, 4);
-                const auto w = static_cast<unsigned>(aux3[b]);
-                return anchor + read_packed(packed + offset, i % delta_block_rows, w);
-            }
-            case encoding::xref: break;  // resolved by any_view
-        }
-        return 0;
-    }
-};
-
-/// A full encoded view: either a view_core, or an xref layer over one
-/// (xref sources are themselves never xref — no chains).
-struct any_view {
-    view_core self;
-    view_core src;  // valid only when self.kind == xref
-
-    [[nodiscard]] std::uint64_t rows() const noexcept { return self.rows; }
-    [[nodiscard]] encoding kind() const noexcept { return self.kind; }
-
-    [[nodiscard]] std::uint64_t bits_at(std::uint64_t i) const noexcept {
-        if (self.kind == encoding::xref) {
-            return src.bits_at(read_packed(self.packed, i, self.width));
-        }
-        return self.bits_at(i);
-    }
-
     /// Decodes every row, in order, into plain values. RLE replays each
     /// run's value (no per-row search), delta reads each block's anchor and
-    /// width once, xref resolves each index against its source. The view
-    /// must come from a successful parse_view/parse_xref.
+    /// width once. The view must come from a successful parse_view.
     template <typename T>
     [[nodiscard]] std::vector<T> decode() const {
         static_assert(sizeof(T) <= 8);
         std::vector<T> out;
-        out.reserve(self.rows);
+        out.reserve(rows);
         auto emit = [&](std::uint64_t bits) {
             T v;
             std::memcpy(&v, &bits, sizeof(T));
             out.push_back(v);
         };
-        const view_core& v = self;
-        switch (v.kind) {
+        switch (kind) {
             case encoding::plain:
-                for (std::uint64_t i = 0; i < v.rows; ++i) {
-                    emit(load_bits(v.values + i * v.elem, v.elem));
+                for (std::uint64_t i = 0; i < rows; ++i) {
+                    emit(load_bits(values + i * elem, elem));
                 }
                 break;
             case encoding::dict:
-                for (std::uint64_t i = 0; i < v.rows; ++i) {
-                    emit(v.dict_value_bits(read_packed(v.packed, i, v.width)));
+                for (std::uint64_t i = 0; i < rows; ++i) {
+                    emit(dict_value_bits(read_packed(packed, i, width)));
                 }
                 break;
             case encoding::rle: {
-                const auto* ends = reinterpret_cast<const std::uint32_t*>(v.aux1);
+                const auto* ends = reinterpret_cast<const std::uint32_t*>(aux1);
                 std::uint32_t begin = 0;
-                for (std::uint64_t r = 0; r < v.aux; ++r) {
-                    const std::uint64_t bits = load_bits(v.values + r * v.elem, v.elem);
+                for (std::uint64_t r = 0; r < aux; ++r) {
+                    const std::uint64_t bits = load_bits(values + r * elem, elem);
                     for (std::uint32_t i = begin; i < ends[r]; ++i) emit(bits);
                     begin = ends[r];
                 }
                 break;
             }
             case encoding::delta:
-                for (std::uint64_t b = 0; b * delta_block_rows < v.rows; ++b) {
+                for (std::uint64_t b = 0; b * delta_block_rows < rows; ++b) {
                     std::uint64_t anchor;
-                    std::memcpy(&anchor, v.aux1 + b * 8, 8);
+                    std::memcpy(&anchor, aux1 + b * 8, 8);
                     std::uint32_t offset;
-                    std::memcpy(&offset, v.aux2 + b * 4, 4);
-                    const auto w = static_cast<unsigned>(v.aux3[b]);
+                    std::memcpy(&offset, aux2 + b * 4, 4);
+                    const auto w = static_cast<unsigned>(aux3[b]);
                     const std::uint64_t n =
                         std::min<std::uint64_t>(delta_block_rows,
-                                                v.rows - b * delta_block_rows);
+                                                rows - b * delta_block_rows);
                     for (std::uint64_t i = 0; i < n; ++i) {
-                        emit(anchor + read_packed(v.packed + offset, i, w));
+                        emit(anchor + read_packed(packed + offset, i, w));
                     }
                 }
-                break;
-            case encoding::xref:
-                for (std::uint64_t i = 0; i < v.rows; ++i) emit(bits_at(i));
                 break;
         }
         return out;
@@ -418,26 +363,9 @@ template <typename T>
     return out;
 }
 
-/// Encodes a cross-reference payload: bit-packed row indices into a source
-/// section of `source_rows` rows. The source's identity lives in the section
-/// table entry, so identical index arrays produce identical payloads.
-[[nodiscard]] inline std::vector<std::byte> encode_xref(
-    std::span<const std::uint32_t> indices, std::uint64_t source_rows) {
-    const std::uint64_t n = indices.size();
-    const unsigned w = bits_for(source_rows == 0 ? 0 : source_rows - 1);
-    std::vector<std::byte> bytes(header_bytes + packed_bytes(n, w), std::byte{0});
-    detail::write_header(bytes.data(),
-                         {static_cast<std::uint32_t>(n), static_cast<std::uint8_t>(w),
-                          source_rows});
-    for (std::uint64_t i = 0; i < n; ++i) {
-        write_packed(bytes.data() + header_bytes, i, w, indices[i]);
-    }
-    return bytes;
-}
-
 // ------------------------------------------------------------ validation --
 
-/// Parses and fully validates one non-xref encoded payload into a view.
+/// Parses and fully validates one encoded payload into a view.
 /// Returns an empty string on success, else a description of the defect
 /// (every payload array is bounds- and range-checked before any caller
 /// trusts an offset, so corrupt encodings fail typed, never UB).
@@ -445,7 +373,7 @@ template <typename T>
 /// A header's row count is not bounded by its payload: a width-0 dict or a
 /// one-run rle payload of 32 bytes can claim 2^32 - 1 rows. An encoded
 /// payload claiming more than `max_rows` rows is rejected here, before any
-/// per-row scan, so `any_view::decode` never reserves more than the caller
+/// per-row scan, so `view_core::decode` never reserves more than the caller
 /// allowed. Plain payloads hold their rows and ignore the bound.
 [[nodiscard]] inline std::string parse_view(encoding kind,
                                             std::span<const std::byte> payload,
@@ -538,51 +466,9 @@ template <typename T>
             if (payload.size() != fixed + cursor) return "delta payload size mismatch";
             return {};
         }
-        case encoding::xref:
         case encoding::plain: break;
     }
     return "encoding tag is not parseable here";
-}
-
-/// Parses and validates an xref payload against its (already parsed,
-/// non-xref) source view. Same contract as parse_view, `max_rows` included:
-/// a width-0 index array claims any row count in 16 bytes.
-[[nodiscard]] inline std::string parse_xref(std::span<const std::byte> payload,
-                                            std::uint32_t elem, const view_core& source,
-                                            std::uint64_t max_rows, any_view& out) {
-    out = any_view{};
-    out.self.kind = encoding::xref;
-    out.self.elem = elem;
-    if (payload.size() < header_bytes) return "payload shorter than encoding header";
-    std::uint32_t rows;
-    std::memcpy(&rows, payload.data(), 4);
-    const auto width = static_cast<unsigned>(payload[4]);
-    if (payload[5] != std::byte{0} || payload[6] != std::byte{0} ||
-        payload[7] != std::byte{0}) {
-        return "nonzero flags/reserved in encoding header";
-    }
-    std::uint64_t aux;
-    std::memcpy(&aux, payload.data() + 8, 8);
-    if (rows == 0) return "zero-row encoded payload";
-    if (rows > max_rows) return "row count exceeds the decode bound";
-    if (!valid_width(width)) return "invalid bit width";
-    if (source.kind == encoding::xref) return "xref source is itself an xref";
-    if (source.elem != elem) return "xref source element size mismatch";
-    if (aux != source.rows) return "xref source row count mismatch";
-    if (payload.size() != header_bytes + packed_bytes(rows, width)) {
-        return "xref payload size mismatch";
-    }
-    out.self.rows = rows;
-    out.self.aux = aux;
-    out.self.width = width;
-    out.self.packed = payload.data() + header_bytes;
-    for (std::uint64_t i = 0; i < rows; ++i) {
-        if (read_packed(out.self.packed, i, width) >= aux) {
-            return "xref index out of range";
-        }
-    }
-    out.src = source;
-    return {};
 }
 
 } // namespace ac::table::enc

@@ -27,7 +27,6 @@ region_table::region_table(std::vector<region> regions)
     centres.reserve(regions_.size());
     for (const auto& r : regions_) {
         by_continent_[static_cast<std::size_t>(r.cont)].push_back(r.id);
-        total_weight_ += r.population_weight;
         centres.push_back(r.location);
     }
     distances_ = geo::distance_table{centres};

@@ -80,14 +80,10 @@ public:
     }
     [[nodiscard]] const geo::distance_table& distances() const noexcept { return distances_; }
 
-    /// Total population weight across all regions.
-    [[nodiscard]] double total_population_weight() const noexcept { return total_weight_; }
-
 private:
     std::vector<region> regions_;
     std::vector<std::vector<region_id>> by_continent_;
     geo::distance_table distances_;
-    double total_weight_ = 0.0;
 };
 
 /// Builds a synthetic region catalogue. Deterministic in `seed`.
