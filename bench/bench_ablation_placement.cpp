@@ -81,8 +81,7 @@ void print_figure(std::ostream& os) {
             if (!path) continue;
             rtt.add(path->rtt_ms, loc.users);
             total += loc.users;
-            const double nearest =
-                dep.nearest_global_site_km(regions.at(loc.region).location);
+            const double nearest = dep.nearest_global_site_km(loc.region);
             if (path->direct_km - nearest < 50.0) at_closest += loc.users;
         }
         os << "  " << s.name;

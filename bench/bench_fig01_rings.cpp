@@ -41,7 +41,7 @@ void print_figure(std::ostream& os) {
         double within_1000 = 0.0;
         double total = 0.0;
         for (const auto& loc : w.users().locations()) {
-            const double d = cdn.nearest_front_end_km(regions.at(loc.region).location, ring);
+            const double d = cdn.nearest_front_end_km(loc.region, ring);
             total += loc.users;
             if (d <= 500.0) within_500 += loc.users;
             if (d <= 1000.0) within_1000 += loc.users;
@@ -61,8 +61,7 @@ void BM_NearestFrontEnd(benchmark::State& state) {
     std::size_t i = 0;
     for (auto _ : state) {
         const auto& loc = locs[i++ % locs.size()];
-        benchmark::DoNotOptimize(
-            cdn.nearest_front_end_km(w.regions().at(loc.region).location, 4));
+        benchmark::DoNotOptimize(cdn.nearest_front_end_km(loc.region, 4));
     }
 }
 BENCHMARK(BM_NearestFrontEnd);

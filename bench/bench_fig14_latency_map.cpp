@@ -34,7 +34,7 @@ void print_figure(std::ostream& os) {
         const double median = logs.median_rtt_ms[i];
         const double users = logs.users[i];
         by_continent[static_cast<int>(region.cont)].add(median / max_latency, users);
-        const double d = cdn.nearest_front_end_km(region.location, r110);
+        const double d = cdn.nearest_front_end_km(region.id, r110);
         if (d < 500.0) near_users.add(median, users);
         if (d > 2000.0) far_users.add(median, users);
     }

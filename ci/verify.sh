@@ -193,6 +193,17 @@ PY
     echo "verify: medium snapshot round trip OK" \
          "($(ls "${rt}/medium_live" | wc -l) figure files identical)"
 
+    # Serial medium figures: the coverage and AS-path figures read region
+    # distances from the table and the fleet draws through the prefix-sum
+    # sampler, at a tier the small-world goldens do not reach; they must not
+    # depend on the thread count either.
+    ./build/tools/acctx report --scale medium --threads 1 --out "${rt}/medium_serial"
+    for f in "${rt}/medium_live"/*.csv; do
+        cmp "${f}" "${rt}/medium_serial/$(basename "${f}")"
+    done
+    echo "verify: medium figures identical at 1 vs 4 threads" \
+         "($(ls "${rt}/medium_serial" | wc -l) figure files)"
+
     # Scenario replay over every letter (ci/scenario_all_letters.txt):
     # withdraw, drain, prepend, announce, restore and outage reattach, append
     # and re-key shared route rows; the step CSV (including ases_touched and cache_invalidated) must not

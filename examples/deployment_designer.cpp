@@ -23,8 +23,7 @@ struct outcome {
     double efficiency = 0.0;  // share of users reaching their closest site
 };
 
-outcome evaluate(const anycast::deployment& dep, const pop::user_base& users,
-                 const topo::region_table& regions) {
+outcome evaluate(const anycast::deployment& dep, const pop::user_base& users) {
     analysis::weighted_cdf rtt;
     double at_closest = 0.0;
     double total = 0.0;
@@ -33,7 +32,7 @@ outcome evaluate(const anycast::deployment& dep, const pop::user_base& users,
         if (!path) continue;
         rtt.add(path->rtt_ms, loc.users);
         total += loc.users;
-        const double nearest = dep.nearest_global_site_km(regions.at(loc.region).location);
+        const double nearest = dep.nearest_global_site_km(loc.region);
         if (path->direct_km - nearest < 50.0) at_closest += loc.users;
     }
     return outcome{rtt.empty() ? 0.0 : rtt.median(), total > 0 ? at_closest / total : 0.0};
@@ -78,7 +77,7 @@ int main() {
                 plan.local_ixp_peering_p = 0.4;
             }
             const auto dep = anycast::build_deployment(plan, graph, regions);
-            const auto result = evaluate(dep, users, regions);
+            const auto result = evaluate(dep, users);
             std::cout << "  " << plan.name;
             for (std::size_t pad = plan.name.size(); pad < 18; ++pad) std::cout << ' ';
             std::cout << strfmt::fixed(result.median_rtt_ms, 1) << " ms      "

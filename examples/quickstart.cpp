@@ -51,8 +51,7 @@ int main() {
             const auto path = dep->rib().select(loc.asn, loc.region);
             if (!path) continue;
             rtt.add(path->rtt_ms, loc.users);
-            const double nearest =
-                dep->nearest_global_site_km(regions.at(loc.region).location);
+            const double nearest = dep->nearest_global_site_km(loc.region);
             inflation_km.add(path->direct_km - nearest >= 0 ? path->direct_km - nearest : 0,
                              loc.users);
         }

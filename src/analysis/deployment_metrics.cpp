@@ -25,30 +25,29 @@ coverage_curve curve_from_distances(std::string name, int global_sites,
 } // namespace
 
 coverage_curve compute_coverage(const anycast::deployment& dep, const pop::user_base& base,
-                                const topo::region_table& regions,
+                                const topo::region_table& /*regions*/,
                                 std::span<const double> radii_km) {
     weighted_cdf distances;
     for (const auto& loc : base.locations()) {
-        distances.add(dep.nearest_global_site_km(regions.at(loc.region).location), loc.users);
+        distances.add(dep.nearest_global_site_km(loc.region), loc.users);
     }
     return curve_from_distances(dep.name(), dep.global_site_count(), distances, radii_km);
 }
 
 coverage_curve compute_ring_coverage(const cdn::cdn_network& cdn, int ring,
                                      const pop::user_base& base,
-                                     const topo::region_table& regions,
+                                     const topo::region_table& /*regions*/,
                                      std::span<const double> radii_km) {
     weighted_cdf distances;
     for (const auto& loc : base.locations()) {
-        distances.add(cdn.nearest_front_end_km(regions.at(loc.region).location, ring),
-                      loc.users);
+        distances.add(cdn.nearest_front_end_km(loc.region, ring), loc.users);
     }
     return curve_from_distances(cdn.ring_name(ring), cdn.ring_size(ring), distances, radii_km);
 }
 
 coverage_curve compute_all_roots_coverage(const dns::root_system& roots,
                                           const pop::user_base& base,
-                                          const topo::region_table& regions,
+                                          const topo::region_table& /*regions*/,
                                           std::span<const double> radii_km) {
     weighted_cdf distances;
     int total_sites = 0;
@@ -56,10 +55,9 @@ coverage_curve compute_all_roots_coverage(const dns::root_system& roots,
         total_sites += roots.deployment_of(letter).global_site_count();
     }
     for (const auto& loc : base.locations()) {
-        const auto p = regions.at(loc.region).location;
         double best = std::numeric_limits<double>::infinity();
         for (char letter : roots.all_letters()) {
-            best = std::min(best, roots.deployment_of(letter).nearest_global_site_km(p));
+            best = std::min(best, roots.deployment_of(letter).nearest_global_site_km(loc.region));
         }
         distances.add(best, loc.users);
     }
@@ -146,13 +144,12 @@ aspath_study_result run_aspath_study(const atlas::probe_fleet& fleet,
 
     for (std::size_t g = 0; g < locations.groups(); ++g) {
         const auto& probe = probes[locations.rows(g).front()];
-        const auto loc = regions.at(probe.region).location;
 
         // CDN: external path is ring-independent; inflation uses R110.
         if (const auto path = cdn.evaluate(probe.asn, probe.region, cdn.ring_count() - 1)) {
             const int length = atlas::organization_path_length(
                 cdn.pop_rib().as_path(probe.asn, path->site), graph);
-            const double min_km = cdn.nearest_front_end_km(loc, cdn.ring_count() - 1);
+            const double min_km = cdn.nearest_front_end_km(probe.region, cdn.ring_count() - 1);
             const double gi = std::max(0.0, geo::round_trip_fiber_ms(path->front_end_km) -
                                                 geo::round_trip_fiber_ms(min_km));
             dest.push_back(dest_cdn);
@@ -168,10 +165,9 @@ aspath_study_result run_aspath_study(const atlas::probe_fleet& fleet,
             if (!path) continue;
             const int length =
                 atlas::organization_path_length(dep.rib().as_path(probe.asn, path->site), graph);
-            const auto& site = dep.site_at(path->site);
             const double site_km =
-                geo::distance_km(loc, regions.at(site.region).location);
-            const double min_km = dep.nearest_global_site_km(loc);
+                regions.distance_km(probe.region, dep.site_at(path->site).region);
+            const double min_km = dep.nearest_global_site_km(probe.region);
             const double gi = std::max(0.0, geo::round_trip_fiber_ms(site_km) -
                                                 geo::round_trip_fiber_ms(min_km));
             dest.push_back(dest_letter0 + static_cast<std::uint32_t>(li));

@@ -25,6 +25,9 @@ struct coverage_curve {
     std::vector<double> covered_fraction;  // aligned with radii_km
 };
 
+/// `regions` is the table the user locations index. Distances are read from
+/// that same table through the deployment or CDN built on it
+/// (`nearest_global_site_km(region_id)`, `nearest_front_end_km`).
 [[nodiscard]] coverage_curve compute_coverage(const anycast::deployment& dep,
                                               const pop::user_base& base,
                                               const topo::region_table& regions,

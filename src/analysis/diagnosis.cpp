@@ -46,14 +46,12 @@ diagnosis_report diagnose_cdn_paths(const cdn::cdn_network& cdn, const pop::user
         d.region = loc.region;
         d.users = loc.users;
         d.rtt_ms = path->rtt_ms;
-        const auto user_loc = cdn.regions().at(loc.region).location;
-        const double nearest_km = cdn.nearest_front_end_km(user_loc, ring);
+        const double nearest_km = cdn.nearest_front_end_km(loc.region, ring);
         d.optimal_ms = geo::best_case_rtt_ms(nearest_km);
         d.excess_ms = std::max(0.0, d.rtt_ms - d.optimal_ms);
 
         // Classification, most actionable cause first.
-        const double ingress_km =
-            geo::distance_km(user_loc, cdn.regions().at(path->ingress_pop).location);
+        const double ingress_km = cdn.regions().distance_km(loc.region, path->ingress_pop);
         const bool direct = path->path_ases <= 2;
         if (d.excess_ms <= options.healthy_budget_ms) {
             d.problem = path_problem::healthy;

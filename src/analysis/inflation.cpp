@@ -206,8 +206,7 @@ cdn_inflation_result compute_cdn_inflation(const cdn::server_log_table& logs,
 
     for (std::size_t i = 0; i < logs.rows(); ++i) {
         const auto ring = static_cast<std::size_t>(logs.ring[i]);
-        const auto user_loc = cdn.regions().at(logs.region[i]).location;
-        const double min_km = cdn.nearest_front_end_km(user_loc, logs.ring[i]);
+        const double min_km = cdn.nearest_front_end_km(logs.region[i], logs.ring[i]);
         const double gi_ms =
             std::max(0.0, geo::round_trip_fiber_ms(logs.front_end_km[i]) -
                               geo::round_trip_fiber_ms(min_km));

@@ -36,8 +36,7 @@ unicast_comparison compare_with_unicast(const anycast::deployment& dep,
         if (best_site == anycast_path->site) optimal_users += loc.users;
         result.anycast_penalty_ms.add(std::max(0.0, anycast_path->rtt_ms - best_unicast),
                                       loc.users);
-        const double bound = geo::best_case_rtt_ms(
-            dep.nearest_global_site_km(dep.regions().at(loc.region).location));
+        const double bound = geo::best_case_rtt_ms(dep.nearest_global_site_km(loc.region));
         result.unicast_inflation_ms.add(std::max(0.0, best_unicast - bound), loc.users);
     }
 

@@ -34,6 +34,18 @@ double deployment::nearest_global_site_km(const geo::point& p) const {
     return best;
 }
 
+double deployment::nearest_global_site_km(topo::region_id region) const {
+    if (region >= regions_->size()) {
+        throw std::out_of_range("nearest_global_site_km: unknown region");
+    }
+    double best = std::numeric_limits<double>::infinity();
+    for (const auto& s : sites_) {
+        if (s.scope != route::announcement_scope::global) continue;
+        best = std::min(best, regions_->distance_km(region, s.region));
+    }
+    return best;
+}
+
 namespace {
 
 // Picks site regions for a deployment. Population-weighted strategies favor
@@ -52,7 +64,6 @@ std::vector<topo::region_id> pick_site_regions(const topo::region_table& regions
         weights.push_back(w);
     }
     std::vector<topo::region_id> chosen;
-    std::vector<bool> used(regions.size(), false);
     int eligible = 0;
     for (double w : weights) {
         if (w > 0.0) ++eligible;
@@ -60,8 +71,6 @@ std::vector<topo::region_id> pick_site_regions(const topo::region_table& regions
     const int cap = std::min(count, eligible);
     while (static_cast<int>(chosen.size()) < cap) {
         const std::size_t i = gen.weighted_index(weights);
-        if (used[i]) continue;
-        used[i] = true;
         weights[i] = 0.0;
         chosen.push_back(regions.all()[i].id);
     }

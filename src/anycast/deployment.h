@@ -51,6 +51,10 @@ public:
     /// the min_k d(R, j_k) term of Eq. 1 and Eq. 2 (§3.1 considers global
     /// sites only, since local-site reachability is unknown).
     [[nodiscard]] double nearest_global_site_km(const geo::point& p) const;
+    /// The same from a region's centre, read from the region distance table:
+    /// bit-identical to the point overload at `regions().at(region).location`.
+    /// Throws `std::out_of_range` for a region outside the table.
+    [[nodiscard]] double nearest_global_site_km(topo::region_id region) const;
 
     /// The site record for a site id.
     [[nodiscard]] const site& site_at(route::site_id id) const { return sites_.at(id); }

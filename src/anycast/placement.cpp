@@ -4,7 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "src/netbase/geo.h"
 #include "src/netbase/rng.h"
 
 namespace ac::anycast {
@@ -12,7 +11,7 @@ namespace ac::anycast {
 namespace {
 
 struct user_point {
-    geo::point location;
+    topo::region_id region;
     double users;
 };
 
@@ -24,7 +23,7 @@ std::vector<user_point> collect_users(const pop::user_base& users,
     std::vector<user_point> out;
     out.reserve(regions.size());
     for (std::size_t r = 0; r < regions.size(); ++r) {
-        if (mass[r] > 0.0) out.push_back(user_point{regions.all()[r].location, mass[r]});
+        if (mass[r] > 0.0) out.push_back(user_point{regions.all()[r].id, mass[r]});
     }
     return out;
 }
@@ -42,9 +41,8 @@ std::vector<topo::region_id> greedy_placement(const pop::user_base& users,
     // Current distance from each user point to its nearest chosen site.
     std::vector<double> nearest(points.size(), std::numeric_limits<double>::infinity());
 
-    // Distance cache: candidate region x user point would be 508 x 508; the
-    // greedy loop touches each pair at most `count` times, so recompute on
-    // demand — simpler and still fast at this scale.
+    // Distances are region-to-region, so every pair is a lookup in the
+    // region distance table.
     for (int k = 0; k < count && static_cast<std::size_t>(k) < regions.size(); ++k) {
         topo::region_id best_region = 0;
         double best_objective = std::numeric_limits<double>::infinity();
@@ -53,8 +51,8 @@ std::vector<topo::region_id> greedy_placement(const pop::user_base& users,
             if (candidate.cont == topo::continent::antarctica) continue;
             double objective = 0.0;
             for (std::size_t i = 0; i < points.size(); ++i) {
-                const double d = std::min(
-                    nearest[i], geo::distance_km(points[i].location, candidate.location));
+                const double d =
+                    std::min(nearest[i], regions.distance_km(points[i].region, candidate.id));
                 objective += d * points[i].users;
             }
             if (objective < best_objective) {
@@ -64,9 +62,8 @@ std::vector<topo::region_id> greedy_placement(const pop::user_base& users,
         }
         used[best_region] = true;
         chosen.push_back(best_region);
-        const auto site_loc = regions.at(best_region).location;
         for (std::size_t i = 0; i < points.size(); ++i) {
-            nearest[i] = std::min(nearest[i], geo::distance_km(points[i].location, site_loc));
+            nearest[i] = std::min(nearest[i], regions.distance_km(points[i].region, best_region));
         }
     }
     return chosen;
@@ -87,13 +84,15 @@ std::vector<topo::region_id> random_placement(const topo::region_table& regions,
 double mean_user_distance_km(const pop::user_base& users, const topo::region_table& regions,
                              std::span<const topo::region_id> sites) {
     if (sites.empty()) throw std::invalid_argument("mean_user_distance_km: no sites");
+    for (topo::region_id s : sites) {
+        if (s >= regions.size()) throw std::out_of_range("mean_user_distance_km: unknown region");
+    }
     double weighted = 0.0;
     double total = 0.0;
     for (const auto& loc : users.locations()) {
-        const auto p = regions.at(loc.region).location;
         double nearest = std::numeric_limits<double>::infinity();
         for (topo::region_id s : sites) {
-            nearest = std::min(nearest, geo::distance_km(p, regions.at(s).location));
+            nearest = std::min(nearest, regions.distance_km(loc.region, s));
         }
         weighted += nearest * loc.users;
         total += loc.users;

@@ -7,33 +7,34 @@
 
 namespace ac::atlas {
 
-probe_fleet::probe_fleet(const topo::as_graph& graph, const topo::region_table& regions,
-                         const fleet_plan& plan) {
-    rand::rng gen{rand::mix_seed(plan.seed, 0xa71a5ull)};
-
-    // Host candidates: eyeball and enterprise ASes, weighted by the fleet's
-    // known biases (Europe-heavy, better-connected networks more likely).
-    struct candidate {
-        topo::asn_t asn;
-        topo::region_id region;
-    };
-    std::vector<candidate> candidates;
-    std::vector<double> weights;
+probe_hosts probe_host_candidates(const topo::as_graph& graph, const topo::region_table& regions,
+                                  const fleet_plan& plan) {
+    probe_hosts hosts;
     for (const auto& as : graph.all()) {
         if (as.role != topo::as_role::eyeball && as.role != topo::as_role::enterprise) continue;
         for (topo::region_id r : as.presence) {
             double w = 1.0;
             if (regions.at(r).cont == topo::continent::europe) w *= plan.europe_bias;
             if (as.presence.size() > 1) w *= plan.connectivity_bias;
-            candidates.push_back(candidate{as.asn, r});
-            weights.push_back(w);
+            hosts.locations.push_back(probe{0, as.asn, r});
+            hosts.weights.push_back(w);
         }
     }
+    return hosts;
+}
 
+probe_fleet::probe_fleet(const topo::as_graph& graph, const topo::region_table& regions,
+                         const fleet_plan& plan) {
+    rand::rng gen{rand::mix_seed(plan.seed, 0xa71a5ull)};
+    auto hosts = probe_host_candidates(graph, regions, plan);
+    if (hosts.locations.empty() || plan.probe_count <= 0) return;
+
+    const rand::weighted_table table{std::move(hosts.weights)};
     probes_.reserve(static_cast<std::size_t>(plan.probe_count));
-    for (int i = 0; i < plan.probe_count && !candidates.empty(); ++i) {
-        const auto& c = candidates[gen.weighted_index(weights)];
-        probes_.push_back(probe{i, c.asn, c.region});
+    for (int i = 0; i < plan.probe_count; ++i) {
+        probe p = hosts.locations[table.draw(gen)];
+        p.id = i;
+        probes_.push_back(p);
     }
 }
 

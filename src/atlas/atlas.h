@@ -35,8 +35,21 @@ struct fleet_plan {
     std::uint64_t seed = 1;
 };
 
+/// Every <AS, region> that may host a probe, with its draw weight: each
+/// eyeball and enterprise AS at each region it is present in, weighted by the
+/// fleet's known biases (Europe-heavy, better-connected networks more likely).
+struct probe_hosts {
+    std::vector<probe> locations;  // ids unset
+    std::vector<double> weights;   // aligned with `locations`
+};
+
+[[nodiscard]] probe_hosts probe_host_candidates(const topo::as_graph& graph,
+                                                const topo::region_table& regions,
+                                                const fleet_plan& plan);
+
 class probe_fleet {
 public:
+    /// Draws `plan.probe_count` probes from `probe_host_candidates`.
     probe_fleet(const topo::as_graph& graph, const topo::region_table& regions,
                 const fleet_plan& plan);
 

@@ -29,7 +29,6 @@ cdn_network::cdn_network(const cdn_plan& plan, topo::as_graph& graph,
         weights.push_back(r.cont == topo::continent::antarctica ? 0.0 : r.population_weight);
     }
     std::vector<std::pair<double, topo::region_id>> picked;
-    std::vector<bool> used(regions.size(), false);
     int eligible = 0;
     for (double w : weights) {
         if (w > 0.0) ++eligible;
@@ -37,8 +36,6 @@ cdn_network::cdn_network(const cdn_plan& plan, topo::as_graph& graph,
     const int cap = std::min(total, eligible);
     while (static_cast<int>(picked.size()) < cap) {
         const std::size_t i = gen.weighted_index(weights);
-        if (used[i]) continue;
-        used[i] = true;
         weights[i] = 0.0;
         picked.emplace_back(regions.all()[i].population_weight, regions.all()[i].id);
     }
@@ -144,11 +141,15 @@ std::optional<cdn_network::cdn_path> cdn_network::evaluate(topo::asn_t asn,
     return path;
 }
 
-double cdn_network::nearest_front_end_km(const geo::point& p, int ring) const {
+double cdn_network::nearest_front_end_km(topo::region_id region, int ring) const {
+    if (region >= regions_->size()) {
+        throw std::out_of_range("nearest_front_end_km: unknown region");
+    }
     const int members = ring_size(ring);
     double best = std::numeric_limits<double>::infinity();
     for (int i = 0; i < members; ++i) {
-        best = std::min(best, geo::distance_km(p, regions_->at(front_ends_[static_cast<std::size_t>(i)]).location));
+        best = std::min(best,
+                        regions_->distance_km(region, front_ends_[static_cast<std::size_t>(i)]));
     }
     return best;
 }

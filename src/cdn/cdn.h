@@ -82,8 +82,10 @@ public:
     [[nodiscard]] std::optional<cdn_path> evaluate(topo::asn_t asn, topo::region_id region,
                                                    int ring) const;
 
-    /// Distance from `p` to the nearest front-end of `ring` (Eq. 1's min_k).
-    [[nodiscard]] double nearest_front_end_km(const geo::point& p, int ring) const;
+    /// Distance from the centre of `region` to the nearest front-end of
+    /// `ring` (Eq. 1's min_k), read from the region distance table. Throws
+    /// `std::out_of_range` for a region outside the table.
+    [[nodiscard]] double nearest_front_end_km(topo::region_id region, int ring) const;
 
     /// The PoP-level routing state (one announcement per PoP; shared by all
     /// rings because all routers announce all rings).

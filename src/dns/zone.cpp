@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 
+#include "src/netbase/rng.h"
 #include "src/netbase/strfmt.h"
 
 namespace ac::dns {
@@ -90,10 +91,6 @@ bool root_zone::tld_exists(std::string_view tld) const {
     auto it = std::lower_bound(by_name_.begin(), by_name_.end(), normalized,
                                [this](std::size_t i, const std::string& v) { return tlds_[i] < v; });
     return it != by_name_.end() && tlds_[*it] == normalized;
-}
-
-int root_zone::sample_tld(rand::rng& gen) const {
-    return static_cast<int>(gen.weighted_index(popularity_));
 }
 
 root_response root_zone::resolve(std::string_view qname) const {

@@ -12,8 +12,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/netbase/rng.h"
-
 namespace ac::dns {
 
 enum class rr_type : std::uint8_t { a, aaaa, ns, ptr, soa };
@@ -65,9 +63,6 @@ public:
 
     /// Zipf popularity weight of the i-th TLD (descending; normalized).
     [[nodiscard]] double popularity(int index) const { return popularity_.at(static_cast<std::size_t>(index)); }
-
-    /// Draws a TLD index by popularity.
-    [[nodiscard]] int sample_tld(rand::rng& gen) const;
 
     /// Answers a query: a referral for names under an existing TLD,
     /// NXDOMAIN otherwise.

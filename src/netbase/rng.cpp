@@ -1,8 +1,12 @@
 #include "src/netbase/rng.h"
 
+#include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <stdexcept>
 
 namespace ac::rand {
 
@@ -103,13 +107,57 @@ std::uint64_t rng::poisson(double mean) noexcept {
 
 std::size_t rng::weighted_index(std::span<const double> weights) noexcept {
     double total = 0.0;
-    for (double w : weights) total += w;
-    double target = uniform() * total;
+    for (double w : weights) {
+        assert(std::isfinite(w) && w >= 0.0);
+        total += w;
+    }
+    assert(total > 0.0);
+    return weighted_walk(weights, uniform() * total);
+}
+
+std::size_t weighted_walk(std::span<const double> weights, double target) noexcept {
     for (std::size_t i = 0; i < weights.size(); ++i) {
         target -= weights[i];
         if (target < 0.0) return i;
     }
+    for (std::size_t i = weights.size(); i-- > 0;) {
+        if (weights[i] > 0.0) return i;
+    }
     return weights.size() - 1;
+}
+
+weighted_table::weighted_table(std::vector<double> weights) : weights_(std::move(weights)) {
+    cumulative_.reserve(weights_.size());
+    double total = 0.0;
+    for (double w : weights_) {
+        if (!std::isfinite(w) || w < 0.0) {
+            throw std::invalid_argument("weighted_table: weights must be finite and non-negative");
+        }
+        total += w;
+        cumulative_.push_back(total);
+    }
+    if (weights_.empty() || !(total > 0.0) || !std::isfinite(total)) {
+        throw std::invalid_argument("weighted_table: needs a positive, finite total weight");
+    }
+    // Within this distance of a prefix sum the walk's rounding and the
+    // prefix sums' rounding may fall on different sides (DESIGN.md).
+    margin_ = 4.0 * static_cast<double>(weights_.size() + 2) *
+              std::numeric_limits<double>::epsilon() * total;
+}
+
+std::size_t weighted_table::bracket(double target) const noexcept {
+    const auto k = static_cast<std::size_t>(
+        std::upper_bound(cumulative_.begin(), cumulative_.end(), target) - cumulative_.begin());
+    if (k == cumulative_.size() || cumulative_[k] - target <= margin_ ||
+        (k > 0 && target - cumulative_[k - 1] <= margin_)) {
+        return size();
+    }
+    return k;
+}
+
+std::size_t weighted_table::pick(double target) const noexcept {
+    const std::size_t k = bracket(target);
+    return k < size() ? k : weighted_walk(weights_, target);
 }
 
 } // namespace ac::rand

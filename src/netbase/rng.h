@@ -62,7 +62,10 @@ public:
     /// Poisson-distributed count with the given mean (Knuth for small means,
     /// normal approximation above 64).
     [[nodiscard]] std::uint64_t poisson(double mean) noexcept;
-    /// Index into a non-empty weight vector, proportional to weight.
+    /// Index into `weights`, proportional to weight: sums the weights,
+    /// draws `uniform() * total` and hands it to `weighted_walk`. Same
+    /// precondition as `weighted_table` (asserted in debug builds); callers
+    /// that draw repeatedly over fixed weights build a `weighted_table`.
     [[nodiscard]] std::size_t weighted_index(std::span<const double> weights) noexcept;
 
     /// Fisher-Yates shuffle.
@@ -85,6 +88,47 @@ public:
 private:
     std::uint64_t seed_;
     std::uint64_t state_[4];
+};
+
+/// The draw rule behind every weighted draw: subtracts the weights from
+/// `target` in order and returns the first index that takes it below zero.
+/// A target that rounding leaves unspent (only possible within a few ulps of
+/// the total) goes to the last positive weight, so a zero weight is never
+/// drawn.
+[[nodiscard]] std::size_t weighted_walk(std::span<const double> weights, double target) noexcept;
+
+/// Repeated weighted draws over fixed weights in O(log n), returning exactly
+/// what `rng::weighted_index` returns for the same generator state.
+///
+/// The prefix sums are built once in `weighted_index`'s summation order, so
+/// `total()` and the target `uniform() * total()` are bit-identical to its.
+/// A draw is an `upper_bound` over them, which matches the linear walk
+/// except where rounding blurs a boundary: a target within a proven margin
+/// of either prefix sum bracketing it re-runs `weighted_walk` on the same
+/// target (DESIGN.md §5 states the bound).
+class weighted_table {
+public:
+    /// Throws `std::invalid_argument` unless `weights` is non-empty, every
+    /// weight is finite and non-negative, and the total is positive.
+    explicit weighted_table(std::vector<double> weights);
+
+    [[nodiscard]] std::size_t draw(rng& gen) const noexcept {
+        return pick(gen.uniform() * total());
+    }
+    /// The index a draw with this target picks; `target` in [0, total()].
+    [[nodiscard]] std::size_t pick(double target) const noexcept;
+
+    [[nodiscard]] double total() const noexcept { return cumulative_.back(); }
+    [[nodiscard]] std::size_t size() const noexcept { return weights_.size(); }
+
+private:
+    /// The prefix-sum pick, or `size()` when the target is too close to a
+    /// boundary for it to be trusted.
+    [[nodiscard]] std::size_t bracket(double target) const noexcept;
+
+    std::vector<double> weights_;
+    std::vector<double> cumulative_;
+    double margin_ = 0.0;
 };
 
 } // namespace ac::rand

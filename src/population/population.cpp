@@ -135,12 +135,11 @@ user_base::user_base(const topo::as_graph& graph, const topo::region_table& regi
             // from its PoP nearest the user location.
             const double per_provider = loc.users * plan.public_dns_share /
                                         static_cast<double>(public_dns.size());
-            const geo::point here = regions.at(loc.region).location;
             for (const auto& provider : public_dns) {
                 topo::region_id best = provider.pops.front();
                 double best_km = std::numeric_limits<double>::infinity();
                 for (topo::region_id pr : provider.pops) {
-                    const double d = geo::distance_km(here, regions.at(pr).location);
+                    const double d = regions.distance_km(loc.region, pr);
                     if (d < best_km) {
                         best_km = d;
                         best = pr;

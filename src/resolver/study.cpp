@@ -22,7 +22,7 @@ class name_universe {
 public:
     name_universe(const dns::root_zone& zone, int sld_count, double zipf_s, int tld_cap,
                   std::uint64_t seed)
-        : weights_(static_cast<std::size_t>(sld_count)) {
+        : popularity_(zipf_weights(sld_count, zipf_s)) {
         rand::rng gen{rand::mix_seed(seed, 0x5a1d5ull)};
         names_.reserve(static_cast<std::size_t>(sld_count));
         const int cap = std::min(std::max(tld_cap, 1), zone.tld_count());
@@ -30,22 +30,28 @@ public:
         for (int i = 0; i < cap; ++i) {
             tld_weights[static_cast<std::size_t>(i)] = zone.popularity(i);
         }
+        const rand::weighted_table tlds{std::move(tld_weights)};
         for (int i = 0; i < sld_count; ++i) {
-            const auto tld_index = gen.weighted_index(tld_weights);
             names_.push_back("site" + strfmt::zero_padded(i, 5) + "." +
-                             zone.tlds()[tld_index]);
-            weights_[static_cast<std::size_t>(i)] =
-                1.0 / std::pow(static_cast<double>(i + 1), zipf_s);
+                             zone.tlds()[tlds.draw(gen)]);
         }
     }
 
     [[nodiscard]] const std::string& sample(rand::rng& gen) const {
-        return names_[gen.weighted_index(weights_)];
+        return names_[popularity_.draw(gen)];
     }
 
 private:
+    static std::vector<double> zipf_weights(int count, double s) {
+        std::vector<double> weights(static_cast<std::size_t>(count));
+        for (int i = 0; i < count; ++i) {
+            weights[static_cast<std::size_t>(i)] = 1.0 / std::pow(static_cast<double>(i + 1), s);
+        }
+        return weights;
+    }
+
+    rand::weighted_table popularity_;
     std::vector<std::string> names_;
-    std::vector<double> weights_;
 };
 
 std::string random_probe_label(rand::rng& gen) {

@@ -1,5 +1,6 @@
 #include "src/snapshot/world_io.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <type_traits>
@@ -533,6 +534,14 @@ world_parts read_world_parts(const std::shared_ptr<const bundle>& b, int threads
     core::world_datasets data;
     data.ditl = read_ditl(*b);
     data.server_log_table = read_server_log_table(*b);
+    // Analyses look these ids up in the region table; one the stored config
+    // does not build is a malformed file, not an analysis error.
+    const auto region_count = static_cast<std::uint32_t>(std::max(config.regions.total(), 0));
+    for (const std::uint32_t region : data.server_log_table.region.view()) {
+        if (region >= region_count) {
+            throw snapshot_error(errc::malformed, "server/region names a region outside the world");
+        }
+    }
     data.client_rows = read_client_rows(*b);
     data.cdn_count_blocks = read_entry_pairs(*b, "pop/cdn/block_key", "pop/cdn/block_users");
     data.cdn_count_ips = read_entry_pairs(*b, "pop/cdn/ip_key", "pop/cdn/ip_users");

@@ -27,24 +27,21 @@ std::vector<region_id> sample_regions(const region_table& regions,
     count = std::min(count, eligible);
 
     std::vector<region_id> chosen;
-    std::vector<bool> used(pool.size(), false);
     while (chosen.size() < count) {
         const std::size_t i = gen.weighted_index(weights);
-        if (used[i]) continue;
-        used[i] = true;
         weights[i] = 0.0;
         chosen.push_back(pool[i]);
     }
     return chosen;
 }
 
-// The region of `as_presence` geographically nearest to `target`.
+// The region of `as_presence` whose centre is nearest to `anchor`'s.
 region_id nearest_presence(const region_table& regions, std::span<const region_id> as_presence,
-                           const geo::point& target) {
+                           region_id anchor) {
     region_id best = as_presence.front();
     double best_km = std::numeric_limits<double>::infinity();
     for (region_id id : as_presence) {
-        const double d = geo::distance_km(target, regions.at(id).location);
+        const double d = regions.distance_km(anchor, id);
         if (d < best_km) {
             best_km = d;
             best = id;
@@ -71,8 +68,7 @@ std::vector<region_id> interconnects(const region_table& regions,
         return shared;
     }
     // No common metro: meet at b's PoP nearest to a's anchor region.
-    const geo::point anchor = regions.at(a.presence.front()).location;
-    return {nearest_presence(regions, b.presence, anchor)};
+    return {nearest_presence(regions, b.presence, a.presence.front())};
 }
 
 double link_circuitousness(rand::rng& gen) { return gen.uniform(1.12, 1.45); }
@@ -300,8 +296,8 @@ void attach_content_as(as_graph& graph, const region_table& regions,
     for (asn_t transit : graph.with_role(as_role::transit)) {
         if (!gen.chance(options.transit_peering_fraction)) continue;
         // Peer at this network's PoP nearest to the transit's anchor.
-        const geo::point anchor = regions.at(graph.at(transit).presence.front()).location;
-        const region_id meet = nearest_presence(regions, graph.at(options.asn).presence, anchor);
+        const region_id meet = nearest_presence(regions, graph.at(options.asn).presence,
+                                                graph.at(transit).presence.front());
         graph.add_link(options.asn, transit, as_relationship::peer, {meet},
                        options.peer_circuitousness + gen.uniform(0.0, 0.1));
     }
@@ -325,8 +321,8 @@ void attach_content_as(as_graph& graph, const region_table& regions,
             options.eyeball_peering_fraction * static_cast<double>(ranked.size()));
         for (std::size_t i = 0; i < take; ++i) {
             const asn_t e = ranked[i].second;
-            const geo::point anchor = regions.at(graph.at(e).presence.front()).location;
-            const region_id meet = nearest_presence(regions, graph.at(options.asn).presence, anchor);
+            const region_id meet = nearest_presence(regions, graph.at(options.asn).presence,
+                                                    graph.at(e).presence.front());
             graph.add_link(options.asn, e, as_relationship::peer, {meet},
                            options.peer_circuitousness + gen.uniform(0.0, 0.1));
         }

@@ -177,7 +177,7 @@ TEST_F(DeploymentFixture, CdnPartneredBeatsOpenHostingOnEfficiency) {
             const auto path = dep.rib().select(asn, region);
             if (!path) continue;
             ++total;
-            const double nearest = dep.nearest_global_site_km(regions_.at(region).location);
+            const double nearest = dep.nearest_global_site_km(region);
             if (path->direct_km - nearest < 50.0) ++zero;
         }
         return static_cast<double>(zero) / std::max(1, total);

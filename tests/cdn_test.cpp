@@ -1,6 +1,9 @@
 // CDN ring structure, path evaluation, and telemetry generation.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "src/cdn/telemetry.h"
 #include "src/core/world.h"
 
@@ -74,11 +77,41 @@ TEST_F(CdnFixture, FrontEndBelongsToRing) {
 }
 
 TEST_F(CdnFixture, NearestFrontEndShrinksWithRingSize) {
-    const auto p = w().regions().at(0).location;
     for (int ring = 1; ring < net().ring_count(); ++ring) {
-        EXPECT_LE(net().nearest_front_end_km(p, ring),
-                  net().nearest_front_end_km(p, ring - 1) + 1e-9);
+        EXPECT_LE(net().nearest_front_end_km(0, ring),
+                  net().nearest_front_end_km(0, ring - 1) + 1e-9);
     }
+}
+
+// The region-id overloads read the region distance table; they must return
+// the very bits of a haversine scan from the region's centre (EXPECT_EQ, not
+// EXPECT_DOUBLE_EQ), for every region, every letter's deployment and every
+// ring.
+TEST_F(CdnFixture, RegionDistanceOverloadsMatchPointScan) {
+    const auto& regions = w().regions();
+    const auto& front_ends = net().front_end_regions();
+    for (const auto& region : regions.all()) {
+        for (const char letter : w().roots().all_letters()) {
+            const auto& dep = w().roots().deployment_of(letter);
+            EXPECT_EQ(dep.nearest_global_site_km(region.id),
+                      dep.nearest_global_site_km(region.location))
+                << letter << " from " << region.name;
+        }
+        for (int ring = 0; ring < net().ring_count(); ++ring) {
+            double scan = std::numeric_limits<double>::infinity();
+            for (int i = 0; i < net().ring_size(ring); ++i) {
+                const auto fe = front_ends[static_cast<std::size_t>(i)];
+                scan = std::min(scan, geo::distance_km(region.location, regions.at(fe).location));
+            }
+            EXPECT_EQ(net().nearest_front_end_km(region.id, ring), scan)
+                << net().ring_name(ring) << " from " << region.name;
+        }
+    }
+    // A table read is unchecked, so the overloads check the id themselves.
+    const auto outside = static_cast<topo::region_id>(regions.size());
+    EXPECT_THROW((void)net().nearest_front_end_km(outside, 0), std::out_of_range);
+    EXPECT_THROW((void)w().roots().deployment_of('A').nearest_global_site_km(outside),
+                 std::out_of_range);
 }
 
 TEST_F(CdnFixture, MostUsersReachCdnDirectly) {

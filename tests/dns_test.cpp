@@ -122,17 +122,6 @@ TEST(Zone, PopularitySumsToOneAndDecays) {
     EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
-TEST(Zone, SampleRespectsPopularity) {
-    const dns::root_zone zone{50, 1};
-    rand::rng gen{4};
-    int first = 0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i) {
-        if (zone.sample_tld(gen) == 0) ++first;
-    }
-    EXPECT_NEAR(static_cast<double>(first) / n, zone.popularity(0), 0.02);
-}
-
 class QueryModelFixture : public ::testing::Test {
 protected:
     static const core::world& w() {

@@ -16,6 +16,8 @@
 //     delta section set to edge values and bit-flipped, checksums
 //     recomputed, so the bytes reach the encoding validation and its decode
 //     bound.
+//   - Hydration: the last `server/region` row of an all-plain small world
+//     set to the first ids past its region table, checksums recomputed.
 //   - Grid specs: ci/sweep_smoke.txt truncated at every byte, with every bit
 //     flipped, and with lines dropped, duplicated and spliced in.
 //   - Timelines: the all-letter scenario ci/scenario_all_letters.txt and a
@@ -307,6 +309,39 @@ TEST(EncodedHeaderMutation, RowCount) {
                     }
                 },
                 std::string{s.name} + " rows " + std::to_string(count));
+        }
+    }
+}
+
+// A server log row naming a region the stored config does not build is
+// rejected at hydration, before any analysis looks the region up. The
+// all-plain container (version 1) stores `server/region` as bare u32s, so
+// one row is set in place and the checksums recomputed.
+TEST(HydrationMutation, ServerRegionOutsideTheWorld) {
+    const auto world =
+        snapshot::hydrate_world_ptr(snapshot::bundle::from_bytes(small_world_image()));
+    const auto plain = snapshot::encode_world(*world, 1);
+    const auto clean = snapshot::bundle::from_bytes(plain);
+    const auto& s = clean->section("server/region");
+    ASSERT_EQ(s.encoding, table::enc::encoding::plain);
+    ASSERT_GT(s.rows, 0U);
+    const auto regions = static_cast<std::uint32_t>(world->regions().size());
+    ASSERT_EQ(regions, static_cast<std::uint32_t>(core::world_config::small().regions.total()));
+
+    const auto with_last_row = [&](std::uint32_t region) {
+        auto img = plain;
+        std::memcpy(img.data() + s.payload_offset + sizeof region * (s.rows - 1), &region,
+                    sizeof region);
+        reseal(img);
+        return snapshot::hydrate_world_ptr(snapshot::bundle::from_bytes(img));
+    };
+    EXPECT_EQ(with_last_row(regions - 1)->server_log_table().region.view().back(), regions - 1);
+    for (const std::uint32_t region : {regions, regions + 1, std::uint32_t{0xFFFFFFFF}}) {
+        try {
+            (void)with_last_row(region);
+            ADD_FAILURE() << "region " << region << " hydrated";
+        } catch (const snapshot::snapshot_error& e) {
+            EXPECT_EQ(e.code(), snapshot::errc::malformed) << e.what();
         }
     }
 }

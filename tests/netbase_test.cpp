@@ -1,14 +1,21 @@
 // Unit tests for the netbase layer: addresses, geometry, RNG, formatting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <unordered_set>
 
+#include "src/atlas/atlas.h"
+#include "src/core/world.h"
 #include "src/netbase/geo.h"
 #include "src/netbase/ipv4.h"
 #include "src/netbase/rng.h"
 #include "src/netbase/strfmt.h"
+#include "src/resolver/study.h"
+#include "src/topology/generator.h"
 
 namespace {
 
@@ -197,6 +204,154 @@ TEST(Rng, WeightedIndexRespectsWeights) {
     for (int i = 0; i < 8000; ++i) ++counts[gen.weighted_index(weights)];
     EXPECT_EQ(counts[1], 0);
     EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.4);
+}
+
+// Counts the targets, drawn the way `weighted_index` draws them, where the
+// table's pick and the linear walk disagree. The walk is monotone in its
+// target (each step `r - w` is, and rounding is monotone), and so is the
+// table's pick. Sorted, the targets fall into runs with one pick each; when
+// the walk agrees at both ends of a run it agrees on every target inside,
+// so only a disagreeing run is walked target by target.
+std::size_t disagreements(std::span<const double> weights, std::size_t draws,
+                          std::uint64_t seed) {
+    const rand::weighted_table table{{weights.begin(), weights.end()}};
+    rand::rng gen{seed};
+    std::vector<double> targets(draws);
+    for (double& t : targets) t = gen.uniform() * table.total();
+    std::sort(targets.begin(), targets.end());
+    std::size_t differ = 0;
+    for (std::size_t first = 0; first < draws;) {
+        const std::size_t k = table.pick(targets[first]);
+        std::size_t last = first;
+        while (last + 1 < draws && table.pick(targets[last + 1]) == k) ++last;
+        const auto walk = [&](std::size_t i) {
+            return rand::weighted_walk(weights, targets[i]);
+        };
+        if (walk(first) != k || walk(last) != k) {
+            for (std::size_t i = first; i <= last; ++i) differ += walk(i) != k ? 1 : 0;
+        }
+        first = last + 1;
+    }
+    return differ;
+}
+
+TEST(WeightedTable, WalkIsMonotoneInTarget) {
+    const std::vector<double> weights{0.1, 0.2, 0.3, 0.0, 1e-9, 2.5, 0.3, 0.1, 1e16, 1.0, 0.0};
+    double total = 0.0;
+    for (double w : weights) total += w;
+    rand::rng gen{3};
+    std::vector<double> targets{0.0, total};
+    for (int i = 0; i < 20000; ++i) targets.push_back(gen.uniform() * total);
+    for (int i = 0; i < 2000; ++i) targets.push_back(gen.uniform() * 3.6);
+    std::sort(targets.begin(), targets.end());
+    for (std::size_t i = 1; i < targets.size(); ++i) {
+        ASSERT_LE(rand::weighted_walk(weights, targets[i - 1]),
+                  rand::weighted_walk(weights, targets[i]))
+            << targets[i - 1] << " " << targets[i];
+    }
+}
+
+// The weights the large world's fleet draws its 14,400 probes from, and the
+// resolver study's Zipf SLD popularity: the two callers whose per-draw linear
+// walk the table replaces. Zero disagreements are allowed in 10^6 draws each.
+TEST(WeightedTable, MatchesLinearWalkOnLargeFleetWeights) {
+    const auto config = core::world_config::large();
+    const auto regions = topo::make_regions(config.regions, config.seed);
+    const auto graph = topo::make_graph(regions, config.graph, rand::mix_seed(config.seed, 1));
+    const auto weights = atlas::probe_host_candidates(graph, regions, config.atlas).weights;
+    ASSERT_GT(weights.size(), 10000U);
+    EXPECT_EQ(disagreements(weights, 1'000'000, 101), 0U);
+
+    // Same generator state, same index, walked draw by draw: the table's
+    // target is bit-identical to the one `weighted_index` draws.
+    const rand::weighted_table fleet{weights};
+    rand::rng a{7};
+    rand::rng b{7};
+    for (int i = 0; i < 2000; ++i) ASSERT_EQ(fleet.draw(a), b.weighted_index(weights));
+}
+
+TEST(WeightedTable, MatchesLinearWalkOnResolverZipfWeights) {
+    const resolver::workload_options workload;
+    std::vector<double> zipf(static_cast<std::size_t>(workload.sld_universe));
+    for (std::size_t i = 0; i < zipf.size(); ++i) {
+        zipf[i] = 1.0 / std::pow(static_cast<double>(i + 1), workload.sld_zipf_s);
+    }
+    EXPECT_EQ(disagreements(zipf, 1'000'000, 202), 0U);
+
+    const rand::weighted_table slds{zipf};
+    rand::rng a{7};
+    rand::rng b{7};
+    for (int i = 0; i < 20000; ++i) ASSERT_EQ(slds.draw(a), b.weighted_index(zipf));
+}
+
+// Targets on and a few ulps around every prefix sum, where rounding can put
+// the walk and the prefix sums on different sides of a boundary: each must
+// agree with the walk. Some of them are picked wrongly by the prefix sums
+// alone, so on those the table's answer can only have come from the
+// fallback walk, which is what makes the table exact.
+TEST(WeightedTable, BoundaryTargetsFallBackToTheWalk) {
+    std::vector<std::vector<double>> cases;
+    std::vector<double> repeated;
+    for (int i = 0; i < 300; ++i) repeated.push_back(0.1 * static_cast<double>(1 + i % 3));
+    cases.push_back(repeated);
+    cases.push_back({1e16, 1.0, 1.0, 1e-3, 1e16, 0.5, 3.0});  // huge next to tiny
+    cases.push_back({1e-300, 1.0, 1e-300, 1e300, 1.0, 1e-17});
+
+    std::size_t prefix_only_wrong = 0;
+    for (const auto& weights : cases) {
+        const rand::weighted_table table{weights};
+        std::vector<double> cum;
+        double sum = 0.0;
+        for (const double w : weights) cum.push_back(sum += w);
+        ASSERT_EQ(cum.back(), table.total());
+        for (const double boundary : cum) {
+            double t = boundary;
+            for (int step = 0; step < 4; ++step) t = std::nextafter(t, 0.0);
+            for (int step = 0; step < 9; ++step, t = std::nextafter(t, table.total())) {
+                if (t > table.total()) break;
+                const std::size_t walked = rand::weighted_walk(weights, t);
+                EXPECT_EQ(table.pick(t), walked) << t;
+                EXPECT_GT(weights[walked], 0.0) << t;
+                const auto prefix = static_cast<std::size_t>(
+                    std::upper_bound(cum.begin(), cum.end(), t) - cum.begin());
+                if (prefix != walked) ++prefix_only_wrong;
+            }
+        }
+    }
+    EXPECT_GT(prefix_only_wrong, 0U);
+
+    // Far from every boundary: 0.1, 0.2, 0.3, 0.1, ... puts 2.25 inside
+    // weight 11 (cumulative 2.1 to 2.4).
+    const rand::weighted_table table{repeated};
+    EXPECT_EQ(table.pick(2.25), 11U);
+}
+
+TEST(WeightedTable, ZeroWeightsAreNeverDrawn) {
+    const std::vector<double> weights{0.0, 1.0, 0.0, 0.0, 2.0, 0.0};
+    const rand::weighted_table table{weights};
+    rand::rng gen{9};
+    for (int i = 0; i < 20000; ++i) {
+        const std::size_t k = table.draw(gen);
+        ASSERT_TRUE(k == 1 || k == 4) << k;
+    }
+    // A target the walk leaves unspent goes to the last positive weight,
+    // not to the trailing zero.
+    EXPECT_EQ(rand::weighted_walk(weights, table.total()), 4U);
+    EXPECT_EQ(table.pick(table.total()), 4U);
+    EXPECT_EQ(table.pick(0.0), 1U);
+    EXPECT_EQ(table.pick(1.0), rand::weighted_walk(weights, 1.0));
+}
+
+TEST(WeightedTable, RejectsInvalidWeights) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(rand::weighted_table{std::vector<double>{}}, std::invalid_argument);
+    EXPECT_THROW((rand::weighted_table{{1.0, -0.5}}), std::invalid_argument);
+    EXPECT_THROW((rand::weighted_table{{1.0, nan}}), std::invalid_argument);
+    EXPECT_THROW((rand::weighted_table{{1.0, inf}}), std::invalid_argument);
+    EXPECT_THROW((rand::weighted_table{{0.0, 0.0}}), std::invalid_argument);
+    EXPECT_THROW((rand::weighted_table{{1e308, 1e308}}), std::invalid_argument);  // total overflows
+    EXPECT_NO_THROW((rand::weighted_table{{0.0, 1e-300}}));
 }
 
 TEST(Rng, ForkIsIndependentOfDrawCount) {
