@@ -259,12 +259,4 @@ favorite_site_result compute_favorite_site(std::span<const capture::letter_table
     return result;
 }
 
-favorite_site_result compute_favorite_site(std::span<const capture::letter_capture> captures,
-                                           engine::thread_pool* pool) {
-    std::vector<capture::letter_table> tables;
-    tables.reserve(captures.size());
-    for (const auto& capture : captures) tables.push_back(capture::to_table(capture));
-    return compute_favorite_site(tables, pool);
-}
-
 } // namespace ac::analysis

@@ -10,9 +10,7 @@
 // All aggregation runs on the shared columnar kernels (src/table/): volumes
 // are grouped by sorted key, so every result is deterministic by
 // construction — iteration order is ascending key order, never hash order.
-// Every function takes the columnar `capture::letter_table` form the world
-// keeps; only compute_favorite_site also accepts raw captures, whose callers
-// have no table form.
+// Every function takes the columnar `capture::letter_table` form.
 #pragma once
 
 #include <cstdint>
@@ -96,14 +94,9 @@ struct favorite_site_result {
     std::map<char, weighted_cdf> fraction_not_favorite;  // CDF over /24s
 };
 
-/// Columnar form. Per-/24 reductions fan out over `pool` (null = inline);
+/// Per-/24 reductions fan out over `pool` (null = inline);
 /// output is identical at any thread count.
 [[nodiscard]] favorite_site_result compute_favorite_site(
     std::span<const capture::letter_table> captures, engine::thread_pool* pool = nullptr);
-
-/// Raw-capture form (Fig. 10 reads unfiltered captures): converts each
-/// capture to a table and delegates.
-[[nodiscard]] favorite_site_result compute_favorite_site(
-    std::span<const capture::letter_capture> captures, engine::thread_pool* pool = nullptr);
 
 } // namespace ac::analysis

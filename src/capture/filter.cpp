@@ -2,6 +2,24 @@
 
 namespace ac::capture {
 
+namespace {
+
+enum class verdict { keep, private_source, invalid_tld, ptr };
+
+/// The one §2.1 rule both the row and the columnar filter apply.
+verdict judge(net::ipv4_addr source, query_category category, const filter_options& options) {
+    if (options.drop_private_sources && net::is_private_or_reserved(source)) {
+        return verdict::private_source;
+    }
+    if (options.drop_invalid_tld && category == query_category::invalid_tld) {
+        return verdict::invalid_tld;
+    }
+    if (options.drop_ptr && category == query_category::ptr) return verdict::ptr;
+    return verdict::keep;
+}
+
+} // namespace
+
 filtered_letter filter_letter(const letter_capture& capture, const filter_options& options) {
     filtered_letter out;
     out.letter = capture.letter;
@@ -12,20 +30,21 @@ filtered_letter filter_letter(const letter_capture& capture, const filter_option
 
     for (const auto& record : capture.records) {
         out.stats.raw_queries_per_day += record.queries_per_day;
-        if (options.drop_private_sources && net::is_private_or_reserved(record.source_ip)) {
+        switch (judge(record.source_ip, record.category, options)) {
+        case verdict::private_source:
             out.stats.private_dropped += record.queries_per_day;
-            continue;
-        }
-        if (options.drop_invalid_tld && record.category == query_category::invalid_tld) {
+            break;
+        case verdict::invalid_tld:
             out.stats.invalid_dropped += record.queries_per_day;
-            continue;
-        }
-        if (options.drop_ptr && record.category == query_category::ptr) {
+            break;
+        case verdict::ptr:
             out.stats.ptr_dropped += record.queries_per_day;
-            continue;
+            break;
+        case verdict::keep:
+            out.stats.kept += record.queries_per_day;
+            out.records.push_back(record);
+            break;
         }
-        out.stats.kept += record.queries_per_day;
-        out.records.push_back(record);
     }
     return out;
 }
@@ -73,6 +92,26 @@ letter_table to_table(const filtered_letter& letter) {
 
 letter_table to_table(const letter_capture& capture) {
     return columns_of(capture.letter, capture.spec, capture.records, capture.tcp_rtts);
+}
+
+letter_table filter_table(const letter_table& raw, const filter_options& options) {
+    letter_table out;
+    out.letter = raw.letter;
+    out.spec = raw.spec;
+    const auto ip = raw.source_ip.view();
+    const auto site = raw.site.view();
+    const auto category = raw.category.view();
+    const auto volume = raw.queries_per_day.view();
+    for (std::size_t i = 0; i < ip.size(); ++i) {
+        if (judge(net::ipv4_addr{ip[i]}, category[i], options) != verdict::keep) continue;
+        out.source_ip.push_back(ip[i]);
+        out.site.push_back(site[i]);
+        out.category.push_back(category[i]);
+        out.queries_per_day.push_back(volume[i]);
+    }
+    out.tcp_key = raw.tcp_key;
+    out.tcp_median_rtt_ms = raw.tcp_median_rtt_ms;
+    return out;
 }
 
 std::vector<letter_table> to_tables(std::span<const filtered_letter> letters) {

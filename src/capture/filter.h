@@ -66,4 +66,9 @@ struct letter_table {
 [[nodiscard]] letter_table to_table(const letter_capture& capture);
 [[nodiscard]] std::vector<letter_table> to_tables(std::span<const filtered_letter> letters);
 
+/// The §2.1 filter on a table: the rows of `raw` that filter_letter keeps,
+/// in the same order, with the TCP medians carried through, so
+/// `filter_table(to_table(c), o)` equals `to_table(filter_letter(c, o))`.
+[[nodiscard]] letter_table filter_table(const letter_table& raw, const filter_options& options);
+
 } // namespace ac::capture

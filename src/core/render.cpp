@@ -20,30 +20,4 @@ void print_cdf_row(std::ostream& os, const std::string& label,
     os << " " << unit << "  (n=" << cdf.size() << ")\n";
 }
 
-void print_fraction_row(std::ostream& os, const std::string& label,
-                        const analysis::weighted_cdf& cdf, std::initializer_list<double> at,
-                        const std::string& unit) {
-    os << "  " << label << ": ";
-    if (cdf.empty()) {
-        os << "(no data)\n";
-        return;
-    }
-    bool first = true;
-    for (double v : at) {
-        if (!first) os << "  ";
-        first = false;
-        os << "P[<=" << strfmt::fixed(v, v < 1 ? 3 : 0) << unit
-           << "]=" << strfmt::fixed(cdf.fraction_leq(v), 3);
-    }
-    os << "\n";
-}
-
-void print_box_row(std::ostream& os, const std::string& label,
-                   const analysis::box_summary& box) {
-    os << "  " << label << ": min=" << strfmt::fixed(box.minimum, 1)
-       << " q1=" << strfmt::fixed(box.q1, 1) << " med=" << strfmt::fixed(box.median, 1)
-       << " q3=" << strfmt::fixed(box.q3, 1) << " max=" << strfmt::fixed(box.maximum, 1)
-       << "  (w=" << strfmt::fixed(box.weight, 0) << ")\n";
-}
-
 } // namespace ac::core

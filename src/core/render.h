@@ -13,12 +13,4 @@ namespace ac::core {
 void print_cdf_row(std::ostream& os, const std::string& label, const analysis::weighted_cdf& cdf,
                    const std::string& unit = "ms");
 
-/// Prints the fraction of weight at or below each of the given thresholds.
-void print_fraction_row(std::ostream& os, const std::string& label,
-                        const analysis::weighted_cdf& cdf, std::initializer_list<double> at,
-                        const std::string& unit = "ms");
-
-/// Prints a five-number box summary.
-void print_box_row(std::ostream& os, const std::string& label, const analysis::box_summary& box);
-
 } // namespace ac::core

@@ -543,6 +543,12 @@ world_parts read_world_parts(const std::shared_ptr<const bundle>& b, int threads
         }
     }
     data.client_rows = read_client_rows(*b);
+    const auto ring_count = static_cast<std::int64_t>(config.cdn.ring_sizes.size());
+    for (const auto& row : data.client_rows) {
+        if (row.ring < 0 || row.ring >= ring_count) {
+            throw snapshot_error(errc::malformed, "client/ring names a ring outside the world");
+        }
+    }
     data.cdn_count_blocks = read_entry_pairs(*b, "pop/cdn/block_key", "pop/cdn/block_users");
     data.cdn_count_ips = read_entry_pairs(*b, "pop/cdn/ip_key", "pop/cdn/ip_users");
     data.cdn_count_total = b->scalar<double>("pop/cdn/total");

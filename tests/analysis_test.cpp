@@ -325,7 +325,9 @@ TEST_F(JoinFixture, ExactIpJoinMatchesBruteForceRowScan) {
 }
 
 TEST_F(JoinFixture, FavoriteSiteMostlyCoherent) {
-    const auto result = analysis::compute_favorite_site(w().ditl().letters);
+    std::vector<capture::letter_table> raw;
+    for (const auto& capture : w().ditl().letters) raw.push_back(capture::to_table(capture));
+    const auto result = analysis::compute_favorite_site(raw);
     // Letters with full anonymization are skipped.
     EXPECT_FALSE(result.fraction_not_favorite.contains('I'));
     for (const auto& [letter, cdf] : result.fraction_not_favorite) {

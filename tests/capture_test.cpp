@@ -118,6 +118,33 @@ TEST_F(CaptureFixture, FilterOptionsAreHonored) {
     EXPECT_GT(filtered.stats.private_dropped, 0.0);
 }
 
+TEST_F(CaptureFixture, TableFilterKeepsTheRowsTheRecordFilterKeeps) {
+    capture::filter_options keep_junk;
+    keep_junk.drop_invalid_tld = false;
+    keep_junk.drop_ptr = false;
+    capture::filter_options keep_all = keep_junk;
+    keep_all.drop_private_sources = false;
+    const auto same = [](const auto& a, const auto& b) {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    };
+    for (const auto& raw : w().ditl().letters) {
+        const auto raw_table = capture::to_table(raw);
+        for (const auto& options : {capture::filter_options{}, keep_junk, keep_all}) {
+            const auto want = capture::to_table(capture::filter_letter(raw, options));
+            const auto got = capture::filter_table(raw_table, options);
+            EXPECT_EQ(got.letter, want.letter);
+            EXPECT_TRUE(same(got.source_ip.view(), want.source_ip.view())) << raw.letter;
+            EXPECT_TRUE(same(got.site.view(), want.site.view())) << raw.letter;
+            EXPECT_TRUE(same(got.category.view(), want.category.view())) << raw.letter;
+            EXPECT_TRUE(same(got.queries_per_day.view(), want.queries_per_day.view()))
+                << raw.letter;
+            EXPECT_TRUE(same(got.tcp_key.view(), want.tcp_key.view())) << raw.letter;
+            EXPECT_TRUE(same(got.tcp_median_rtt_ms.view(), want.tcp_median_rtt_ms.view()))
+                << raw.letter;
+        }
+    }
+}
+
 /// Groups a letter table's rows by (source key << 32) | site, where the
 /// source key is the /24 key or the whole address.
 table::grouping<std::uint64_t> group_by_source_and_site(const capture::letter_table& t,

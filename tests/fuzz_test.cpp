@@ -12,12 +12,18 @@
 //     there set to 0, the file size, the file size + 1 and 2^63, with the
 //     whole-file checksum recomputed, so the bytes reach the structural
 //     checks of the header and section table.
-//   - Encoded section headers: the u32 row count of a dict, an rle and a
-//     delta section set to edge values and bit-flipped, checksums
-//     recomputed, so the bytes reach the encoding validation and its decode
-//     bound.
+//   - Encoded sections: in a dict, an rle and a delta section, the
+//     header's u32 row count set to edge values and bit-flipped; the dict
+//     value width set to every byte value, codes >= the dictionary size,
+//     the dictionary size and every dictionary-delta bit; each rle run end
+//     set to increasing and non-increasing values and a last end other than
+//     the row count; each delta block width set to every byte value and
+//     each block offset pushed inside and past the packed area. Checksums
+//     are recomputed, so the bytes reach the encoding validation.
 //   - Hydration: the last `server/region` row of an all-plain small world
-//     set to the first ids past its region table, checksums recomputed.
+//     set to the first ids past its region table, and its last
+//     `client/ring` row set to -1, INT32_MAX and the first rings past its
+//     ring count, checksums recomputed.
 //   - Grid specs: ci/sweep_smoke.txt truncated at every byte, with every bit
 //     flipped, and with lines dropped, duplicated and spliced in.
 //   - Timelines: the all-letter scenario ci/scenario_all_letters.txt and a
@@ -41,6 +47,7 @@
 #include <exception>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <set>
 #include <span>
@@ -270,26 +277,61 @@ TEST(ContainerMutation, HeaderAndSectionTable) {
     EXPECT_LT(opened, cases);
 }
 
-TEST(EncodedHeaderMutation, RowCount) {
-    // One section per encoding (dict, rle, delta), each with its header's
-    // u32 row count replaced by every value below. A file that opens must
-    // decode every section to its row count.
-    std::vector<std::uint32_t> dict;
-    std::vector<std::uint32_t> runs;
-    std::vector<std::uint32_t> arithmetic;
-    for (std::uint32_t i = 0; i < 300; ++i) {
-        dict.push_back(i % 7);
-        runs.push_back(i / 50);
-        arithmetic.push_back(1000000 + 3 * i);
-    }
-    snapshot::writer w;
-    w.add_column_encoded<std::uint32_t>("dict", dict);
-    w.add_column_encoded<std::uint32_t>("rle", runs);
-    w.add_column_encoded<std::uint32_t>("delta", arithmetic);
-    const auto seed = w.finish();
-    const auto clean = snapshot::bundle::from_bytes(seed);
-    ASSERT_EQ(clean->sections().size(), 3u);
+/// One 300-row u32 section per encoding: "dict" (i % 7: seven values,
+/// 3-bit codes), "rle" (i / 50: six runs) and "delta" (1000000 + 3i: three
+/// 128-row blocks).
+const std::vector<std::byte>& encoded_image() {
+    static const auto image = [] {
+        std::vector<std::uint32_t> dict;
+        std::vector<std::uint32_t> runs;
+        std::vector<std::uint32_t> arithmetic;
+        for (std::uint32_t i = 0; i < 300; ++i) {
+            dict.push_back(i % 7);
+            runs.push_back(i / 50);
+            arithmetic.push_back(1000000 + 3 * i);
+        }
+        snapshot::writer w;
+        w.add_column_encoded<std::uint32_t>("dict", dict);
+        w.add_column_encoded<std::uint32_t>("rle", runs);
+        w.add_column_encoded<std::uint32_t>("delta", arithmetic);
+        return w.finish();
+    }();
+    return image;
+}
 
+/// Edits a copy of encoded_image() in place through `mutate`, which gets
+/// the payload of `section`, and reseals it. The file must then fail with
+/// a snapshot_error or open with every section decoding to its row count.
+/// Returns whether it opened.
+bool opens_after_edit(const std::string& section,
+                      const std::function<void(std::byte* payload)>& mutate,
+                      const std::string& which) {
+    auto img = encoded_image();
+    const auto clean = snapshot::bundle::from_bytes(img);
+    mutate(img.data() + clean->section(section).payload_offset);
+    reseal(img);
+    bool opened = false;
+    expect_value_or<snapshot::snapshot_error>(
+        [&] {
+            const auto b = snapshot::bundle::from_bytes(img);
+            for (const auto& t : b->sections()) {
+                EXPECT_EQ(b->typed_column<std::uint32_t>(t.name).size(), t.rows) << which;
+            }
+            opened = true;
+        },
+        which);
+    return opened;
+}
+
+template <typename T>
+void store(std::byte* at, T value) {
+    std::memcpy(at, &value, sizeof value);
+}
+
+TEST(EncodedHeaderMutation, RowCount) {
+    // Each section's header u32 row count replaced by every value below.
+    const auto clean = snapshot::bundle::from_bytes(encoded_image());
+    ASSERT_EQ(clean->sections().size(), 3u);
     for (const auto& s : clean->sections()) {
         ASSERT_NE(s.encoding, table::enc::encoding::plain) << s.name;
         const auto rows = static_cast<std::uint32_t>(s.rows);
@@ -297,18 +339,158 @@ TEST(EncodedHeaderMutation, RowCount) {
                                           1 << 16, 1 << 25, 0xFFFFFFFF};
         for (int bit = 0; bit < 32; ++bit) counts.push_back(rows ^ (std::uint32_t{1} << bit));
         for (const std::uint32_t count : counts) {
-            auto img = seed;
-            std::memcpy(img.data() + s.payload_offset, &count, sizeof count);
-            reseal(img);
-            expect_value_or<snapshot::snapshot_error>(
-                [&] {
-                    const auto b = snapshot::bundle::from_bytes(img);
-                    for (const auto& t : b->sections()) {
-                        EXPECT_EQ(b->typed_column<std::uint32_t>(t.name).size(), t.rows)
-                            << s.name << " rows " << count;
-                    }
-                },
+            (void)opens_after_edit(
+                std::string{s.name}, [&](std::byte* p) { store(p, count); },
                 std::string{s.name} + " rows " + std::to_string(count));
+        }
+    }
+}
+
+// Encoded payload bodies, past the header (layouts in src/table/encoding.h).
+
+TEST(EncodedBodyMutation, DictValueWidthAndCodes) {
+    const auto clean = snapshot::bundle::from_bytes(encoded_image());
+    const auto& s = clean->section("dict");
+    ASSERT_EQ(s.encoding, table::enc::encoding::dict);
+    std::byte header[32];
+    std::memcpy(header, encoded_image().data() + s.payload_offset, sizeof header);
+    std::uint64_t dict_size = 0;
+    std::memcpy(&dict_size, header + 8, sizeof dict_size);
+    const auto code_width = static_cast<unsigned>(header[4]);
+    const auto value_width = static_cast<unsigned>(header[24]);
+    ASSERT_EQ(dict_size, 7u);
+    ASSERT_EQ(code_width, 3u);
+    const std::uint64_t codes_at = 32 + table::enc::packed_bytes(dict_size, value_width);
+
+    // Every dictionary value width. A width outside {0..56, 64} fails; a
+    // valid one opens only where it packs the dictionary into the same
+    // bytes (the values change, the row count does not).
+    std::size_t opened = 0;
+    for (unsigned width = 0; width < 256; ++width) {
+        const bool ok = opens_after_edit(
+            "dict", [&](std::byte* p) { p[24] = static_cast<std::byte>(width); },
+            "dict value width " + std::to_string(width));
+        if (!table::enc::valid_width(width)) {
+            EXPECT_FALSE(ok) << "dict value width " << width;
+        }
+        opened += ok;
+    }
+    EXPECT_GE(opened, 1u);
+
+    // Codes >= D at the first, a middle and the last row: the one code the
+    // 3-bit field holds past the dictionary, and an in-range control.
+    const auto set_code = [&](std::uint64_t row, std::uint64_t code) {
+        return [=](std::byte* p) {
+            std::byte* codes = p + codes_at;
+            const std::uint64_t bit = row * code_width;
+            std::uint64_t word = 0;
+            std::memcpy(&word, codes + bit / 8, sizeof word);
+            const std::uint64_t mask = ((std::uint64_t{1} << code_width) - 1) << (bit % 8);
+            word = (word & ~mask) | (code << (bit % 8));
+            std::memcpy(codes + bit / 8, &word, sizeof word);
+        };
+    };
+    for (const std::uint64_t row : {std::uint64_t{0}, std::uint64_t{150}, std::uint64_t{299}}) {
+        for (std::uint64_t code = dict_size; code < (std::uint64_t{1} << code_width); ++code) {
+            EXPECT_FALSE(opens_after_edit("dict", set_code(row, code),
+                                          "dict row " + std::to_string(row) + " code " +
+                                              std::to_string(code)));
+        }
+        EXPECT_TRUE(opens_after_edit("dict", set_code(row, dict_size - 1),
+                                     "dict row " + std::to_string(row) + " last code"));
+    }
+
+    // The dictionary size itself: zero or past the row count fails, and a
+    // size the codes and the payload length still fit opens.
+    for (const std::uint64_t d : {std::uint64_t{0}, dict_size - 1, dict_size + 1,
+                                  std::uint64_t{300}, std::uint64_t{301}, ~std::uint64_t{0}}) {
+        const bool ok = opens_after_edit("dict", [&](std::byte* p) { store(p + 8, d); },
+                                         "dict size " + std::to_string(d));
+        if (d == 0 || d > 300) {
+            EXPECT_FALSE(ok) << "dict size " << d;
+        }
+    }
+    // Every bit of the packed dictionary deltas: any pattern is a value.
+    for (std::uint64_t at = 32; at < codes_at; ++at) {
+        for (int bit = 0; bit < 8; ++bit) {
+            EXPECT_TRUE(opens_after_edit(
+                "dict", [&](std::byte* p) { p[at] ^= static_cast<std::byte>(1u << bit); },
+                "dict delta byte " + std::to_string(at) + " bit " + std::to_string(bit)));
+        }
+    }
+}
+
+TEST(EncodedBodyMutation, RleRunEnds) {
+    const auto clean = snapshot::bundle::from_bytes(encoded_image());
+    const auto& s = clean->section("rle");
+    ASSERT_EQ(s.encoding, table::enc::encoding::rle);
+    const std::byte* payload = encoded_image().data() + s.payload_offset;
+    std::uint64_t runs = 0;
+    std::memcpy(&runs, payload + 8, sizeof runs);
+    ASSERT_EQ(runs, 6u);
+    const std::uint64_t ends_at = table::enc::header_bytes + table::enc::align8(runs * 4);
+    std::vector<std::uint32_t> ends(runs);
+    std::memcpy(ends.data(), payload + ends_at, runs * 4);
+    const auto rows = static_cast<std::uint32_t>(s.rows);
+    ASSERT_EQ(ends.back(), rows);
+
+    // Each run end set to values that keep the ends strictly increasing and
+    // ending at the row count (the run lengths change, the file opens) and
+    // to values that do not (equal to or below its predecessor, at or past
+    // its successor, or a last end other than the row count).
+    for (std::uint64_t r = 0; r < runs; ++r) {
+        const std::uint32_t prev = r == 0 ? 0 : ends[r - 1];
+        const std::uint32_t next = r + 1 == runs ? rows : ends[r + 1];
+        const bool last = r + 1 == runs;
+        for (const std::uint32_t v : {std::uint32_t{0}, prev, prev + 1, next - 1, next,
+                                      rows - 1, rows, rows + 1, std::uint32_t{0xFFFFFFFF}}) {
+            const bool valid = last ? v == rows : (v > prev && v < next);
+            EXPECT_EQ(opens_after_edit(
+                          "rle", [&](std::byte* p) { store(p + ends_at + 4 * r, v); },
+                          "rle end " + std::to_string(r) + " = " + std::to_string(v)),
+                      valid)
+                << "rle end " << r << " = " << v;
+        }
+    }
+}
+
+TEST(EncodedBodyMutation, DeltaBlockWidthsAndOffsets) {
+    const auto clean = snapshot::bundle::from_bytes(encoded_image());
+    const auto& s = clean->section("delta");
+    ASSERT_EQ(s.encoding, table::enc::encoding::delta);
+    const std::uint64_t blocks = (s.rows + table::enc::delta_block_rows - 1) /
+                                 table::enc::delta_block_rows;
+    ASSERT_EQ(blocks, 3u);
+    const std::uint64_t offsets_at = table::enc::header_bytes + blocks * 8;
+    const std::uint64_t widths_at = offsets_at + table::enc::align8(blocks * 4);
+    const std::uint64_t packed_at = widths_at + table::enc::align8(blocks);
+    const std::uint64_t packed_size = s.payload_bytes - packed_at;
+
+    // Every block width 0..255: outside {0..56, 64} is invalid, and a valid
+    // width other than the stored one no longer matches the payload size.
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+        std::size_t opened = 0;
+        for (unsigned width = 0; width < 256; ++width) {
+            opened += opens_after_edit(
+                "delta", [&](std::byte* p) { p[widths_at + b] = static_cast<std::byte>(width); },
+                "delta block " + std::to_string(b) + " width " + std::to_string(width));
+        }
+        EXPECT_GE(opened, 1u) << "block " << b;
+        EXPECT_LT(opened, 4u) << "block " << b;
+    }
+
+    // Block byte offsets inside, at the end of and past the packed area.
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+        std::uint32_t stored = 0;
+        std::memcpy(&stored, encoded_image().data() + s.payload_offset + offsets_at + 4 * b,
+                    sizeof stored);
+        const auto end = static_cast<std::uint32_t>(packed_size);
+        for (const std::uint32_t offset : {stored + 1, stored + 8, end - 8, end, end + 1,
+                                           end + 4096, std::uint32_t{0xFFFFFFFF}}) {
+            if (offset == stored) continue;
+            EXPECT_FALSE(opens_after_edit(
+                "delta", [&](std::byte* p) { store(p + offsets_at + 4 * b, offset); },
+                "delta block " + std::to_string(b) + " offset " + std::to_string(offset)));
         }
     }
 }
@@ -340,6 +522,36 @@ TEST(HydrationMutation, ServerRegionOutsideTheWorld) {
         try {
             (void)with_last_row(region);
             ADD_FAILURE() << "region " << region << " hydrated";
+        } catch (const snapshot::snapshot_error& e) {
+            EXPECT_EQ(e.code(), snapshot::errc::malformed) << e.what();
+        }
+    }
+}
+
+TEST(HydrationMutation, ClientRingOutsideTheWorld) {
+    const auto world =
+        snapshot::hydrate_world_ptr(snapshot::bundle::from_bytes(small_world_image()));
+    const auto plain = snapshot::encode_world(*world, 1);
+    const auto clean = snapshot::bundle::from_bytes(plain);
+    const auto& s = clean->section("client/ring");
+    ASSERT_EQ(s.encoding, table::enc::encoding::plain);
+    ASSERT_GT(s.rows, 0U);
+    const std::int32_t rings = world->cdn_net().ring_count();
+    ASSERT_GT(rings, 0);
+
+    const auto with_last_row = [&](std::int32_t ring) {
+        auto img = plain;
+        std::memcpy(img.data() + s.payload_offset + sizeof ring * (s.rows - 1), &ring,
+                    sizeof ring);
+        reseal(img);
+        return snapshot::hydrate_world_ptr(snapshot::bundle::from_bytes(img));
+    };
+    EXPECT_EQ(with_last_row(rings - 1)->client_measurements().back().ring, rings - 1);
+    for (const std::int32_t ring :
+         {rings, rings + 1, std::int32_t{-1}, std::numeric_limits<std::int32_t>::max()}) {
+        try {
+            (void)with_last_row(ring);
+            ADD_FAILURE() << "ring " << ring << " hydrated";
         } catch (const snapshot::snapshot_error& e) {
             EXPECT_EQ(e.code(), snapshot::errc::malformed) << e.what();
         }

@@ -3,6 +3,7 @@
 // reproduce" checks; EXPERIMENTS.md records exact measured values.
 #include <gtest/gtest.h>
 
+#include "src/analysis/cdn_latency.h"
 #include "src/analysis/deployment_metrics.h"
 #include "src/analysis/inflation.h"
 #include "src/analysis/join.h"
@@ -187,6 +188,46 @@ TEST_F(PaperShapes, RootSystemCoverageIsExcellent) {
     const auto r110 =
         analysis::compute_ring_coverage(w().cdn_net(), 4, w().users(), w().regions(), radii);
     EXPECT_GT(l_curve.covered_fraction[1], r110.covered_fraction[1] - 0.1);
+}
+
+TEST_F(PaperShapes, BiggerRingsAreEqualOrBetterForMostLocations) {
+    // §5.2 / Fig. 4b: at every step to the next larger ring, most locations
+    // see equal or lower latency, and almost none regress by more than
+    // 10 ms per RTT.
+    const auto deltas =
+        analysis::ring_step_delta(w().client_measurements(), w().cdn_net().ring_count(),
+                                  w().config().telemetry.fetch_rtt_multiple);
+    ASSERT_EQ(deltas.size(), static_cast<std::size_t>(w().cdn_net().ring_count() - 1));
+    for (std::size_t step = 0; step < deltas.size(); ++step) {
+        ASSERT_FALSE(deltas[step].empty()) << "step " << step;
+        EXPECT_GE(deltas[step].fraction_above(-0.01), 0.5) << "step " << step;
+        EXPECT_LT(deltas[step].fraction_leq(-10.0), 0.05) << "step " << step;
+    }
+}
+
+TEST_F(PaperShapes, SlashTwentyFoursStickToOneSite) {
+    // App. B.2 / Fig. 10: for every letter, more than 80% of /24s send all
+    // their queries to one site.
+    std::vector<capture::letter_table> raw;
+    for (const auto& capture : w().ditl().letters) raw.push_back(capture::to_table(capture));
+    const auto favorite = analysis::compute_favorite_site(raw);
+    int letters = 0;
+    for (const auto& [letter, cdf] : favorite.fraction_not_favorite) {
+        if (cdf.empty()) continue;
+        ++letters;
+        EXPECT_GT(cdf.fraction_leq(1e-9), 0.8) << letter;
+    }
+    EXPECT_GT(letters, 5);
+}
+
+TEST_F(PaperShapes, LatencyFallsNearFrontEnds) {
+    // App. F / Fig. 14: users near a front-end see lower latency to R110
+    // than users far from every front-end.
+    const auto map =
+        analysis::compute_latency_map(w().server_log_table(), w().cdn_net(), w().regions());
+    ASSERT_FALSE(map.near_users.empty());
+    ASSERT_FALSE(map.far_users.empty());
+    EXPECT_LT(map.near_users.median(), map.far_users.median());
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include "src/core/report.h"
 #include "src/core/world.h"
 #include "src/obs/trace.h"
+#include "tests/figure_goldens.h"
 
 namespace {
 
@@ -48,42 +49,15 @@ protected:
         return out.str();
     }
 
-    static std::uint64_t fnv1a(const std::string& bytes) {
-        std::uint64_t hash = 0xcbf29ce484222325ull;
-        for (const unsigned char c : bytes) {
-            hash ^= c;
-            hash *= 0x100000001b3ull;
-        }
-        return hash;
-    }
-
-    // FNV-1a checksums captured from the row-oriented pipeline before the
-    // columnar refactor; every later refactor (shared table kernels, the
-    // routing fast path) must keep the figure bytes pinned to these. A
-    // deliberate analysis change must update them.
-    static const std::map<std::string, std::uint64_t>& golden_checksums() {
-        static const std::map<std::string, std::uint64_t> golden{
-            {"fig02a_root_geographic_inflation.csv", 0xf89b2711a8752802ull},
-            {"fig02b_root_latency_inflation.csv", 0x6a9c3423ad802dbdull},
-            {"fig03_queries_per_user.csv", 0x3ece8f7160e524bcull},
-            {"fig05a_cdn_geographic_inflation.csv", 0x5d7265254d591962ull},
-            {"fig05b_cdn_latency_inflation.csv", 0xf9188357f8e7a56full},
-            {"fig06a_as_path_lengths.csv", 0xe720d1e81e60ee21ull},
-            {"fig07a_size_latency_efficiency.csv", 0xdc045b25c74e6a2bull},
-            {"fig07b_coverage.csv", 0x8131c0bca505e0dcull},
-        };
-        return golden;
-    }
-
     static void expect_golden_files(const std::vector<std::string>& files,
                                     const std::string& context) {
-        ASSERT_EQ(files.size(), golden_checksums().size()) << context;
+        ASSERT_EQ(files.size(), test::figure_goldens().size()) << context;
         for (const auto& f : files) {
             const auto name = std::filesystem::path{f}.filename().string();
-            const auto it = golden_checksums().find(name);
-            ASSERT_NE(it, golden_checksums().end())
+            const auto it = test::figure_goldens().find(name);
+            ASSERT_NE(it, test::figure_goldens().end())
                 << "unexpected figure file " << name << " (" << context << ")";
-            EXPECT_EQ(fnv1a(read_bytes(f)), it->second) << name << " (" << context << ")";
+            EXPECT_EQ(test::fnv1a(read_bytes(f)), it->second) << name << " (" << context << ")";
         }
     }
 };
@@ -91,7 +65,7 @@ protected:
 TEST_F(ReportFixture, WritesAllFigureFiles) {
     const auto dir = temp_dir();
     const auto files = core::write_figure_csvs(w(), dir.string());
-    EXPECT_EQ(files.size(), 8u);
+    EXPECT_EQ(files.size(), test::figure_goldens().size());
     for (const auto& f : files) {
         EXPECT_TRUE(std::filesystem::exists(f)) << f;
         EXPECT_GT(std::filesystem::file_size(f), 0u) << f;
@@ -207,9 +181,11 @@ TEST_F(ReportFixture, ObservabilityNeverChangesFigureBytes) {
     obs::write_chrome_trace(trace);
     const std::string json = trace.str();
     for (const char* name :
-         {"ditl/letter", "report/root_inflation", "report/cdn_inflation", "report/fig02a",
-          "report/fig02b", "report/fig03", "report/fig05a", "report/fig05b", "report/fig06a",
-          "report/fig07a", "report/fig07b"}) {
+         {"ditl/letter", "report/root_inflation", "report/cdn_inflation", "report/fig01",
+          "report/fig02a", "report/fig02b", "report/fig03", "report/fig04a", "report/fig04b",
+          "report/fig05a", "report/fig05b", "report/fig06a", "report/fig06b", "report/fig07a",
+          "report/fig07b", "report/raw_tables", "report/fig08", "report/fig09", "report/fig10",
+          "report/fig14", "report/tab04"}) {
         EXPECT_NE(json.find(std::string{"\""} + name + "\""), std::string::npos)
             << "no span named " << name;
     }

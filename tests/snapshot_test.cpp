@@ -7,7 +7,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -16,6 +15,7 @@
 #include "src/core/report.h"
 #include "src/snapshot/world_io.h"
 #include "src/snapshot/xxhash64.h"
+#include "tests/figure_goldens.h"
 
 namespace {
 
@@ -63,40 +63,15 @@ protected:
         return out.str();
     }
 
-    static std::uint64_t fnv1a(const std::string& bytes) {
-        std::uint64_t hash = 0xcbf29ce484222325ull;
-        for (const unsigned char c : bytes) {
-            hash ^= c;
-            hash *= 0x100000001b3ull;
-        }
-        return hash;
-    }
-
-    /// The report_test.cpp goldens: a hydrated world must reproduce the same
-    /// figure bytes a live build produces.
-    static const std::map<std::string, std::uint64_t>& golden_checksums() {
-        static const std::map<std::string, std::uint64_t> golden{
-            {"fig02a_root_geographic_inflation.csv", 0xf89b2711a8752802ull},
-            {"fig02b_root_latency_inflation.csv", 0x6a9c3423ad802dbdull},
-            {"fig03_queries_per_user.csv", 0x3ece8f7160e524bcull},
-            {"fig05a_cdn_geographic_inflation.csv", 0x5d7265254d591962ull},
-            {"fig05b_cdn_latency_inflation.csv", 0xf9188357f8e7a56full},
-            {"fig06a_as_path_lengths.csv", 0xe720d1e81e60ee21ull},
-            {"fig07a_size_latency_efficiency.csv", 0xdc045b25c74e6a2bull},
-            {"fig07b_coverage.csv", 0x8131c0bca505e0dcull},
-        };
-        return golden;
-    }
-
     static void expect_golden_figures(const core::world& world, const std::string& context) {
         const auto dir = temp_dir("_" + context);
         const auto files = core::write_figure_csvs(world, dir.string());
-        ASSERT_EQ(files.size(), golden_checksums().size()) << context;
+        ASSERT_EQ(files.size(), test::figure_goldens().size()) << context;
         for (const auto& f : files) {
             const auto name = std::filesystem::path{f}.filename().string();
-            const auto it = golden_checksums().find(name);
-            ASSERT_NE(it, golden_checksums().end()) << name << " (" << context << ")";
-            EXPECT_EQ(fnv1a(read_bytes(f)), it->second) << name << " (" << context << ")";
+            const auto it = test::figure_goldens().find(name);
+            ASSERT_NE(it, test::figure_goldens().end()) << name << " (" << context << ")";
+            EXPECT_EQ(test::fnv1a(read_bytes(f)), it->second) << name << " (" << context << ")";
         }
         std::filesystem::remove_all(dir);
     }

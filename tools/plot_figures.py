@@ -6,8 +6,8 @@ Usage:
     python3 tools/plot_figures.py figures/ [--out plots/]
 
 Produces one PNG per figure, mirroring the paper's presentation (CDF axes
-for Figs. 2/3/5, stacked shares for Fig. 6a, scatter for Fig. 7a, coverage
-curves for Fig. 7b). Requires matplotlib.
+for Figs. 2/3/4/5/8/9/10, stacked shares for Fig. 6a, scatter for Fig. 7a,
+coverage curves for Fig. 7b). Requires matplotlib.
 """
 
 import argparse
@@ -37,14 +37,14 @@ def read_series(path, x_col, y_col, series_col):
     return series
 
 
-def plot_cdf(path, out, title, xlabel, xlim=None, logx=False):
+def plot_cdf(path, out, title, xlabel, xlim=None, logx=False, ylabel="CDF of users"):
     series = read_series(path, x_col=path_columns(path)[1], y_col="cdf",
                          series_col=path_columns(path)[0])
     fig, ax = plt.subplots(figsize=(7, 4.5))
     for name, (xs, ys) in sorted(series.items()):
         ax.plot(xs, ys, label=name, linewidth=1.4)
     ax.set_xlabel(xlabel)
-    ax.set_ylabel("CDF of users")
+    ax.set_ylabel(ylabel)
     ax.set_title(title)
     ax.set_ylim(0, 1)
     if xlim:
@@ -136,6 +136,13 @@ def main():
         ("fig03_queries_per_user.csv",
          lambda p, o: plot_cdf(p, o, "Fig. 3: root queries per user per day",
                                "queries / user / day", logx=True)),
+        ("fig04a_probe_ring_latency.csv",
+         lambda p, o: plot_cdf(p, o, "Fig. 4a: probe latency per ring",
+                               "RTT (ms)", xlim=(0, 200), ylabel="CDF of probes")),
+        ("fig04b_ring_step_delta.csv",
+         lambda p, o: plot_cdf(p, o, "Fig. 4b: latency change to the next larger ring",
+                               "smaller minus larger ring, per RTT (ms)", xlim=(-20, 20),
+                               ylabel="CDF of <region, AS> locations")),
         ("fig05a_cdn_geographic_inflation.csv",
          lambda p, o: plot_cdf(p, o, "Fig. 5a: CDN geographic inflation per RTT",
                                "inflation (ms)", xlim=(0, 40))),
@@ -145,6 +152,17 @@ def main():
         ("fig06a_as_path_lengths.csv", plot_fig06a),
         ("fig07a_size_latency_efficiency.csv", plot_fig07a),
         ("fig07b_coverage.csv", plot_fig07b),
+        ("fig08_queries_per_user_unfiltered.csv",
+         lambda p, o: plot_cdf(p, o, "Fig. 8: root queries per user per day, "
+                               "counting invalid TLD and PTR", "queries / user / day",
+                               logx=True)),
+        ("fig09_queries_per_user_by_ip.csv",
+         lambda p, o: plot_cdf(p, o, "Fig. 9: root queries per user per day, "
+                               "joined by exact IP", "queries / user / day", logx=True)),
+        ("fig10_favorite_site.csv",
+         lambda p, o: plot_cdf(p, o, "Fig. 10: /24 queries missing the favorite site",
+                               "fraction of queries not to the favorite site",
+                               xlim=(0, 1), ylabel="CDF of /24s")),
     ]
     written = []
     for name, plot in jobs:
